@@ -17,9 +17,9 @@ from .core import (SimplexBasis, StateWeights, as_rho, as_rows,
                    make_partition, simplex_basis)
 from .errors import (CholeskyFailure, EmptySuperstate,
                      InadmissiblePerturbation, NoConvergence)
-from .klgeom import (SoftAssociation, aggregate_transitions, build_model,
-                     distance_matrix, free_energy, gibbs_weights,
-                     posterior_and_centroids)
+from .klgeom import (SoftAssociation, _kl_rows, _self_entropy, _softmin,
+                     aggregate_transitions, build_model, distance_matrix,
+                     free_energy, gibbs_weights, posterior_and_centroids)
 
 log = logging.getLogger(__name__)
 
@@ -34,7 +34,7 @@ class AnnealConfig:
     merge_tol: float = 1e-6       # inf-norm for identifying coincident centroids
     delta: float = 1e-4           # shadow offset amplitude
     fp_tol: float = 1e-8
-    fp_max_iter: int = 500
+    fp_max_iter: int = 500        # map evaluations per fixed point
     k_max: Optional[int] = None   # defaults to n
     seed: int = 0
     schedule: str = "adaptive"    # "adaptive" hugs critical temperatures,
@@ -59,19 +59,65 @@ class AnnealResult:
 
 
 def _fp_iterate(rows, rho, Z0, T, tol, max_iter):
-    """Alternate Gibbs weights and centroid updates. Returns
-    (Z, assoc, converged). Dead bank rows raise EmptySuperstate."""
+    """Settle the bank at temperature T by the Gibbs-weight / centroid map,
+    accelerated by SQUAREM-S3 (Varadhan & Roland 2008).
+
+    Each cycle makes two plain steps Z -> Z1 -> Z2 and extrapolates to
+    Z - 2a r + a^2 v, with r = Z1 - Z, v = Z2 - Z1 - r and
+    a = min(-|r|/|v|, -1). The next cycle starts from Z2 instead when the
+    extrapolated bank leaves the simplex (a negative entry, or a zero where
+    Z2 is positive) or when its free energy exceeds that at the cycle start.
+    Convergence is a plain step moving less than tol in sup-norm, so the
+    returned (Z, assoc) always come from a plain step; max_iter counts map
+    evaluations. Returns (Z, assoc, converged). Dead bank rows raise
+    EmptySuperstate.
+    """
+    self_ent = _self_entropy(rows)
+    positive = rows > 0
+
+    def weights(Z):
+        """Gibbs weights at Z and the free energy there."""
+        p, lse = _softmin(_kl_rows(rows, self_ent, positive, Z), T)
+        return p, -T * float(rho @ lse)
+
     Z = np.atleast_2d(np.asarray(Z0, dtype=float)).copy()
-    assoc = None
+    p, f_start = weights(Z)
+    cycle = [Z]
+    Znew, assoc = Z, None
     for _ in range(max_iter):
-        D = distance_matrix(rows, Z)
-        assoc = gibbs_weights(D, T)
-        posterior, Znew = posterior_and_centroids(rows, assoc.p, rho)
-        assoc = SoftAssociation(p=assoc.p, posterior=posterior)
+        posterior, Znew = posterior_and_centroids(rows, p, rho)
+        assoc = SoftAssociation(p=p, posterior=posterior)
         if np.abs(Znew - Z).max() < tol:
             return Znew, assoc, True
         Z = Znew
-    return Z, assoc, False
+        cycle.append(Z)
+        if len(cycle) < 3:
+            p, _ = weights(Z)
+            continue
+        Zx = _squarem(*cycle)
+        cycle = [Z]
+        if Zx is not None and not ((Zx < 0).any()
+                                   or ((Zx == 0) & (Z > 0)).any()):
+            px, fx = weights(Zx)
+            if fx <= f_start:
+                Z, p, f_start, cycle = Zx, px, fx, [Zx]
+                continue
+        p, f_start = weights(Z)
+    return Znew, assoc, False
+
+
+def _squarem(Z, Z1, Z2):
+    """SQUAREM-S3 extrapolation from two plain steps, or None when the step
+    length clips to -1 (the extrapolation is Z2 itself)."""
+    r = Z1 - Z
+    v = Z2 - Z1 - r
+    nv = np.linalg.norm(v)
+    if not nv > 0:
+        return None
+    a = -np.linalg.norm(r) / nv
+    if a >= -1.0:
+        return None
+    return Z - 2.0 * a * r + a * a * v
 
 
 def fixed_point(pi, rho, Z0, T, tol=1e-8, max_iter=500):
@@ -373,8 +419,9 @@ def anneal(pi, rho=None, cfg=AnnealConfig()):
         bank, assoc = _converge(rows, rho, bank, T, cfg, warnings, "shadow")
         Zm, merge_map = _merge_bank(bank, cfg.merge_tol)
         if Zm.shape[0] > Z.shape[0]:
-            # cap growth at k_max by keeping the heaviest distinct centroids;
-            # in practice jumps past k_max are rare under adaptive cooling
+            # a jump past k_max is recorded too; AnnealResult drops entries
+            # above k_max. In practice such jumps are rare under adaptive
+            # cooling
             _record(entries, seen, rows, rho, Zm, assoc, merge_map)
         Z = Zm
         trace.append((T, free_energy(rows, Z, rho, T), Z.shape[0]))

@@ -128,11 +128,10 @@ def simplex_basis(n):
     """
     if n < 2:
         raise DimensionMismatch("simplex basis needs n >= 2")
-    theta = np.zeros((n, n - 1))
-    for m in range(1, n):
-        c = 1.0 / np.sqrt(m * (m + 1))
-        theta[:m, m - 1] = c
-        theta[m, m - 1] = -m * c
+    m = np.arange(1, n)
+    c = 1.0 / np.sqrt(m * (m + 1))
+    theta = np.triu(np.broadcast_to(c, (n, n - 1)))
+    theta[m, m - 1] = -m * c
     return SimplexBasis(n=n, theta=theta)
 
 

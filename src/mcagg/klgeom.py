@@ -45,20 +45,34 @@ def kl_divergence(p, q, floor=0.0):
     return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(qq[mask]))))
 
 
+def _self_entropy(rows):
+    """Per-row sum p log p, with 0 log 0 = 0."""
+    return np.sum(np.where(rows > 0, rows * np.log(np.where(rows > 0, rows, 1.0)), 0.0), axis=1)
+
+
+def _kl_rows(rows, self_ent, positive, Z, floor=0.0):
+    """The KL kernel behind distance_matrix: n x k distances from rows to the
+    bank Z, given the rows' self-entropies and support mask (rows > 0), so a
+    caller that evaluates many banks against one set of rows computes those
+    two once."""
+    if rows.shape[1] != Z.shape[1]:
+        raise DimensionMismatch(f"{rows.shape} vs {Z.shape}")
+    logz = np.log(np.maximum(Z, floor if floor > 0 else _TINY))
+    D = self_ent[:, None] - rows @ logz.T
+    if floor <= 0:
+        zero = Z <= 0
+        if zero.any():
+            # honest +inf where a centroid has no mass on a used coordinate
+            viol = positive.astype(float) @ zero.T.astype(float)
+            D[viol > 0] = np.inf
+    return D
+
+
 def distance_matrix(pi, Z, floor=0.0):
     """n x k matrix of KL distances from every row of pi to every row of Z."""
     rows = as_rows(pi)
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    if rows.shape[1] != Z.shape[1]:
-        raise DimensionMismatch(f"{rows.shape} vs {Z.shape}")
-    self_ent = np.sum(np.where(rows > 0, rows * np.log(np.where(rows > 0, rows, 1.0)), 0.0), axis=1)
-    logz = np.log(np.maximum(Z, floor if floor > 0 else _TINY))
-    D = self_ent[:, None] - rows @ logz.T
-    if floor <= 0:
-        # honest +inf where a centroid has no mass on a used coordinate
-        viol = (rows > 0).astype(float) @ (Z <= 0).T.astype(float)
-        D[viol > 0] = np.inf
-    return D
+    return _kl_rows(rows, _self_entropy(rows), rows > 0, Z, floor)
 
 
 def distortion(pi, model, rho=None):
@@ -74,22 +88,36 @@ def distortion(pi, model, rho=None):
     return float(rho @ D[np.arange(rows.shape[0]), assign])
 
 
+def _softmin(D, T):
+    """Row-normalized exp(-D/T) and each row's log-sum-exp of -D/T.
+
+    Rows whose distances are all +inf get the uniform association and a
+    log-sum-exp of -inf.
+    """
+    if T <= 0:
+        raise NonPositiveTemperature(f"T = {T}")
+    A = -D / T
+    m = A.max(axis=1, keepdims=True)
+    dead = ~np.isfinite(m[:, 0])
+    if dead.any():
+        m[dead] = 0.0
+        E = np.exp(A - m)
+        E[dead] = 1.0
+    else:
+        E = np.exp(A - m)
+    s = E.sum(axis=1, keepdims=True)
+    lse = m[:, 0] + np.log(s[:, 0])
+    lse[dead] = -np.inf
+    return E / s, lse
+
+
 def gibbs_weights(distances, T):
     """Soft association weights exp(-d/T) normalized per row.
 
     Rows whose distances are all +inf fall back to the uniform association
     (every centroid is equally hopeless).
     """
-    if T <= 0:
-        raise NonPositiveTemperature(f"T = {T}")
-    D = np.asarray(distances, dtype=float)
-    A = -D / T
-    m = A.max(axis=1, keepdims=True)
-    dead = ~np.isfinite(m[:, 0])
-    m[dead] = 0.0
-    E = np.exp(A - m)
-    E[dead] = 1.0
-    p = E / E.sum(axis=1, keepdims=True)
+    p, _ = _softmin(np.asarray(distances, dtype=float), T)
     return SoftAssociation(p=p)
 
 
@@ -100,9 +128,9 @@ def posterior_and_centroids(pi, p, rho=None):
     rho = as_rho(rho, rows.shape[0])
     weighted = rho[:, None] * p
     col = weighted.sum(axis=0)
-    for j, c in enumerate(col):
-        if c < _TINY:
-            raise EmptySuperstate(j)
+    empty = np.flatnonzero(col < _TINY)
+    if len(empty):
+        raise EmptySuperstate(int(empty[0]))
     posterior = weighted / col
     Z = posterior.T @ rows
     return posterior, Z

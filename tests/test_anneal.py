@@ -3,6 +3,7 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mcagg.anneal import (AnnealConfig, aggregate_fixed_k, anneal,
                           critical_temperature, extract_hard_partition,
@@ -92,6 +93,113 @@ def test_fixed_point_no_convergence_carries_last():
     Z, assoc = exc.value.last
     assert Z.shape == (2, 2)
     assert assoc.p.shape == (2, 2)
+
+
+def _plain_fixed_point(rows, rho, Z, T, tol=1e-13, max_iter=200_000):
+    """Reference: the unaccelerated Gibbs-weight / centroid iteration."""
+    for _ in range(max_iter):
+        assoc = gibbs_weights(distance_matrix(rows, Z), T)
+        _, Znew = posterior_and_centroids(rows, assoc.p, rho)
+        if np.abs(Znew - Z).max() < tol:
+            return Znew
+        Z = Znew
+    raise AssertionError("reference iteration did not converge")
+
+
+def _plain_residual(rows, rho, Z, T):
+    assoc = gibbs_weights(distance_matrix(rows, Z), T)
+    return np.abs(posterior_and_centroids(rows, assoc.p, rho)[1] - Z).max()
+
+
+# Temperatures are multiples of the chain's first critical temperature t_cr,
+# kept away from it: at T = t_cr the plain iteration converges sublinearly.
+# Above t_cr both iterations must reach the merged bank. Below it, the
+# extrapolation may settle in another local minimum than the plain
+# iteration does, so only the fixed-point and free-energy properties are
+# checked there. A bank one step past convergence moves by
+# the contraction rate times the last step, and that rate nears 1 close to a
+# critical temperature, hence the factor 2 on the residual.
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 6), st.integers(1, 4), st.integers(0, 10_000),
+       st.one_of(st.floats(0.25, 0.8), st.floats(1.1, 4.0)))
+def test_fixed_point_accelerated_matches_plain(n, k, seed, ratio):
+    rng = np.random.default_rng(seed)
+    rows = 0.9 * rng.dirichlet(np.ones(n), size=n) + 0.1 / n
+    rho = rng.dirichlet(np.ones(n))
+    Z0 = rng.dirichlet(np.ones(n), size=k) @ rows
+    ones = SoftAssociation(p=np.ones((n, 1)), posterior=rho[:, None])
+    t_cr = critical_temperature(rows, rho, (rho @ rows)[None, :], ones).t_cr
+    T = ratio * t_cr
+    tol = 1e-10
+    Z, _ = fixed_point(rows, rho, Z0, T, tol=tol, max_iter=20_000)
+    assert _plain_residual(rows, rho, Z, T) < 2 * tol
+    assert free_energy(rows, Z, rho, T) <= free_energy(rows, Z0, rho, T) + 1e-10
+    if ratio > 1:
+        ref = _plain_fixed_point(rows, rho, Z0, T)
+        assert np.abs(Z - ref).max() < 1e-5
+
+
+def test_fixed_point_sparse_rows_keep_exact_zeros():
+    # two blocks with disjoint supports; two centroids share block A and one
+    # sits on block B, so every step meets +inf cross-block distances
+    rng = np.random.default_rng(4)
+    rows = np.zeros((6, 6))
+    rows[:4, :3] = rng.dirichlet(np.ones(3), size=4)
+    rows[4:, 3:] = rng.dirichlet(np.ones(3), size=2)
+    rho = np.full(6, 1 / 6)
+    Z0 = np.vstack([rng.dirichlet(np.ones(4), size=2) @ rows[:4],
+                    rows[4:].mean(axis=0)])
+    T = 0.1     # soft enough within block A that extrapolation engages
+    Z, assoc = fixed_point(rows, rho, Z0, T, tol=1e-10, max_iter=20_000)
+    ref = _plain_fixed_point(rows, rho, Z0, T)
+    assert np.abs(Z - ref).max() < 1e-5
+    assert np.array_equal(Z == 0, ref == 0)
+    assert np.array_equal(Z == 0, Z0 == 0)
+    assert np.isinf(distance_matrix(rows, Z)).sum() == 8
+    assert np.all(assoc.p[:4, 2] == 0) and np.all(assoc.p[4:, :2] == 0)
+
+
+def test_anneal_fixed_points_never_raise_free_energy(monkeypatch):
+    # An extrapolation that raises the free energy above its cycle's start is
+    # not taken, so across a whole sweep no map output of a fixed-point call
+    # rises above the free energy of the bank that call started from.
+    outputs, rises = [], []
+
+    def recording(*args, **kwargs):
+        out = posterior_and_centroids(*args, **kwargs)
+        outputs.append(out[1])
+        return out
+
+    fp_iterate = anneal_module._fp_iterate
+
+    def checked(rows, rho, Z0, T, tol, max_iter):
+        outputs.clear()
+        result = fp_iterate(rows, rho, Z0, T, tol, max_iter)
+        f0 = free_energy(rows, Z0, rho, T)
+        rises.append(max(free_energy(rows, Z, rho, T) for Z in outputs) - f0)
+        return result
+
+    monkeypatch.setattr(anneal_module, "posterior_and_centroids", recording)
+    monkeypatch.setattr(anneal_module, "_fp_iterate", checked)
+    pi, _ = gen_ncd(blocks=[3, 3, 3], eps=0.05, seed=0)
+    anneal(pi.rows, cfg=AnnealConfig(k_max=6))
+    assert len(rises) > 10
+    assert max(rises) <= 1e-10
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 3, 7])
+def test_fixed_point_max_iter_counts_map_evaluations(monkeypatch, max_iter):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return posterior_and_centroids(*args, **kwargs)
+
+    monkeypatch.setattr(anneal_module, "posterior_and_centroids", counting)
+    Z0 = np.array([[0.501, 0.499], [0.499, 0.501]])
+    with pytest.raises(NoConvergence):
+        fixed_point(PI2, None, Z0, T=0.5, tol=1e-15, max_iter=max_iter)
+    assert len(calls) == max_iter
 
 
 # --- hessian_quadratic_form ---

@@ -72,6 +72,18 @@ def test_simplex_basis_orthonormal_zero_sum(n):
     assert np.abs(th.sum(axis=0)).max() < 1e-12
 
 
+@pytest.mark.parametrize("n", [2, 3, 9, 10, 200, 419])
+def test_simplex_basis_matches_column_definition(n):
+    # column m (1-indexed): 1/sqrt(m(m+1)) on the first m coordinates,
+    # -m/sqrt(m(m+1)) on coordinate m+1, zero below
+    want = np.zeros((n, n - 1))
+    for m in range(1, n):
+        c = 1.0 / np.sqrt(m * (m + 1))
+        want[:m, m - 1] = c
+        want[m, m - 1] = -m * c
+    assert np.array_equal(simplex_basis(n).theta, want)
+
+
 def test_simplex_basis_needs_two_states():
     with pytest.raises(DimensionMismatch):
         simplex_basis(1)

@@ -115,6 +115,13 @@ def test_gibbs_high_temperature_limit():
     assert np.allclose(p, 0.5, atol=1e-10)
 
 
+def test_gibbs_dead_row_uniform():
+    p = gibbs_weights(np.array([[np.inf, np.inf, np.inf], [0.0, 1.0, 2.0]]),
+                      T=0.5).p
+    assert np.array_equal(p[0], np.full(3, 1 / 3))
+    assert p[1, 0] > p[1, 1] > p[1, 2] > 0
+
+
 def test_gibbs_rejects_bad_temperature():
     with pytest.raises(NonPositiveTemperature):
         gibbs_weights(np.zeros((1, 2)), T=0.0)
@@ -159,6 +166,11 @@ def test_posterior_empty_superstate():
     with pytest.raises(EmptySuperstate) as exc:
         posterior_and_centroids(PI2, np.array([[1.0, 0.0], [1.0, 0.0]]))
     assert exc.value.j == 1
+    # several empty superstates: the lowest index is reported
+    with pytest.raises(EmptySuperstate) as exc:
+        posterior_and_centroids(PI2, np.array([[0.0, 1.0, 0.0, 0.0],
+                                               [0.0, 1.0, 0.0, 0.0]]))
+    assert exc.value.j == 0
 
 
 def test_posterior_invariant_under_rho_scaling():
