@@ -452,10 +452,11 @@ def anneal(pi, rho=None, cfg=AnnealConfig()):
     return result
 
 
-def _lloyd(rows, rho, assign, max_iter=200):
+def _lloyd(rows, rho, assign, self_ent, positive, max_iter=200):
     """Zero-temperature polish: reassign to the nearest hard centroid until
     stable. Keeps the group count by reseeding empty groups with the farthest
-    row from its current centroid."""
+    row from its current centroid. self_ent and positive are the rows'
+    self-entropies and support mask (see klgeom._kl_rows)."""
     assign = np.asarray(assign, dtype=int).copy()
     k = int(assign.max()) + 1
     for _ in range(max_iter):
@@ -466,7 +467,7 @@ def _lloyd(rows, rho, assign, max_iter=200):
                 continue
             w = rho[idx]
             W[j] = (w @ rows[idx]) / w.sum()
-        D = distance_matrix(rows, W)
+        D = _kl_rows(rows, self_ent, positive, W)
         new = np.argmin(D, axis=1)
         # reseed empties deterministically
         for j in range(k):
@@ -536,7 +537,7 @@ def aggregate_fixed_k(pi, rho, k, cfg=AnnealConfig()):
             donors = np.where(counts[assign] > 1)[0]
             far = donors[np.argmax(D[donors, assign[donors]])]
             assign[far] = j
-    assign = _lloyd(rows, rho, assign)
+    assign = _lloyd(rows, rho, assign, _self_entropy(rows), rows > 0)
     used, compact = np.unique(assign, return_inverse=True)
     part = make_partition(compact, k=len(used))
     return part, build_model(rows, part.assign, rho)

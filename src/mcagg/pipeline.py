@@ -12,7 +12,7 @@ import numpy as np
 
 from .anneal import AnnealConfig, _lloyd, aggregate_fixed_k, anneal
 from .core import as_rho, as_rows, make_partition
-from .klgeom import build_model, distance_matrix, distortion, hard_centroids
+from .klgeom import _kl_rows, _self_entropy, build_model, hard_centroids
 from .selection import SelectionOptions, SelectionReport, select_k
 
 __all__ = ["PipelineResult", "run_pipeline", "refine_per_k"]
@@ -30,28 +30,46 @@ class PipelineResult:
         return self.report.k_t
 
 
-def _score(rows, rho, assign):
+def _score(rows, rho, assign, self_ent, positive):
+    """Distortion of the hard partition against its own centroids."""
     W = hard_centroids(rows, assign, rho)
-    return distortion(rows, (assign, W), rho)
+    D = _kl_rows(rows, self_ent, positive, W)
+    return float(rho @ D[np.arange(rows.shape[0]), assign])
 
 
-def _move_descent(rows, rho, assign, max_passes=50):
+def _group_terms(Sg, Mg, SEg):
+    """Per-group distortion terms SE_g - S_g . log(S_g / M_g), one per row
+    of Sg; an empty group (M_g <= 0) contributes 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lz = np.log(np.maximum(Sg / Mg[:, None], 1e-300))
+        return np.where(Mg > 0.0, SEg - np.einsum("ij,ij->i", Sg, lz), 0.0)
+
+
+def _move_descent(rows, rho, assign, self_ent, max_passes=50):
     """Single-state relocation descent with immediate centroid updates.
 
     Batch reassignment (Lloyd) stalls on stale centroids; moving one state
     at a time escapes those plateaus. Total distortion decomposes per group
     as SE_g - S_g . log(S_g / M_g), with S_g the rho-weighted row sum, M_g
-    the group mass and SE_g the weighted self-entropies, so each candidate
-    move is evaluated in O(n) from running sums.
+    the group mass and SE_g the weighted self-entropies (the Bregman
+    information form of KL hard clustering), so the value of every move is
+    read from two tables: add[i, j], group j's term with state i added, and
+    rem[i], the term of i's own group with i removed. Moving a state from
+    group a to group b changes only columns a and b of add and the rem of
+    the members of a and b, so only those are recomputed.
+
+    States are visited in index order, one pass after another, and a state
+    moves to the first group whose gain beats the best so far by more than
+    1e-14. The descent jumps straight to the next state in visit order
+    that has such a gain: every state in between would stay put, because
+    no group it depends on has changed since it was last scored.
     """
     assign = np.asarray(assign, dtype=int).copy()
     n = rows.shape[0]
     k = int(assign.max()) + 1
     if k == 1:
         return assign
-    with np.errstate(divide="ignore", invalid="ignore"):
-        plogp = np.where(rows > 0, rows * np.log(np.where(rows > 0, rows, 1.0)), 0.0)
-    se = plogp.sum(axis=1) * rho
+    se = self_ent * rho
     wrows = rho[:, None] * rows
 
     S = np.zeros((k, rows.shape[1]))
@@ -63,59 +81,73 @@ def _move_descent(rows, rho, assign, max_passes=50):
         M[j] = rho[m].sum()
         SE[j] = se[m].sum()
 
-    def contrib(Sg, Mg, SEg):
-        if Mg <= 0.0:
-            return 0.0
-        z = Sg / Mg
-        lz = np.log(np.maximum(z, 1e-300))
-        return SEg - float(Sg @ lz)
+    add = np.empty((n, k))
+    rem = np.empty(n)
 
-    cur = np.array([contrib(S[j], M[j], SE[j]) for j in range(k)])
+    def refresh(g):
+        add[:, g] = _group_terms(S[g] + wrows, M[g] + rho, SE[g] + se)
+        m = np.flatnonzero(assign == g)
+        rem[m] = _group_terms(S[g] - wrows[m], M[g] - rho[m], SE[g] - se[m])
+
+    for j in range(k):
+        refresh(j)
+    cur = _group_terms(S, M, SE)
     counts = np.bincount(assign, minlength=k)
     for _ in range(max_passes):
         improved = False
-        for i in range(n):
+        i = 0
+        while i < n:
+            own = assign[i:]
+            # gain of moving each remaining state to each group, in the
+            # tie rule's order: (cur[a] + cur[j]) - (rem[i] + add[i, j])
+            gain = (cur[own][:, None] + cur) - (rem[i:, None] + add[i:])
+            gain[np.arange(n - i), own] = -np.inf
+            gain[counts[own] <= 1] = -np.inf
+            hits = np.flatnonzero((gain > 1e-14).any(axis=1))
+            if len(hits) == 0:
+                break
+            i += int(hits[0])
+            g = gain[hits[0]]
             a = assign[i]
-            if counts[a] <= 1:
-                continue
-            Sa, Ma, SEa = S[a] - wrows[i], M[a] - rho[i], SE[a] - se[i]
-            ca = contrib(Sa, Ma, SEa)
-            best_gain, best_j, best_cb = 0.0, a, None
+            best_gain, b = 0.0, a
             for j in range(k):
-                if j == a:
-                    continue
-                cb = contrib(S[j] + wrows[i], M[j] + rho[i], SE[j] + se[i])
-                gain = (cur[a] + cur[j]) - (ca + cb)
-                if gain > best_gain + 1e-14:
-                    best_gain, best_j, best_cb = gain, j, cb
-            if best_j != a:
-                S[a], M[a], SE[a], cur[a] = Sa, Ma, SEa, ca
-                S[best_j] += wrows[i]
-                M[best_j] += rho[i]
-                SE[best_j] += se[i]
-                cur[best_j] = best_cb
-                counts[a] -= 1
-                counts[best_j] += 1
-                assign[i] = best_j
-                improved = True
+                if j != a and g[j] > best_gain + 1e-14:
+                    best_gain, b = g[j], j
+            S[a] -= wrows[i]
+            M[a] -= rho[i]
+            SE[a] -= se[i]
+            S[b] += wrows[i]
+            M[b] += rho[i]
+            SE[b] += se[i]
+            cur[a], cur[b] = rem[i], add[i, b]
+            counts[a] -= 1
+            counts[b] += 1
+            assign[i] = b
+            refresh(a)
+            refresh(b)
+            improved = True
+            i += 1
         if not improved:
             break
     return assign
 
 
-def _polish(rows, rho, assign):
-    return _move_descent(rows, rho, _lloyd(rows, rho, assign))
+def _farthest(rows, rho, self_ent, positive, idx):
+    """Position within idx of the member farthest, in KL, from the
+    rho-weighted mean of the rows in idx."""
+    w = rho[idx] / rho[idx].sum()
+    z = w @ rows[idx]
+    d = _kl_rows(rows[idx], self_ent[idx], positive[idx], z[None, :])[:, 0]
+    return int(np.argmax(d))
 
 
-def _split_two(rows, rho, assign, g, knew):
+def _split_two(rows, rho, self_ent, positive, assign, g, knew):
     """2-way Lloyd split of group g seeded by its farthest member; None if
     the split collapses."""
     idx = np.where(assign == g)[0]
-    w = rho[idx] / rho[idx].sum()
-    z = w @ rows[idx]
-    d = distance_matrix(rows[idx], z[None, :])[:, 0]
     sub = np.zeros(len(idx), dtype=int)
-    sub[np.argmax(d)] = 1
+    sub[_farthest(rows, rho, self_ent, positive, idx)] = 1
+    R, E, P = rows[idx], self_ent[idx], positive[idx]
     for _ in range(50):
         Z = np.zeros((2, rows.shape[1]))
         for j in (0, 1):
@@ -123,8 +155,8 @@ def _split_two(rows, rho, assign, g, knew):
             if not m.any():
                 return None
             ww = rho[idx][m]
-            Z[j] = (ww @ rows[idx][m]) / ww.sum()
-        new = np.argmin(distance_matrix(rows[idx], Z), axis=1)
+            Z[j] = (ww @ R[m]) / ww.sum()
+        new = np.argmin(_kl_rows(R, E, P, Z), axis=1)
         if np.array_equal(new, sub):
             break
         sub = new
@@ -141,12 +173,24 @@ def refine_per_k(pi, rho, sweep_parts, k_max, cfg=AnnealConfig()):
     rows = as_rows(pi)
     n = rows.shape[0]
     rho = as_rho(rho, n)
+    ent, pos = _self_entropy(rows), rows > 0
+    # Lloyd output bytes -> its move descent; distinct starts repeat often
+    # across k, and the descent is deterministic
+    descended = {}
+
+    def polish(assign):
+        start = _lloyd(rows, rho, assign, ent, pos)
+        key = start.tobytes()
+        if key not in descended:
+            descended[key] = _move_descent(rows, rho, start, ent)
+        return descended[key]
+
     chosen = {1: np.zeros(n, dtype=int)}
     for k in range(2, k_max + 1):
         cands = []
         if k in sweep_parts:
             raw = np.asarray(sweep_parts[k], dtype=int)
-            a = _polish(rows, rho, raw)
+            a = polish(raw)
             cands.append(a if a.max() + 1 == k else raw)
         prev = chosen[k - 1]
         kprev = int(prev.max()) + 1
@@ -154,19 +198,15 @@ def refine_per_k(pi, rho, sweep_parts, k_max, cfg=AnnealConfig()):
             idx = np.where(prev == g)[0]
             if len(idx) < 2:
                 continue
-            w = rho[idx] / rho[idx].sum()
-            z = w @ rows[idx]
-            d = distance_matrix(rows[idx], z[None, :])[:, 0]
-            far = idx[np.argmax(d)]
             a = prev.copy()
-            a[far] = kprev
-            ap = _polish(rows, rho, a)
+            a[idx[_farthest(rows, rho, ent, pos, idx)]] = kprev
+            ap = polish(a)
             for cand in (a, ap):
                 if cand.max() + 1 == k:
                     cands.append(cand)
-            s = _split_two(rows, rho, prev, g, kprev)
+            s = _split_two(rows, rho, ent, pos, prev, g, kprev)
             if s is not None:
-                sp = _polish(rows, rho, s)
+                sp = polish(s)
                 for cand in (s, sp):
                     if cand.max() + 1 == k:
                         cands.append(cand)
@@ -178,7 +218,12 @@ def refine_per_k(pi, rho, sweep_parts, k_max, cfg=AnnealConfig()):
             else:
                 chosen[k] = prev
                 continue
-        scores = [_score(rows, rho, a) for a in cands]
+        # a repeat scores the same, so it can never be the first minimum
+        unique = {}
+        for a in cands:
+            unique.setdefault(a.tobytes(), a)
+        cands = list(unique.values())
+        scores = [_score(rows, rho, a, ent, pos) for a in cands]
         chosen[k] = cands[int(np.argmin(scores))]
     return chosen
 
