@@ -64,19 +64,20 @@ def parse_matrix(path, format="csv"):
     data = []
     width = None
     for ln_no, ln in enumerate(lines[start:], start + 1):
-        toks = [t.strip() for t in ln.split(",")]
+        toks = ln.split(",")
         if width is None:
             width = len(toks)
         elif len(toks) != width:
             raise RaggedRows(
                 f"line {ln_no} has {len(toks)} fields, expected {width}")
-        row = []
-        for col, tok in enumerate(toks, 1):
-            v = _try_float(tok)
-            if v is None:
-                raise ParseError(f"bad number {tok!r}", line=ln_no, column=col)
-            row.append(v)
-        data.append(row)
+        try:
+            # float() ignores surrounding whitespace, as strip() would
+            data.append(list(map(float, toks)))
+        except ValueError:
+            for col, tok in enumerate(toks, 1):
+                if _try_float(tok) is None:
+                    raise ParseError(f"bad number {tok.strip()!r}",
+                                     line=ln_no, column=col)
     return validate_stochastic(np.asarray(data, dtype=float), tol=1e-6,
                                labels=labels)
 

@@ -84,8 +84,10 @@ def distortion(pi, model, rho=None):
         W = model.distributions
     else:
         assign, W = model  # (assign, bank) for internal callers
-    D = distance_matrix(rows, W)
-    return float(rho @ D[np.arange(rows.shape[0]), assign])
+    d = distance_matrix(rows, W)[np.arange(rows.shape[0]), assign]
+    # a zero-weight state adds nothing, even at an infinite distance
+    used = rho > 0
+    return float(rho[used] @ d[used])
 
 
 def _softmin(D, T):
@@ -166,7 +168,8 @@ def aggregate_transitions(Z, partition):
 
 
 def hard_centroids(pi, assign, rho=None):
-    """rho-weighted mean row per group; the hard-partition bank W."""
+    """rho-weighted mean row per group; the hard-partition bank W. A group
+    whose states all have zero weight gets their plain mean."""
     rows = as_rows(pi)
     rho = as_rho(rho, rows.shape[0])
     k = int(np.max(assign)) + 1
@@ -174,6 +177,8 @@ def hard_centroids(pi, assign, rho=None):
     for j in range(k):
         idx = np.where(assign == j)[0]
         w = rho[idx]
+        if w.sum() == 0.0:
+            w = np.ones(len(idx))
         W[j] = (w @ rows[idx]) / w.sum()
     return W
 

@@ -33,8 +33,9 @@ class PipelineResult:
 def _score(rows, rho, assign, self_ent, positive):
     """Distortion of the hard partition against its own centroids."""
     W = hard_centroids(rows, assign, rho)
-    D = _kl_rows(rows, self_ent, positive, W)
-    return float(rho @ D[np.arange(rows.shape[0]), assign])
+    d = _kl_rows(rows, self_ent, positive, W)[np.arange(rows.shape[0]), assign]
+    used = rho > 0
+    return float(rho[used] @ d[used])
 
 
 def _group_terms(Sg, Mg, SEg):

@@ -9,8 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Partition, as_rho, as_rows, simplex_basis
-from .errors import FloorViolation, NonConsecutiveK, ZeroHeterogeneity
+from .core import as_rho, as_rows, simplex_basis
+from .errors import FloorViolation, NonConsecutiveK
 
 __all__ = ["SelectionOptions", "SelectionReport", "hard_membership",
            "covariance_matrix", "heterogeneity", "marginal_return",
@@ -39,7 +39,8 @@ class SelectionReport:
 def hard_membership(partition, rho=None, mode="normalized"):
     """Membership matrix Q (n x k). Normalized columns hold the weight each
     state contributes to its cluster centroid (so W = Q^T Pi has stochastic
-    rows); raw columns are plain 0/1 indicators."""
+    rows), and a cluster whose states all have zero weight weighs them
+    equally; raw columns are plain 0/1 indicators."""
     if mode not in ("normalized", "raw"):
         raise ValueError(f"unknown membership mode {mode!r}")
     n, k = partition.n, partition.k
@@ -48,8 +49,9 @@ def hard_membership(partition, rho=None, mode="normalized"):
     if mode == "raw":
         return Q
     rho = as_rho(rho, n)
-    Q = Q * rho[:, None]
-    return Q / Q.sum(axis=0, keepdims=True)
+    R = Q * rho[:, None]
+    R += Q * (R.sum(axis=0) == 0.0)
+    return R / R.sum(axis=0, keepdims=True)
 
 
 def _guard_floor(j, members, w, floor):
@@ -98,24 +100,26 @@ def covariance_matrix(members, w, q, mode="plain", floor=1e-12, j=0):
     return 0.5 * (C + C.T)
 
 
-def _lambda_max(C, n_hint=None):
-    m = C.shape[0]
-    if m <= 200:
-        return float(np.linalg.eigvalsh(C)[-1])
-    # large problems: power iteration on the PSD matrix
-    v = np.ones(m) / np.sqrt(m)
-    lam = 0.0
-    for _ in range(10000):
-        w = C @ v
-        nrm = np.linalg.norm(w)
-        if nrm == 0.0:
-            return 0.0
-        v = w / nrm
-        new = float(v @ (C @ v))
-        if abs(new - lam) <= 1e-13 * max(1.0, abs(new)):
-            return new
-        lam = new
-    return lam
+def _top_eigenvalue(members, w, q, mode, floor, j):
+    """Largest eigenvalue of covariance_matrix(members, w, q, mode, floor, j)
+    (0 below 2 kept coordinates), from the smaller Gram side of A = sqrt(q)
+    (U - (U u) u^T), U = (members - w) / s: s = w and u along 1 in plain mode;
+    q normalized, s = sqrt(q @ members) and u along w / s in whiten mode."""
+    wsafe, keep = _guard_floor(j, members, w, floor)
+    sub = members[:, keep]
+    if mode == "plain":
+        s, u = wsafe, np.ones(len(wsafe))
+    elif mode == "whiten":
+        q = q / q.sum()
+        s = np.sqrt(q @ sub)
+        u = wsafe / s
+    else:
+        raise ValueError(f"unknown covariance mode {mode!r}")
+    U = (sub - wsafe) / s
+    u = u / np.linalg.norm(u)
+    A = np.sqrt(q)[:, None] * (U - np.outer(U @ u, u))
+    G = A @ A.T if A.shape[0] <= A.shape[1] else A.T @ A
+    return np.linalg.eigvalsh(G).max(initial=0.0)
 
 
 def heterogeneity_profile(pi, partition, rho=None,
@@ -128,9 +132,8 @@ def heterogeneity_profile(pi, partition, rho=None,
     out = np.zeros(partition.k)
     for jj in range(partition.k):
         idx = np.where(partition.assign == jj)[0]
-        C = covariance_matrix(rows[idx], W[jj], Q[idx, jj],
-                              mode=options.mode, floor=options.floor, j=jj)
-        out[jj] = max(_lambda_max(C), 0.0)
+        out[jj] = _top_eigenvalue(rows[idx], W[jj], Q[idx, jj],
+                                  options.mode, options.floor, jj)
     return out
 
 
@@ -138,7 +141,7 @@ def heterogeneity(pi, partition, rho=None, options=SelectionOptions()):
     """t_bar: the largest per-superstate deviation eigenvalue under the
     given partition."""
     prof = heterogeneity_profile(pi, partition, rho, options)
-    return float(prof.max()) if len(prof) else 0.0
+    return float(prof.max(initial=0.0))
 
 
 def marginal_return(t_bars):
@@ -171,20 +174,16 @@ def select_k(pi, partitions, rho=None, options=SelectionOptions()):
         raise NonConsecutiveK(gaps)
     profiles = {k: heterogeneity_profile(rows, partitions[k], rho, options)
                 for k in ks}
-    t_bars = {k: (float(p.max()) if len(p) else 0.0)
-              for k, p in profiles.items()}
+    t_bars = {k: float(p.max(initial=0.0)) for k, p in profiles.items()}
     nus = marginal_return(t_bars)
     per = {k: [float(v) for v in p] for k, p in profiles.items()}
     exact = [k for k in ks[1:] if t_bars[k] < _EXACT_FIT]
     if exact:
         k_t = min(exact)
-        return SelectionReport(k_t=k_t, t_bars=t_bars, nus=nus,
-                               options=options, exact_fit=True,
-                               per_superstate=per)
-    if not nus:
-        return SelectionReport(k_t=ks[0], t_bars=t_bars, nus=nus,
-                               options=options, per_superstate=per)
-    best = max(nus.values())
-    k_t = min(k for k, v in nus.items() if v == best)
+    elif nus:
+        best = max(nus.values())
+        k_t = min(k for k, v in nus.items() if v == best)
+    else:
+        k_t = ks[0]
     return SelectionReport(k_t=k_t, t_bars=t_bars, nus=nus, options=options,
-                           per_superstate=per)
+                           exact_fit=bool(exact), per_superstate=per)

@@ -96,6 +96,23 @@ def test_distortion_positive_on_blocks():
     assert distortion(rows, model) > 0.0
 
 
+def test_distortion_skips_zero_weight_state_at_infinite_distance():
+    # state 1 has no mass under rho and puts mass where its centroid has
+    # none: its infinite distance must not turn the total into NaN
+    rows = np.array([[1.0, 0.0], [0.0, 1.0]])
+    assign = np.array([0, 0])
+    bank = hard_centroids(rows, assign, np.array([1.0, 0.0]))
+    assert np.array_equal(bank, [[1.0, 0.0]])
+    assert distortion(rows, (assign, bank), np.array([1.0, 0.0])) == 0.0
+
+
+def test_hard_centroids_zero_weight_group_plain_mean():
+    rows = np.array([[0.5, 0.5, 0.0], [0.2, 0.2, 0.6], [0.0, 1.0, 0.0]])
+    W = hard_centroids(rows, np.array([0, 1, 1]), np.array([1.0, 0.0, 0.0]))
+    assert np.allclose(W[0], rows[0], atol=1e-15)
+    assert np.allclose(W[1], [0.1, 0.6, 0.3], atol=1e-15)
+
+
 # --- gibbs_weights ---
 
 def test_gibbs_uniform_on_equal_distances():

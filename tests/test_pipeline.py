@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import mcagg.pipeline as pipeline
 from mcagg.anneal import AnnealConfig, anneal
+from mcagg.core import stationary_distribution
 from mcagg.generators import gen_ncd
 from mcagg.klgeom import _self_entropy
 from mcagg.pipeline import _move_descent, refine_per_k
@@ -175,3 +176,32 @@ def test_refine_scores_each_candidate_once(monkeypatch):
     assert sorted({k for k, _ in scored}) == list(range(2, 7))
     for k in range(2, 7):
         assert int(chosen[k].max()) + 1 == k
+
+
+def test_refine_zero_weight_states_score_finite(monkeypatch):
+    # two closed 2-state classes and two transient states that lead into
+    # them; under the stationary rho the transient states weigh exactly 0
+    rows = np.array([[0.5, 0.5, 0, 0, 0, 0],
+                     [0.3, 0.7, 0, 0, 0, 0],
+                     [0, 0, 0.4, 0.6, 0, 0],
+                     [0, 0, 0.8, 0.2, 0, 0],
+                     [0.2, 0.3, 0.4, 0.1, 0, 0],
+                     [0.1, 0.3, 0.5, 0.1, 0, 0]])
+    rho = stationary_distribution(rows).rho
+    assert np.array_equal(rho[4:], [0.0, 0.0]) and (rho[:4] > 0).all()
+    res = anneal(rows, rho, AnnealConfig(k_max=5))
+    sweep = {k: part.assign for k, part, _ in res.entries}
+    scores = []
+    score = pipeline._score
+
+    def recording_score(rows, rho, assign, *geom):
+        s = score(rows, rho, assign, *geom)
+        scores.append((int(assign.max()) + 1, s))
+        return s
+
+    monkeypatch.setattr(pipeline, "_score", recording_score)
+    chosen = refine_per_k(rows, rho, sweep, 5)
+    assert sorted({k for k, _ in scores}) == [2, 3, 4, 5]
+    assert all(np.isfinite(s) for _, s in scores)
+    a = chosen[2]
+    assert a[0] == a[1] and a[2] == a[3] and a[0] != a[2]

@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mcagg.core import make_partition
-from mcagg.errors import FloorViolation, NonConsecutiveK
+from mcagg.errors import DimensionMismatch, FloorViolation, NonConsecutiveK
 from mcagg.generators import gen_ncd
 from mcagg.pipeline import run_pipeline
 from mcagg.selection import (SelectionOptions, covariance_matrix,
                              hard_membership, heterogeneity,
                              heterogeneity_profile, marginal_return,
-                             select_k, _lambda_max)
+                             select_k)
 
 PI2 = np.array([[0.9, 0.1], [0.1, 0.9]])
 
@@ -231,10 +231,140 @@ def test_telescoping_sum():
                                   abs=1e-12)
 
 
-def test_lambda_max_power_iteration_branch():
-    # m > 200 routes to power iteration; check it against the eigensolver
-    rng = np.random.default_rng(9)
-    A = rng.standard_normal((210, 210))
-    C = A @ A.T / 210
-    assert _lambda_max(C) == pytest.approx(
-        float(np.linalg.eigvalsh(C)[-1]), rel=1e-8)
+def _reference_profile(rows, part, rho, options):
+    """Top eigenvalue of every superstate's covariance_matrix, with a
+    superstate of fewer than 2 kept coordinates scoring 0."""
+    Q = hard_membership(part, rho, options.membership)
+    W = Q.T @ rows
+    out = np.zeros(part.k)
+    for j in range(part.k):
+        idx = np.where(part.assign == j)[0]
+        try:
+            C = covariance_matrix(rows[idx], W[j], Q[idx, j],
+                                  mode=options.mode, floor=options.floor,
+                                  j=j)
+        except DimensionMismatch:
+            continue
+        out[j] = max(float(np.linalg.eigvalsh(C)[-1]), 0.0)
+    return out
+
+
+def _near_degenerate_chain(n, seed):
+    """n states deviating from the uniform row along two orthogonal
+    zero-sum directions with equal spread, plus a little noise, so the
+    top two covariance eigenvalues are nearly equal."""
+    rng = np.random.default_rng(seed)
+    pairs = n // 2
+    M = rng.standard_normal((n, 2))
+    xy = np.linalg.qr(M - M.mean(axis=0))[0]
+    ab = np.linalg.qr(rng.standard_normal((pairs, 2)))[0]
+    Z = rng.standard_normal((pairs, n))
+    c = ab @ xy.T + 1e-8 * (Z - Z.mean(axis=1, keepdims=True))
+    c *= 0.45 / np.abs(c).max()
+    return np.concatenate([1 + c, 1 - c]) / n
+
+
+@pytest.mark.parametrize("mode", ["plain", "whiten"])
+def test_profile_large_superstate_near_degenerate_top_pair(mode):
+    # one superstate with 240 kept coordinates, where an iterative
+    # eigensolver converges slowly; the profile must be exact
+    rows = _near_degenerate_chain(240, seed=9)
+    part = make_partition(np.zeros(240, dtype=int))
+    opts = SelectionOptions(mode=mode)
+    ev = np.linalg.eigvalsh(covariance_matrix(rows, rows.mean(axis=0),
+                                              np.full(240, 1 / 240),
+                                              mode=mode))
+    assert len(ev) > 200
+    assert (ev[-1] - ev[-2]) / ev[-1] < 1e-6
+    prof = heterogeneity_profile(rows, part, options=opts)
+    assert prof[0] == pytest.approx(ev[-1], rel=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 30), st.integers(1, 6), st.integers(0, 2**32 - 1),
+       st.sampled_from([0.0, 0.5, 0.8]),
+       st.sampled_from(["normalized", "raw"]),
+       st.sampled_from(["uniform", "dirichlet", "zeros"]))
+def test_profile_matches_covariance_eigvalsh(n, k, seed, zero_frac,
+                                             membership, rho_kind):
+    k = min(k, n)
+    rng = np.random.default_rng(seed)
+    rows = rng.dirichlet(np.ones(n), size=n)
+    rows[rng.random((n, n)) < zero_frac] = 0.0
+    empty = rows.sum(axis=1) == 0.0
+    rows[empty, rng.integers(0, n, size=empty.sum())] = 1.0
+    rows /= rows.sum(axis=1, keepdims=True)
+    assign = np.concatenate([np.arange(k), rng.integers(0, k, size=n - k)])
+    rng.shuffle(assign)
+    part = make_partition(assign, k=k)
+    rho = None
+    if rho_kind != "uniform":
+        rho = rng.dirichlet(np.ones(n))
+        if rho_kind == "zeros":
+            rho[rng.random(n) < 0.5] = 0.0
+            rho[rng.integers(n)] += 1.0
+            rho /= rho.sum()
+    # whiten gets a looser tolerance because the Cholesky route of the
+    # reference loses digits when w has a coordinate near the floor (see
+    # the closed-form test below)
+    for mode, tol in (("plain", 1e-12), ("whiten", 1e-6)):
+        opts = SelectionOptions(mode=mode, membership=membership)
+        try:
+            ref = _reference_profile(rows, part, rho, opts)
+        except FloorViolation as e:
+            with pytest.raises(FloorViolation) as got:
+                heterogeneity_profile(rows, part, rho, opts)
+            assert (got.value.j, got.value.coord) == (e.j, e.coord)
+            continue
+        prof = heterogeneity_profile(rows, part, rho, opts)
+        scale = max(float(ref.max()), 1e-300)
+        err = np.abs(prof - ref) / np.maximum(ref, 1e-12 * scale)
+        assert err.max() <= tol, (mode, prof, ref)
+
+
+def test_whiten_two_members_closed_form_ill_conditioned():
+    # Two members a, b with equal weight have the whiten-mode value
+    # sum_c (a_c - b_c)^2 / (2 (a_c + b_c)). A coordinate just above the
+    # floor makes the whitening form badly conditioned: the Cholesky route
+    # of covariance_matrix is off by about 2e-6 here, while the Gram-side
+    # profile stays exact.
+    a = np.array([4e-12, 0.3, 0.5, 0.2 - 4e-12, 0.0])
+    b = np.array([0.0, 0.6, 0.1, 0.3, 0.0])
+    rows = np.array([a, b, [0.2, 0.2, 0.2, 0.2, 0.2]])
+    part = make_partition([0, 0, 1])
+    keep = (a + b) > 0
+    exact = float(np.sum((a - b)[keep] ** 2 / (2 * (a + b)[keep])))
+    prof = heterogeneity_profile(rows, part,
+                                 options=SelectionOptions(mode="whiten"))
+    assert prof[0] == pytest.approx(exact, rel=1e-12)
+    assert prof[1] == 0.0
+
+
+def test_heterogeneity_point_mass_singleton_is_zero():
+    # an absorbing row alone in its superstate keeps one coordinate, so its
+    # deviation covariance is empty (covariance_matrix cannot form it)
+    rows = np.array([[1.0, 0.0, 0.0], [0.2, 0.3, 0.5], [0.1, 0.6, 0.3]])
+    part = make_partition([0, 1, 1])
+    with pytest.raises(DimensionMismatch):
+        covariance_matrix(rows[:1], rows[0], np.array([1.0]))
+    for mode in ("plain", "whiten"):
+        prof = heterogeneity_profile(rows, part,
+                                     options=SelectionOptions(mode=mode))
+        assert prof[0] == 0.0
+        assert prof[1] > 0.0
+
+
+def test_pipeline_identity_chain():
+    # every state absorbing: k = n is an exact fit
+    res = run_pipeline(np.eye(6))
+    assert sorted(res.partitions) == list(range(1, 7))
+    assert all(np.isfinite(t) and t >= 0 for t in res.report.t_bars.values())
+    assert res.report.t_bars[6] == 0.0
+    assert res.report.exact_fit and res.k_t == 6
+
+
+def test_membership_zero_weight_group_uniform():
+    part = make_partition([0, 0, 1, 1, 1])
+    Q = hard_membership(part, np.array([0.25, 0.75, 0.0, 0.0, 0.0]))
+    assert np.allclose(Q[:, 0], [0.25, 0.75, 0, 0, 0], atol=1e-15)
+    assert np.allclose(Q[:, 1], [0, 0, 1 / 3, 1 / 3, 1 / 3], atol=1e-15)
