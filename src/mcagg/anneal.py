@@ -8,18 +8,17 @@ are detected without explicit scheduling. Hard partitions are recorded each
 time the number of distinct centroids grows.
 """
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .core import (SimplexBasis, StateWeights, as_rho, as_rows,
-                   make_partition, simplex_basis)
-from .errors import (CholeskyFailure, EmptySuperstate,
-                     InadmissiblePerturbation, NoConvergence)
+from .core import as_rho, as_rows, make_partition, simplex_basis
+from .errors import EmptySuperstate, InadmissiblePerturbation, NoConvergence
 from .klgeom import (SoftAssociation, _kl_rows, _self_entropy, _softmin,
                      aggregate_transitions, build_model, distance_matrix,
                      free_energy, gibbs_weights, posterior_and_centroids)
+from .selection import _top_deviation
 
 log = logging.getLogger(__name__)
 
@@ -74,11 +73,14 @@ def _fp_iterate(rows, rho, Z0, T, tol, max_iter):
     """
     self_ent = _self_entropy(rows)
     positive = rows > 0
+    # a zero-weight state adds nothing, even where its log-sum-exp is -inf
+    live = rho > 0
+    rho_live = rho[live]
 
     def weights(Z):
         """Gibbs weights at Z and the free energy there."""
         p, lse = _softmin(_kl_rows(rows, self_ent, positive, Z), T)
-        return p, -T * float(rho @ lse)
+        return p, -T * float(rho_live @ lse[live])
 
     Z = np.atleast_2d(np.asarray(Z0, dtype=float)).copy()
     p, f_start = weights(Z)
@@ -145,83 +147,56 @@ def _posterior_from(rows, rho, assoc):
     return weighted / col
 
 
-def _whiten_eigs(rows, rho, z, p_given_j, floor):
-    """Largest eigenvalue and eigenvector of the whitened soft covariance of
-    one centroid, restricted to coordinates where z clears the floor.
+def _critical_full(rows, rho, Z, assoc, floor, vectors=False):
+    """Per-centroid critical temperatures, and with vectors=True also the
+    split directions as (tcrs, dirs).
 
-    Returns (t_cr, direction in the full space). Coordinates below the floor
-    carry no posterior mass in well-posed inputs, so restricting the basis is
-    equivalent to the full computation and keeps the whitening Cholesky well
-    conditioned.
+    Centroid j's critical temperature is the top eigenvalue of its
+    posterior-weighted deviation covariance, whitened by the curvature
+    diag((p_j @ rows) / z^2) on the simplex tangent space (Rose 1998). That
+    is selection._top_deviation with q = p_j, s = sqrt(p_j @ rows) and u
+    along z / s, on the coordinates where z clears the floor and p_j puts
+    mass; the others are dropped, never raised over. The split direction is
+    x z / s for the top eigenvector x, unit-normalized. A centroid with no
+    mass, fewer than 2 kept coordinates or a zero top eigenvalue gets t_cr 0
+    and a zero direction.
     """
-    n = rows.shape[1]
-    sup = np.where(z > floor)[0]
-    if len(sup) < 2:
-        return 0.0, np.zeros(n)
-    zs = z[sup]
-    pis = rows[:, sup]
-    Y = simplex_basis(len(sup)).theta
-    lam = (p_given_j @ pis) / zs**2
-    H0 = Y.T @ (lam[:, None] * Y)
-    V = (pis - zs) / zs
-    B = V @ Y
-    H1 = B.T @ (p_given_j[:, None] * B)
-    try:
-        L = np.linalg.cholesky(H0)
-    except np.linalg.LinAlgError:
-        raise CholeskyFailure(-1)
-    C = np.linalg.solve(L, np.linalg.solve(L, H1).T).T
-    C = 0.5 * (C + C.T)
-    vals, vecs = np.linalg.eigh(C)
-    tcr = float(max(vals[-1], 0.0))
-    w = np.linalg.solve(L.T, vecs[:, -1])
-    d = Y @ w
-    full = np.zeros(n)
-    full[sup] = d
-    nrm = np.linalg.norm(full)
-    if nrm > 0:
-        full = full / nrm
-    return tcr, full
-
-
-def _critical_full(rows, rho, Z, assoc, floor, rng=None):
-    """Per-centroid critical temperatures and split directions."""
     k = Z.shape[0]
-    n = rows.shape[1]
     posterior = _posterior_from(rows, rho, assoc)
     tcrs = np.zeros(k)
-    dirs = np.zeros((k, n))
+    dirs = np.zeros((k, rows.shape[1])) if vectors else None
     for j in range(k):
         mass = float((rho * assoc.p[:, j]).sum())
         if mass < _TINY:
             continue
-        try:
-            tcrs[j], dirs[j] = _whiten_eigs(rows, rho, Z[j],
-                                            posterior[:, j], floor)
-        except CholeskyFailure:
-            # retry once with the floor applied to the centroid
-            zf = np.maximum(Z[j], floor)
-            zf = zf / zf.sum()
-            try:
-                tcrs[j], dirs[j] = _whiten_eigs(rows, rho, zf,
-                                                posterior[:, j], floor)
-            except CholeskyFailure:
-                if rng is None:
-                    raise CholeskyFailure(j)
-                theta = simplex_basis(n).theta
-                d = theta @ rng.standard_normal(n - 1)
-                dirs[j] = d / np.linalg.norm(d)
-                tcrs[j] = 0.0
-    return tcrs, dirs
+        q = posterior[:, j]
+        s2 = q @ rows
+        keep = np.flatnonzero((Z[j] > floor) & (s2 > 0))
+        if len(keep) < 2:
+            continue
+        z, s = Z[j, keep], np.sqrt(s2[keep])
+        out = _top_deviation(rows[:, keep], z, q, s, z / s, vectors)
+        if not vectors:
+            tcrs[j] = out
+            continue
+        tcrs[j], x = out
+        d = x * z / s
+        nrm = np.linalg.norm(d)
+        if nrm > 0:
+            dirs[j, keep] = d / nrm
+    return (tcrs, dirs) if vectors else tcrs
 
 
 def critical_temperature(pi, rho, Z, assoc, floor=1e-12):
-    """Closed-form critical temperature of the current fixed point: the
-    largest whitened-covariance eigenvalue over superstates."""
+    """Critical temperatures of the current bank: per superstate, the top
+    eigenvalue of its posterior-weighted deviation covariance whitened by the
+    local KL curvature, on the coordinates where the centroid clears the
+    floor and carries posterior mass (see _critical_full); t_cr is the
+    largest."""
     rows = as_rows(pi)
     rho = as_rho(rho, rows.shape[0])
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    tcrs, _ = _critical_full(rows, rho, Z, assoc, floor)
+    tcrs = _critical_full(rows, rho, Z, assoc, floor)
     return CriticalReport(per_superstate=tcrs, t_cr=float(tcrs.max()))
 
 
@@ -395,7 +370,7 @@ def anneal(pi, rho=None, cfg=AnnealConfig()):
     z0 = (rho @ rows)[None, :]
     ones = SoftAssociation(p=np.ones((n, 1)),
                            posterior=(rho / rho.sum())[:, None])
-    tcrs, dirs = _critical_full(rows, rho, z0, ones, cfg.floor, rng)
+    tcrs = _critical_full(rows, rho, z0, ones, cfg.floor)
     _record(entries, seen, rows, rho, z0, ones, {0: 0})
     t0 = cfg.t0_factor * max(tcrs[0], 1e-12)
     t_min = cfg.t_min_factor * t0
@@ -409,7 +384,7 @@ def anneal(pi, rho=None, cfg=AnnealConfig()):
         Z, mm = _merge_bank(Z, cfg.merge_tol)
         tcrs, dirs = _critical_full(rows, rho, Z, assoc if Z.shape[0] == assoc.p.shape[1] else
                                     gibbs_weights(distance_matrix(rows, Z), T),
-                                    cfg.floor, rng)
+                                    cfg.floor, vectors=True)
         for j in range(Z.shape[0]):
             if not dirs[j].any():
                 theta = simplex_basis(n).theta
@@ -430,7 +405,7 @@ def anneal(pi, rho=None, cfg=AnnealConfig()):
         # cooling
         if cfg.schedule == "adaptive":
             probe = gibbs_weights(distance_matrix(rows, Z), T)
-            tcrs, _ = _critical_full(rows, rho, Z, probe, cfg.floor, rng)
+            tcrs = _critical_full(rows, rho, Z, probe, cfg.floor)
             tmax = float(tcrs.max()) if len(tcrs) else 0.0
             nxt = cfg.alpha * T
             if tmax > 0 and tmax < T:
@@ -506,7 +481,7 @@ def aggregate_fixed_k(pi, rho, k, cfg=AnnealConfig()):
     Z = np.stack(bank)
     ones = SoftAssociation(p=np.ones((n, 1)),
                            posterior=(rho / rho.sum())[:, None])
-    tcrs, _ = _critical_full(rows, rho, z0[None, :], ones, cfg.floor, rng)
+    tcrs = _critical_full(rows, rho, z0[None, :], ones, cfg.floor)
     T = cfg.t0_factor * max(tcrs[0], 1e-12)
     t_min = cfg.t_min_factor * T
     warnings = []

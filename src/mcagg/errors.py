@@ -62,12 +62,6 @@ class EmptySuperstate(ValidationError):
         super().__init__(f"superstate {j} has vanishing posterior mass")
 
 
-class CholeskyFailure(ValidationError):
-    def __init__(self, j):
-        self.j = j
-        super().__init__(f"whitening matrix for superstate {j} is numerically singular")
-
-
 class InadmissiblePerturbation(ValidationError):
     pass
 
@@ -79,14 +73,6 @@ class FloorViolation(ValidationError):
         super().__init__(
             f"superstate {j} centroid coordinate {coord} is below the floor "
             "while member rows deviate there")
-
-
-class ZeroHeterogeneity(McaggError):
-    """Sentinel condition: an aggregated model fits exactly (t_bar = 0)."""
-
-    def __init__(self, k):
-        self.k = k
-        super().__init__(f"exact fit at k={k}")
 
 
 class NonConsecutiveK(ValidationError):

@@ -151,7 +151,8 @@ def free_energy(pi, Z, rho=None, T=1.0, floor=0.0):
     if np.any(finite):
         shifted = np.exp(-(D[finite] - m[finite][:, None]) / T)
         vals[finite] = m[finite] - T * np.log(shifted.sum(axis=1))
-    return float(rho @ vals)
+    used = rho > 0
+    return float(rho[used] @ vals[used])
 
 
 def aggregate_transitions(Z, partition):

@@ -100,11 +100,35 @@ def covariance_matrix(members, w, q, mode="plain", floor=1e-12, j=0):
     return 0.5 * (C + C.T)
 
 
+def _top_deviation(members, w, q, s, u, vectors=False):
+    """Largest eigenvalue of A^T A for the m x d deviation factor
+    A = sqrt(q) (U - (U u) u^T), with U = (members - w) / s and u scaled to
+    unit length.
+
+    The eigensolve runs on the smaller of A A^T and A^T A. With vectors=True
+    it returns (t, x), x the unit top eigenvector of A^T A (A^T y normalized
+    on the A A^T side), or zeros when t is 0. Without, it calls eigvalsh only.
+    """
+    U = (members - w) / s
+    u = u / np.linalg.norm(u)
+    A = np.sqrt(q)[:, None] * (U - np.outer(U @ u, u))
+    wide = A.shape[0] <= A.shape[1]
+    G = A @ A.T if wide else A.T @ A
+    if not vectors:
+        return np.linalg.eigvalsh(G).max(initial=0.0)
+    vals, vecs = np.linalg.eigh(G)
+    x = A.T @ vecs[:, -1] if wide else vecs[:, -1]
+    nrm = np.linalg.norm(x)
+    if not (vals[-1] > 0 and nrm > 0):
+        return 0.0, np.zeros(A.shape[1])
+    return float(vals[-1]), x / nrm
+
+
 def _top_eigenvalue(members, w, q, mode, floor, j):
     """Largest eigenvalue of covariance_matrix(members, w, q, mode, floor, j)
-    (0 below 2 kept coordinates), from the smaller Gram side of A = sqrt(q)
-    (U - (U u) u^T), U = (members - w) / s: s = w and u along 1 in plain mode;
-    q normalized, s = sqrt(q @ members) and u along w / s in whiten mode."""
+    (0 below 2 kept coordinates), by _top_deviation: s = w and u along 1 in
+    plain mode; q normalized, s = sqrt(q @ members) and u along w / s in
+    whiten mode."""
     wsafe, keep = _guard_floor(j, members, w, floor)
     sub = members[:, keep]
     if mode == "plain":
@@ -115,11 +139,7 @@ def _top_eigenvalue(members, w, q, mode, floor, j):
         u = wsafe / s
     else:
         raise ValueError(f"unknown covariance mode {mode!r}")
-    U = (sub - wsafe) / s
-    u = u / np.linalg.norm(u)
-    A = np.sqrt(q)[:, None] * (U - np.outer(U @ u, u))
-    G = A @ A.T if A.shape[0] <= A.shape[1] else A.T @ A
-    return np.linalg.eigvalsh(G).max(initial=0.0)
+    return _top_deviation(sub, wsafe, q, s, u)
 
 
 def heterogeneity_profile(pi, partition, rho=None,

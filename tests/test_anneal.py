@@ -1,5 +1,6 @@
 import importlib
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from mcagg.anneal import (AnnealConfig, aggregate_fixed_k, anneal,
                           critical_temperature, extract_hard_partition,
                           fixed_point, hessian_quadratic_form)
+from mcagg.core import simplex_basis, stationary_distribution
 from mcagg.errors import InadmissiblePerturbation, NoConvergence
 from mcagg.generators import gen_ncd
 from mcagg.klgeom import (SoftAssociation, distance_matrix, free_energy,
@@ -48,6 +50,130 @@ def test_critical_temperature_nonnegative_entries():
     assoc = gibbs_weights(distance_matrix(rows, Z), T=0.5)
     rep = critical_temperature(rows, None, Z, assoc)
     assert (rep.per_superstate >= 0).all()
+
+
+def _whiten_eigs(rows, rho, z, p_given_j, floor):
+    """Reference: the Helmert-basis, Cholesky-whitened eigensolve that
+    _critical_full replaced, kept verbatim except that a failed Cholesky
+    raises numpy's LinAlgError and the full spectrum is returned as well.
+
+    Returns (t_cr, direction in the full space, ascending eigenvalues).
+    """
+    n = rows.shape[1]
+    sup = np.where(z > floor)[0]
+    if len(sup) < 2:
+        return 0.0, np.zeros(n), np.zeros(1)
+    zs = z[sup]
+    pis = rows[:, sup]
+    Y = simplex_basis(len(sup)).theta
+    lam = (p_given_j @ pis) / zs**2
+    H0 = Y.T @ (lam[:, None] * Y)
+    V = (pis - zs) / zs
+    B = V @ Y
+    H1 = B.T @ (p_given_j[:, None] * B)
+    L = np.linalg.cholesky(H0)
+    C = np.linalg.solve(L, np.linalg.solve(L, H1).T).T
+    C = 0.5 * (C + C.T)
+    vals, vecs = np.linalg.eigh(C)
+    tcr = float(max(vals[-1], 0.0))
+    w = np.linalg.solve(L.T, vecs[:, -1])
+    d = Y @ w
+    full = np.zeros(n)
+    full[sup] = d
+    nrm = np.linalg.norm(full)
+    if nrm > 0:
+        full = full / nrm
+    return tcr, full, vals
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 40), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_critical_full_matches_whitened_reference(n, k, seed):
+    # well-conditioned chains: every entry, centroid coordinate and
+    # posterior-weighted mass is at least 1e-3
+    rng = np.random.default_rng(seed)
+    rows = (1 - n * 1e-3) * rng.dirichlet(np.ones(n), size=n) + 1e-3
+    rho = rng.dirichlet(np.ones(n))
+    Z = (1 - n * 1e-3) * rng.dirichlet(np.ones(n), size=k) + 1e-3
+    p = rng.dirichlet(np.ones(k), size=n)
+    posterior = rho[:, None] * p
+    posterior /= posterior.sum(axis=0)
+    assoc = SoftAssociation(p=p, posterior=posterior)
+    tcrs, dirs = anneal_module._critical_full(rows, rho, Z, assoc, 1e-12,
+                                              vectors=True)
+    t_only = anneal_module._critical_full(rows, rho, Z, assoc, 1e-12)
+    for j in range(k):
+        t_ref, d_ref, vals = _whiten_eigs(rows, rho, Z[j], posterior[:, j],
+                                          1e-12)
+        assert tcrs[j] == pytest.approx(t_ref, rel=1e-10)
+        assert t_only[j] == pytest.approx(tcrs[j], rel=1e-13)
+        assert np.linalg.norm(dirs[j]) == pytest.approx(1.0, abs=1e-12)
+        assert abs(dirs[j].sum()) < 1e-12
+        if len(vals) < 2 or vals[-1] - vals[-2] > 1e-6 * vals[-1]:
+            assert abs(dirs[j] @ d_ref) >= 1 - 1e-9
+
+
+def test_critical_full_two_members_closed_form_near_floor():
+    # Two equal-weight members a, b: the whitened covariance has rank 1 and
+    # t_cr = sum_c (a_c - b_c)^2 / (2 (a_c + b_c)) over the kept coordinates.
+    # Coordinate 0 of the centroid sits just above the floor, where the
+    # Cholesky whitening of the reference loses accuracy.
+    a = np.array([4e-12, 0.3, 0.5, 0.2 - 4e-12, 0.0])
+    b = np.array([0.0, 0.6, 0.1, 0.3, 0.0])
+    rows = np.array([a, b])
+    z = 0.5 * (a + b)
+    keep = z > 0
+    exact = float(np.sum((a - b)[keep] ** 2 / (2 * (a + b)[keep])))
+    ones = SoftAssociation(p=np.ones((2, 1)), posterior=np.full((2, 1), 0.5))
+    tcrs, dirs = anneal_module._critical_full(rows, np.full(2, 0.5),
+                                              z[None, :], ones, 1e-12,
+                                              vectors=True)
+    assert tcrs[0] == pytest.approx(exact, rel=1e-12)
+    rep = critical_temperature(rows, None, z[None, :], ones)
+    assert rep.t_cr == pytest.approx(exact, rel=1e-12)
+    # the split direction of a rank-1 form is along the whitened deviation
+    d = (a - b)[keep]
+    assert abs(dirs[0][keep] @ d) / np.linalg.norm(d) == pytest.approx(
+        1.0, abs=1e-9)
+    assert dirs[0][~keep] == 0.0
+
+
+def test_critical_full_zero_posterior_mass_coordinates():
+    # The centroid is positive everywhere, but the posterior puts all its
+    # mass on rows 0 and 1, which are zero on coordinates 2 and 3. Those
+    # coordinates have no curvature, so they are dropped with the floored
+    # ones instead of being divided by zero; the Cholesky-whitened
+    # reference cannot factor this form.
+    rows = np.array([[0.6, 0.4, 0.0, 0.0],
+                     [0.2, 0.8, 0.0, 0.0],
+                     [0.1, 0.1, 0.4, 0.4],
+                     [0.0, 0.2, 0.3, 0.5]])
+    Z = np.full((1, 4), 0.25)
+    assoc = SoftAssociation(p=np.ones((4, 1)),
+                            posterior=np.array([[0.5], [0.5], [0.0], [0.0]]))
+    with np.errstate(all="raise"):
+        tcrs, dirs = anneal_module._critical_full(rows, np.full(4, 0.25), Z,
+                                                  assoc, 1e-12, vectors=True)
+    assert np.isfinite(tcrs[0]) and tcrs[0] >= 0.0
+    assert np.isfinite(dirs[0]).all()
+    assert np.linalg.norm(dirs[0]) == pytest.approx(1.0, abs=1e-12)
+    assert abs(dirs[0].sum()) < 1e-12
+    assert (dirs[0][2:] == 0.0).all()
+    rep = critical_temperature(rows, None, Z, assoc)
+    assert rep.t_cr == tcrs[0]
+    with pytest.raises(np.linalg.LinAlgError):
+        _whiten_eigs(rows, None, Z[0], assoc.posterior[:, 0], 1e-12)
+
+
+def test_critical_full_identical_rows_zero_direction():
+    # a zero top eigenvalue leaves the direction to the annealer's random
+    # tangent draw
+    rows = np.tile([0.3, 0.7], (3, 1))
+    assoc = SoftAssociation(p=np.ones((3, 1)), posterior=np.full((3, 1), 1 / 3))
+    tcrs, dirs = anneal_module._critical_full(rows, np.full(3, 1 / 3),
+                                              rows[:1], assoc, 1e-12,
+                                              vectors=True)
+    assert tcrs[0] == 0.0 and not dirs.any()
 
 
 # --- fixed_point ---
@@ -185,6 +311,88 @@ def test_anneal_fixed_points_never_raise_free_energy(monkeypatch):
     anneal(pi.rows, cfg=AnnealConfig(k_max=6))
     assert len(rises) > 10
     assert max(rises) <= 1e-10
+
+
+# Two closed 2-state classes and two transient states that lead into them;
+# under the stationary rho the transient states weigh exactly 0.
+ZERO_WEIGHT_ROWS = np.array([[0.5, 0.5, 0, 0, 0, 0],
+                             [0.3, 0.7, 0, 0, 0, 0],
+                             [0, 0, 0.4, 0.6, 0, 0],
+                             [0, 0, 0.8, 0.2, 0, 0],
+                             [0.2, 0.3, 0.4, 0.1, 0, 0],
+                             [0.1, 0.3, 0.5, 0.1, 0, 0]])
+
+
+def _no_runtime_warnings(fn, caught):
+    def wrapped(*args, **kwargs):
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            out = fn(*args, **kwargs)
+        caught.extend(w for w in seen
+                      if issubclass(w.category, RuntimeWarning))
+        return out
+    return wrapped
+
+
+def test_anneal_zero_weight_states_free_energy_finite(monkeypatch):
+    # The transient states are at +inf from every centroid that lives on one
+    # class, so their log-sum-exp is -inf; weighing 0, they must add nothing
+    # to the free energy instead of 0 * -inf = NaN.
+    rho = stationary_distribution(ZERO_WEIGHT_ROWS).rho
+    assert np.array_equal(rho[4:], [0.0, 0.0])
+    caught = []
+    for name in ("_fp_iterate", "free_energy"):
+        monkeypatch.setattr(anneal_module, name, _no_runtime_warnings(
+            getattr(anneal_module, name), caught))
+    res = anneal(ZERO_WEIGHT_ROWS, rho, AnnealConfig(k_max=5))
+    assert not caught, [str(w.message) for w in caught]
+    assert all(np.isfinite(f) for _, f, _ in res.trace)
+
+
+# A bank for that chain at which the transient rows are at +inf from every
+# centroid: two centroids over the first class and one on the second.
+ZERO_WEIGHT_Z0 = np.array([[0.4, 0.4, 0.2, 0, 0, 0],
+                           [0.3, 0.5, 0.2, 0, 0, 0],
+                           [0, 0, 0.5, 0.5, 0, 0]])
+
+
+def _jump_run(monkeypatch, rho, T, jump):
+    """_fp_iterate from ZERO_WEIGHT_Z0 with the first SQUAREM extrapolation
+    replaced by jump. Returns the Gibbs weights of every map evaluation."""
+    seen, jumps = [], [jump]
+    monkeypatch.setattr(anneal_module, "_squarem",
+                        lambda *cycle: jumps.pop() if jumps else None)
+    monkeypatch.setattr(anneal_module, "posterior_and_centroids",
+                        lambda r, p, w: seen.append(p) or
+                        posterior_and_centroids(r, p, w))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _, _, ok = anneal_module._fp_iterate(ZERO_WEIGHT_ROWS, rho,
+                                             ZERO_WEIGHT_Z0, T, 1e-12, 10_000)
+    monkeypatch.undo()
+    assert ok and not jumps
+    return seen
+
+
+def test_fixed_point_jump_accept_and_reject_with_zero_weight_states(
+        monkeypatch):
+    rows = ZERO_WEIGHT_ROWS
+    rho = stationary_distribution(rows).rho
+    T = 0.05
+    f0 = free_energy(rows, ZERO_WEIGHT_Z0, rho, T)
+    # a jump to the fixed point lowers the free energy and is taken: two
+    # plain steps, then one step that confirms convergence
+    Zfix = _plain_fixed_point(rows, rho, ZERO_WEIGHT_Z0, T)
+    assert free_energy(rows, Zfix, rho, T) <= f0
+    assert len(_jump_run(monkeypatch, rho, T, Zfix)) == 3
+    # a jump that raises the free energy is dropped: no map is ever
+    # evaluated at its Gibbs weights
+    Zbad = np.array([[0.99, 0.01, 0, 0, 0, 0], [0.01, 0.99, 0, 0, 0, 0],
+                     [0, 0, 0.5, 0.5, 0, 0]])
+    assert free_energy(rows, Zbad, rho, T) > f0
+    p_bad = gibbs_weights(distance_matrix(rows, Zbad), T).p
+    seen = _jump_run(monkeypatch, rho, T, Zbad)
+    assert not any(np.allclose(p, p_bad) for p in seen)
 
 
 @pytest.mark.parametrize("max_iter", [1, 2, 3, 7])

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -297,3 +300,20 @@ def test_cli_stationary_rho(tmp_path, capsys):
                    "--rho", "stationary"])
     assert rc == 0
     assert "k_t =" in capsys.readouterr().out
+
+
+# --- dependencies ---
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy may be installed alongside,
+    # so an accidental import of it would go unnoticed anywhere else
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, mcagg, mcagg.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
