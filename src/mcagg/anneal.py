@@ -15,9 +15,10 @@ import numpy as np
 
 from .core import as_rho, as_rows, make_partition, simplex_basis
 from .errors import EmptySuperstate, InadmissiblePerturbation, NoConvergence
-from .klgeom import (SoftAssociation, _kl_rows, _self_entropy, _softmin,
-                     aggregate_transitions, build_model, distance_matrix,
-                     free_energy, gibbs_weights, posterior_and_centroids)
+from .klgeom import (SoftAssociation, _group_mean, _kl_rows, _self_entropy,
+                     _softmin, aggregate_transitions, build_model,
+                     distance_matrix, free_energy, gibbs_weights,
+                     posterior_and_centroids)
 from .selection import _top_deviation
 
 log = logging.getLogger(__name__)
@@ -77,24 +78,24 @@ def _fp_iterate(rows, rho, Z0, T, tol, max_iter):
     live = rho > 0
     rho_live = rho[live]
 
-    def weights(Z):
-        """Gibbs weights at Z and the free energy there."""
-        p, lse = _softmin(_kl_rows(rows, self_ent, positive, Z), T)
-        return p, -T * float(rho_live @ lse[live])
+    def weights(Z, energy=True):
+        """Gibbs weights at Z and, with energy=True, the free energy there."""
+        p, lse = _softmin(_kl_rows(rows, self_ent, positive, Z), T, energy)
+        return p, (-T * float(rho_live @ lse[live]) if energy else None)
 
     Z = np.atleast_2d(np.asarray(Z0, dtype=float)).copy()
     p, f_start = weights(Z)
     cycle = [Z]
-    Znew, assoc = Z, None
+    Znew, last = Z, None
     for _ in range(max_iter):
         posterior, Znew = posterior_and_centroids(rows, p, rho)
-        assoc = SoftAssociation(p=p, posterior=posterior)
+        last = (p, posterior)
         if np.abs(Znew - Z).max() < tol:
-            return Znew, assoc, True
+            return Znew, SoftAssociation(*last), True
         Z = Znew
         cycle.append(Z)
         if len(cycle) < 3:
-            p, _ = weights(Z)
+            p, _ = weights(Z, energy=False)
             continue
         Zx = _squarem(*cycle)
         cycle = [Z]
@@ -105,7 +106,7 @@ def _fp_iterate(rows, rho, Z0, T, tol, max_iter):
                 Z, p, f_start, cycle = Zx, px, fx, [Zx]
                 continue
         p, f_start = weights(Z)
-    return Znew, assoc, False
+    return Znew, (SoftAssociation(*last) if last else None), False
 
 
 def _squarem(Z, Z1, Z2):
@@ -440,8 +441,7 @@ def _lloyd(rows, rho, assign, self_ent, positive, max_iter=200):
             idx = np.where(assign == j)[0]
             if len(idx) == 0:
                 continue
-            w = rho[idx]
-            W[j] = (w @ rows[idx]) / w.sum()
+            W[j] = _group_mean(rows[idx], rho[idx])
         D = _kl_rows(rows, self_ent, positive, W)
         new = np.argmin(D, axis=1)
         # reseed empties deterministically

@@ -90,8 +90,9 @@ def distortion(pi, model, rho=None):
     return float(rho[used] @ d[used])
 
 
-def _softmin(D, T):
-    """Row-normalized exp(-D/T) and each row's log-sum-exp of -D/T.
+def _softmin(D, T, with_lse=True):
+    """Row-normalized exp(-D/T) and each row's log-sum-exp of -D/T, or None
+    in its place with with_lse=False.
 
     Rows whose distances are all +inf get the uniform association and a
     log-sum-exp of -inf.
@@ -108,6 +109,8 @@ def _softmin(D, T):
     else:
         E = np.exp(A - m)
     s = E.sum(axis=1, keepdims=True)
+    if not with_lse:
+        return E / s, None
     lse = m[:, 0] + np.log(s[:, 0])
     lse[dead] = -np.inf
     return E / s, lse
@@ -123,16 +126,20 @@ def gibbs_weights(distances, T):
     return SoftAssociation(p=p)
 
 
+def _is_floats(a):
+    return type(a) is np.ndarray and a.dtype == np.float64
+
+
 def posterior_and_centroids(pi, p, rho=None):
     """Posterior column-normalization of rho-weighted p, and Z = P^T Pi."""
-    rows = as_rows(pi)
-    p = np.asarray(p, dtype=float)
-    rho = as_rho(rho, rows.shape[0])
+    # the annealer's inner loop passes float arrays, which need no unwrapping
+    rows = pi if _is_floats(pi) else as_rows(pi)
+    p = p if _is_floats(p) else np.asarray(p, dtype=float)
+    rho = rho if _is_floats(rho) else as_rho(rho, rows.shape[0])
     weighted = rho[:, None] * p
     col = weighted.sum(axis=0)
-    empty = np.flatnonzero(col < _TINY)
-    if len(empty):
-        raise EmptySuperstate(int(empty[0]))
+    if col.min() < _TINY:
+        raise EmptySuperstate(int(np.flatnonzero(col < _TINY)[0]))
     posterior = weighted / col
     Z = posterior.T @ rows
     return posterior, Z
@@ -177,11 +184,16 @@ def hard_centroids(pi, assign, rho=None):
     W = np.zeros((k, rows.shape[1]))
     for j in range(k):
         idx = np.where(assign == j)[0]
-        w = rho[idx]
-        if w.sum() == 0.0:
-            w = np.ones(len(idx))
-        W[j] = (w @ rows[idx]) / w.sum()
+        W[j] = _group_mean(rows[idx], rho[idx])
     return W
+
+
+def _group_mean(R, w):
+    """w-weighted mean of the rows R; their plain mean when w sums to 0, as
+    for a group of states that all have zero stationary weight."""
+    if w.sum() == 0.0:
+        w = np.ones(len(w))
+    return (w @ R) / w.sum()
 
 
 def build_model(pi, assign, rho=None, bank=None):

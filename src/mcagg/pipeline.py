@@ -12,7 +12,8 @@ import numpy as np
 
 from .anneal import AnnealConfig, _lloyd, aggregate_fixed_k, anneal
 from .core import as_rho, as_rows, make_partition
-from .klgeom import _kl_rows, _self_entropy, build_model, hard_centroids
+from .klgeom import (_group_mean, _kl_rows, _self_entropy, build_model,
+                     hard_centroids)
 from .selection import SelectionOptions, SelectionReport, select_k
 
 __all__ = ["PipelineResult", "run_pipeline", "refine_per_k"]
@@ -46,6 +47,11 @@ def _group_terms(Sg, Mg, SEg):
         return np.where(Mg > 0.0, SEg - np.einsum("ij,ij->i", Sg, lz), 0.0)
 
 
+# rows per scan block of _move_descent: a block's stale table columns are
+# recomputed just before the scan reads it
+_BLOCK = 32
+
+
 def _move_descent(rows, rho, assign, self_ent, max_passes=50):
     """Single-state relocation descent with immediate centroid updates.
 
@@ -54,16 +60,23 @@ def _move_descent(rows, rho, assign, self_ent, max_passes=50):
     as SE_g - S_g . log(S_g / M_g), with S_g the rho-weighted row sum, M_g
     the group mass and SE_g the weighted self-entropies (the Bregman
     information form of KL hard clustering), so the value of every move is
-    read from two tables: add[i, j], group j's term with state i added, and
-    rem[i], the term of i's own group with i removed. Moving a state from
-    group a to group b changes only columns a and b of add and the rem of
-    the members of a and b, so only those are recomputed.
+    read from one n x k table: tab[i, g] is group g's term with state i
+    added, or, for i's own group, with i removed.
+
+    A move from group a to group b changes S, M and SE of a and b only, so
+    it bumps their versions ver[a] and ver[b]; seen[i, g] is the version
+    tab[i, g] was computed at. The scan reads the rows from the current
+    state to the end of its block of _BLOCK rows and, just before,
+    recomputes the columns that hold a stale entry in those rows. Every entry read is therefore computed from the current group
+    sums by the same row-wise expression, and an entry a move makes stale
+    is recomputed only if the scan reads it before its group changes
+    again.
 
     States are visited in index order, one pass after another, and a state
     moves to the first group whose gain beats the best so far by more than
-    1e-14. The descent jumps straight to the next state in visit order
-    that has such a gain: every state in between would stay put, because
-    no group it depends on has changed since it was last scored.
+    1e-14. The scan goes straight to the first state in visit order that
+    has such a gain: every state in between stays put, because no group it
+    depends on has changed since it was last scored.
     """
     assign = np.asarray(assign, dtype=int).copy()
     n = rows.shape[0]
@@ -82,31 +95,42 @@ def _move_descent(rows, rho, assign, self_ent, max_passes=50):
         M[j] = rho[m].sum()
         SE[j] = se[m].sum()
 
-    add = np.empty((n, k))
-    rem = np.empty(n)
-
-    def refresh(g):
-        add[:, g] = _group_terms(S[g] + wrows, M[g] + rho, SE[g] + se)
-        m = np.flatnonzero(assign == g)
-        rem[m] = _group_terms(S[g] - wrows[m], M[g] - rho[m], SE[g] - se[m])
-
-    for j in range(k):
-        refresh(j)
+    tab = np.empty((n, k))
+    ver = np.zeros(k, dtype=int)
+    seen = np.full((n, k), -1)
     cur = _group_terms(S, M, SE)
     counts = np.bincount(assign, minlength=k)
     for _ in range(max_passes):
         improved = False
         i = 0
         while i < n:
-            own = assign[i:]
-            # gain of moving each remaining state to each group, in the
-            # tie rule's order: (cur[a] + cur[j]) - (rem[i] + add[i, j])
-            gain = (cur[own][:, None] + cur) - (rem[i:, None] + add[i:])
-            gain[np.arange(n - i), own] = -np.inf
+            hi = min((i // _BLOCK + 1) * _BLOCK, n)   # the end of i's block
+            own = assign[i:hi]
+            cols = np.flatnonzero((seen[i:hi] != ver).any(axis=0))
+            if len(cols):
+                # rows i..hi of every stale column, member rows as removals
+                Sg = S[cols][:, None] + wrows[i:hi]
+                Mg = M[cols][:, None] + rho[i:hi]
+                SEg = SE[cols][:, None] + se[i:hi]
+                c, r = np.nonzero(own == cols[:, None])
+                Sg[c, r] = S[cols[c]] - wrows[i + r]
+                Mg[c, r] = M[cols[c]] - rho[i + r]
+                SEg[c, r] = SE[cols[c]] - se[i + r]
+                terms = _group_terms(Sg.reshape(-1, S.shape[1]), Mg.ravel(),
+                                     SEg.ravel())
+                tab[i:hi, cols] = terms.reshape(len(cols), -1).T
+                seen[i:hi, cols] = ver[cols]
+            t = tab[i:hi]
+            idx = np.arange(hi - i)
+            # gain of moving each state to each group, in the tie rule's
+            # order: (cur[a] + cur[j]) - (tab[i, a] + tab[i, j])
+            gain = (cur[own][:, None] + cur) - (t[idx, own][:, None] + t)
+            gain[idx, own] = -np.inf
             gain[counts[own] <= 1] = -np.inf
             hits = np.flatnonzero((gain > 1e-14).any(axis=1))
             if len(hits) == 0:
-                break
+                i = hi
+                continue
             i += int(hits[0])
             g = gain[hits[0]]
             a = assign[i]
@@ -120,12 +144,12 @@ def _move_descent(rows, rho, assign, self_ent, max_passes=50):
             S[b] += wrows[i]
             M[b] += rho[i]
             SE[b] += se[i]
-            cur[a], cur[b] = rem[i], add[i, b]
+            cur[a], cur[b] = tab[i, a], tab[i, b]
             counts[a] -= 1
             counts[b] += 1
             assign[i] = b
-            refresh(a)
-            refresh(b)
+            ver[a] += 1
+            ver[b] += 1
             improved = True
             i += 1
         if not improved:
@@ -136,8 +160,10 @@ def _move_descent(rows, rho, assign, self_ent, max_passes=50):
 def _farthest(rows, rho, self_ent, positive, idx):
     """Position within idx of the member farthest, in KL, from the
     rho-weighted mean of the rows in idx."""
-    w = rho[idx] / rho[idx].sum()
-    z = w @ rows[idx]
+    w = rho[idx]
+    if w.sum() == 0.0:
+        w = np.ones(len(idx))   # zero-weight states: their plain mean
+    z = (w / w.sum()) @ rows[idx]
     d = _kl_rows(rows[idx], self_ent[idx], positive[idx], z[None, :])[:, 0]
     return int(np.argmax(d))
 
@@ -155,8 +181,7 @@ def _split_two(rows, rho, self_ent, positive, assign, g, knew):
             m = sub == j
             if not m.any():
                 return None
-            ww = rho[idx][m]
-            Z[j] = (ww @ R[m]) / ww.sum()
+            Z[j] = _group_mean(R[m], rho[idx][m])
         new = np.argmin(_kl_rows(R, E, P, Z), axis=1)
         if np.array_equal(new, sub):
             break

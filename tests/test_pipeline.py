@@ -1,18 +1,28 @@
-"""Refinement: the table-driven move descent against the scalar loop it
-replaced, the per-call polish memo, and candidate de-duplication."""
+"""Refinement: the block-lazy table move descent against the scalar loop
+it replaced, the per-call polish memo, candidate de-duplication, and
+centroids of zero-weight groups."""
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import mcagg.pipeline as pipeline
-from mcagg.anneal import AnnealConfig, anneal
+from mcagg.anneal import AnnealConfig, _lloyd, anneal
 from mcagg.core import stationary_distribution
 from mcagg.generators import gen_ncd
 from mcagg.klgeom import _self_entropy
 from mcagg.pipeline import _move_descent, refine_per_k
 
 
-# The scalar descent the table-driven one replaced, kept verbatim as the
-# reference: every move is scored by one Python-level contrib call.
+def contrib(Sg, Mg, SEg):
+    """One group's distortion term SE_g - S_g . log(S_g / M_g)."""
+    if Mg <= 0.0:
+        return 0.0
+    z = Sg / Mg
+    lz = np.log(np.maximum(z, 1e-300))
+    return SEg - float(Sg @ lz)
+
+
+# The scalar descent the table-driven one replaced, kept as the reference:
+# every move is scored by one Python-level contrib call.
 def reference_move_descent(rows, rho, assign, max_passes=50):
     """Single-state relocation descent with immediate centroid updates.
 
@@ -40,13 +50,6 @@ def reference_move_descent(rows, rho, assign, max_passes=50):
         S[j] = wrows[m].sum(axis=0)
         M[j] = rho[m].sum()
         SE[j] = se[m].sum()
-
-    def contrib(Sg, Mg, SEg):
-        if Mg <= 0.0:
-            return 0.0
-        z = Sg / Mg
-        lz = np.log(np.maximum(z, 1e-300))
-        return SEg - float(Sg @ lz)
 
     cur = np.array([contrib(S[j], M[j], SE[j]) for j in range(k)])
     counts = np.bincount(assign, minlength=k)
@@ -90,11 +93,8 @@ def _sparse_chain(rng, n, zero_frac):
     return rows / rows.sum(axis=1, keepdims=True)
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.integers(2, 40), st.integers(2, 8), st.integers(0, 10_000),
-       st.sampled_from([0.0, 0.5, 0.8]), st.booleans())
-def test_move_descent_matches_scalar_reference(n, k, seed, zero_frac,
-                                               zero_rho):
+def _problem(n, k, seed, zero_frac, zero_rho):
+    """A random chain, weights and a start using every one of k groups."""
     k = min(k, n)
     rng = np.random.default_rng(seed)
     rows = _sparse_chain(rng, n, zero_frac)
@@ -106,23 +106,87 @@ def test_move_descent_matches_scalar_reference(n, k, seed, zero_frac,
     rho /= rho.sum()
     assign = rng.integers(0, k, size=n)
     assign[rng.permutation(n)[:k]] = np.arange(k)   # every group used
+    return rows, rho, assign
+
+
+def best_move_gain(rows, rho, assign):
+    """Largest gain of any single-state move at assign, every group term
+    recomputed from sums over the group's members."""
+    se = _self_entropy(rows) * rho
+    wrows = rho[:, None] * rows
+    k = int(assign.max()) + 1
+    sums = [(wrows[assign == g].sum(axis=0), rho[assign == g].sum(),
+             se[assign == g].sum()) for g in range(k)]
+    cur = [contrib(*sums[g]) for g in range(k)]
+    counts = np.bincount(assign, minlength=k)
+    best = -np.inf
+    for i, a in enumerate(assign):
+        if counts[a] <= 1:
+            continue
+        Sa, Ma, SEa = sums[a]
+        ca = contrib(Sa - wrows[i], Ma - rho[i], SEa - se[i])
+        for g in range(k):
+            if g != a:
+                Sg, Mg, SEg = sums[g]
+                cg = contrib(Sg + wrows[i], Mg + rho[i], SEg + se[i])
+                best = max(best, (cur[a] + cur[g]) - (ca + cg))
+    return best
+
+
+# scan block sizes: one row at a time, blocks that split the chains
+# unevenly, and the module's own
+BLOCKS = [1, 3, 7, pipeline._BLOCK]
+
+
+def descend_each_block(rows, rho, assign, **kwargs):
+    """_move_descent's result at every block size in BLOCKS."""
+    saved = pipeline._BLOCK
+    try:
+        out = []
+        for block in BLOCKS:
+            pipeline._BLOCK = block
+            out.append(_move_descent(rows, rho, assign, _self_entropy(rows),
+                                     **kwargs))
+        return out
+    finally:
+        pipeline._BLOCK = saved
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(2, 40), k=st.integers(2, 8), seed=st.integers(0, 10_000),
+       zero_frac=st.sampled_from([0.0, 0.5, 0.8]), zero_rho=st.booleans())
+@example(n=100, k=8, seed=1, zero_frac=0.0, zero_rho=False)
+@example(n=100, k=8, seed=2, zero_frac=0.8, zero_rho=True)
+@example(n=100, k=8, seed=3, zero_frac=0.5, zero_rho=False)
+def test_move_descent_matches_scalar_reference(n, k, seed, zero_frac,
+                                               zero_rho):
+    rows, rho, assign = _problem(n, k, seed, zero_frac, zero_rho)
     want = reference_move_descent(rows, rho, assign)
-    got = _move_descent(rows, rho, assign, _self_entropy(rows))
-    np.testing.assert_array_equal(got, want)
+    for got in descend_each_block(rows, rho, assign):
+        np.testing.assert_array_equal(got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 40), k=st.integers(2, 8), seed=st.integers(0, 10_000),
+       zero_frac=st.sampled_from([0.0, 0.5, 0.8]), zero_rho=st.booleans())
+def test_move_descent_ends_with_no_improving_move(n, k, seed, zero_frac,
+                                                  zero_rho):
+    rows, rho, assign = _problem(n, k, seed, zero_frac, zero_rho)
+    for got in descend_each_block(rows, rho, assign, max_passes=10_000):
+        assert best_move_gain(rows, rho, got) <= 1e-14
 
 
 def test_move_descent_one_group_and_max_passes():
     rng = np.random.default_rng(3)
     rows = _sparse_chain(rng, 12, 0.5)
     rho = np.full(12, 1 / 12)
-    ent = _self_entropy(rows)
-    np.testing.assert_array_equal(
-        _move_descent(rows, rho, np.zeros(12, dtype=int), ent), 0)
+    for got in descend_each_block(rows, rho, np.zeros(12, dtype=int)):
+        np.testing.assert_array_equal(got, 0)
     start = np.arange(12) % 4
     for passes in (1, 2):
-        np.testing.assert_array_equal(
-            _move_descent(rows, rho, start, ent, max_passes=passes),
-            reference_move_descent(rows, rho, start, max_passes=passes))
+        want = reference_move_descent(rows, rho, start, max_passes=passes)
+        for got in descend_each_block(rows, rho, start, max_passes=passes):
+            np.testing.assert_array_equal(got, want)
 
 
 def _sweep(n_blocks=4, size=6, eps=0.05, seed=2, k_max=6):
@@ -178,15 +242,18 @@ def test_refine_scores_each_candidate_once(monkeypatch):
         assert int(chosen[k].max()) + 1 == k
 
 
+# two closed 2-state classes and two transient states that lead into them;
+# under the stationary rho the transient states weigh exactly 0
+ZERO_WEIGHT_ROWS = np.array([[0.5, 0.5, 0, 0, 0, 0],
+                             [0.3, 0.7, 0, 0, 0, 0],
+                             [0, 0, 0.4, 0.6, 0, 0],
+                             [0, 0, 0.8, 0.2, 0, 0],
+                             [0.2, 0.3, 0.4, 0.1, 0, 0],
+                             [0.1, 0.3, 0.5, 0.1, 0, 0]])
+
+
 def test_refine_zero_weight_states_score_finite(monkeypatch):
-    # two closed 2-state classes and two transient states that lead into
-    # them; under the stationary rho the transient states weigh exactly 0
-    rows = np.array([[0.5, 0.5, 0, 0, 0, 0],
-                     [0.3, 0.7, 0, 0, 0, 0],
-                     [0, 0, 0.4, 0.6, 0, 0],
-                     [0, 0, 0.8, 0.2, 0, 0],
-                     [0.2, 0.3, 0.4, 0.1, 0, 0],
-                     [0.1, 0.3, 0.5, 0.1, 0, 0]])
+    rows = ZERO_WEIGHT_ROWS
     rho = stationary_distribution(rows).rho
     assert np.array_equal(rho[4:], [0.0, 0.0]) and (rho[:4] > 0).all()
     res = anneal(rows, rho, AnnealConfig(k_max=5))
@@ -205,3 +272,20 @@ def test_refine_zero_weight_states_score_finite(monkeypatch):
     assert all(np.isfinite(s) for _, s in scores)
     a = chosen[2]
     assert a[0] == a[1] and a[2] == a[3] and a[0] != a[2]
+
+
+
+def test_zero_weight_group_gets_plain_mean_centroid():
+    # the transient states 4 and 5 weigh 0 and form group 2 on their own
+    rows = ZERO_WEIGHT_ROWS
+    rho = stationary_distribution(rows).rho
+    ent, pos = _self_entropy(rows), rows > 0
+    start = np.array([0, 0, 1, 1, 2, 2])
+    np.testing.assert_array_equal(_lloyd(rows, rho, start, ent, pos), start)
+    # the farthest member of the zero-weight pair, from their plain mean
+    idx = np.array([4, 5])
+    z = rows[idx].mean(axis=0)
+    d = [float(r[r > 0] @ np.log(r[r > 0] / z[r > 0])) for r in rows[idx]]
+    assert pipeline._farthest(rows, rho, ent, pos, idx) == int(np.argmax(d))
+    split = pipeline._split_two(rows, rho, ent, pos, start, 2, 3)
+    np.testing.assert_array_equal(np.sort(split[4:]), [2, 3])
