@@ -6,8 +6,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (DimensionMismatch, NegativeEntry, NoConvergence,
-                     NonSquare, RowSumViolation)
+from .errors import (DimensionMismatch, NegativeEntry, NonSquare,
+                     RowSumViolation)
 
 
 @dataclass(frozen=True)
@@ -135,17 +135,50 @@ def simplex_basis(n):
     return SimplexBasis(n=n, theta=theta)
 
 
-def stationary_distribution(pi, tol=1e-12, max_iter=100000):
-    """Left fixed vector of Pi by power iteration from the uniform start."""
+def _gth(block):
+    """Stationary vector of an irreducible chain block by GTH elimination
+    (Grassmann, Taksar & Heyman 1985). No step subtracts, so the result stays
+    accurate on nearly decomposable and on periodic chains."""
+    A = np.array(block, dtype=float)
+    for k in range(len(A) - 1, 0, -1):
+        A[:k, k] /= A[k, :k].sum()
+        A[:k, :k] += np.outer(A[:k, k], A[k, :k])
+    x = np.ones(len(A))
+    for k in range(1, len(A)):
+        x[k] = x[:k] @ A[:k, k]
+    return x / x.sum()
+
+
+def stationary_distribution(pi):
+    """The Cesaro limit of uniform @ Pi^t, which is what power iteration from
+    the uniform start returns whenever it converges.
+
+    Each closed communicating class is solved by GTH and weighted by its
+    share of the start, |C| / n, plus the mean probability that a transient
+    state is absorbed into it (one solve on the transient block). Transient
+    states weigh exactly 0.
+    """
     rows = as_rows(pi)
     n = rows.shape[0]
-    rho = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
-        nxt = rho @ rows
-        nxt = nxt / nxt.sum()
-        if np.abs(nxt - rho).max() < tol:
-            return StateWeights(nxt)
-        rho = nxt
-    raise NoConvergence(
-        f"stationary distribution: residual above {tol} after {max_iter} "
-        "iterations", last=StateWeights(rho))
+    reach = ((rows > 0) | np.eye(n, dtype=bool)).astype(float)
+    while True:
+        grown = np.sign(reach @ reach)
+        if np.array_equal(grown, reach):
+            break
+        reach = grown
+    reach = reach > 0
+    closed = ~(reach & ~reach.T).any(axis=1)
+    head = np.argmax(reach & reach.T, axis=1)
+    classes = [np.flatnonzero(closed & (head == h))
+               for h in np.unique(head[closed])]
+    mass = np.array([len(c) for c in classes], dtype=float)
+    trans = np.flatnonzero(~closed)
+    if len(trans):
+        into = np.stack([rows[np.ix_(trans, c)].sum(axis=1) for c in classes],
+                        axis=1)
+        stay = rows[np.ix_(trans, trans)]
+        mass += np.linalg.solve(np.eye(len(trans)) - stay, into).sum(axis=0)
+    rho = np.zeros(n)
+    for c, m in zip(classes, mass):
+        rho[c] = m * _gth(rows[np.ix_(c, c)])
+    return StateWeights(rho / rho.sum())

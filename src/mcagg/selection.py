@@ -54,13 +54,16 @@ def hard_membership(partition, rho=None, mode="normalized"):
     return R / R.sum(axis=0, keepdims=True)
 
 
-def _guard_floor(j, members, w, floor):
+def _guard_floor(j, members, w, floor, q=None):
     """Coordinates where the centroid sits below the floor are dropped when
     no member row deviates there; a real deviation over a floored coordinate
-    is unrecoverable."""
+    is unrecoverable. With weights q, only members with q > 0 are checked:
+    the others add nothing to the covariance."""
     low = w < floor
     if not low.any():
         return np.maximum(w, floor), slice(None)
+    if q is not None:
+        members = members[q > 0]
     dev = np.abs(members - w).max(axis=0)
     bad = low & (dev > floor)
     if bad.any():
@@ -129,7 +132,7 @@ def _top_eigenvalue(members, w, q, mode, floor, j):
     (0 below 2 kept coordinates), by _top_deviation: s = w and u along 1 in
     plain mode; q normalized, s = sqrt(q @ members) and u along w / s in
     whiten mode."""
-    wsafe, keep = _guard_floor(j, members, w, floor)
+    wsafe, keep = _guard_floor(j, members, w, floor, q)
     sub = members[:, keep]
     if mode == "plain":
         s, u = wsafe, np.ones(len(wsafe))

@@ -1,12 +1,18 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mcagg.core import (Partition, StochasticMatrix, make_partition,
-                        simplex_basis, stationary_distribution,
-                        uniform_weights, validate_stochastic)
+from mcagg.core import (Partition, StateWeights, StochasticMatrix, as_rows,
+                        make_partition, simplex_basis,
+                        stationary_distribution, uniform_weights,
+                        validate_stochastic)
 from mcagg.errors import (DimensionMismatch, NegativeEntry, NoConvergence,
                           NonSquare, RowSumViolation)
+from mcagg.io import parse_matrix
+
+DATA = Path(__file__).resolve().parents[1] / "data"
 
 
 def test_validate_identity():
@@ -104,19 +110,132 @@ def test_stationary_two_state():
     assert np.allclose(w.rho, [2 / 3, 1 / 3], atol=1e-10)
 
 
-def test_stationary_no_convergence_carries_last():
-    with pytest.raises(NoConvergence) as exc:
-        stationary_distribution(np.array([[0.9, 0.1], [0.2, 0.8]]),
-                                max_iter=0)
-    assert np.allclose(exc.value.last.rho, 0.5)
+def test_stationary_periodic():
+    # period 3 through {0} -> {1} -> {2, 3} -> {0}: power iteration never
+    # settles, the Cesaro limit is exact
+    rows = np.array([[0, 1, 0, 0], [0, 0, .5, .5], [1, 0, 0, 0],
+                     [1, 0, 0, 0]], dtype=float)
+    w = stationary_distribution(rows)
+    assert np.allclose(w.rho, [1 / 3, 1 / 3, 1 / 6, 1 / 6], atol=1e-15)
+
+
+def test_stationary_courtois_residual():
+    rows = parse_matrix(str(DATA / "courtois.csv")).rows
+    rho = stationary_distribution(rows).rho
+    assert np.abs(rho @ rows - rho).max() <= 1e-16
+    assert abs(rho.sum() - 1.0) <= 1e-15
+
+
+def test_stationary_absorbing_two_state():
+    w = stationary_distribution(np.array([[1.0, 0.0], [0.3, 0.7]]))
+    assert w.rho.tolist() == [1.0, 0.0]
+
+
+def test_stationary_splits_by_absorption():
+    # state 2 is transient and falls into {0} or {1} with probability 1/4
+    # and 3/4; the start puts 1/3 on each state
+    rows = np.array([[1.0, 0, 0], [0, 1.0, 0], [0.25, 0.75, 0]])
+    rho = stationary_distribution(rows).rho
+    assert np.allclose(rho, [(1 + 0.25) / 3, (1 + 0.75) / 3, 0.0],
+                       atol=1e-15)
+    assert rho[2] == 0.0
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(2, 12), st.integers(0, 10_000))
 def test_stationary_residual(n, seed):
     rows = np.random.default_rng(seed).dirichlet(np.ones(n), size=n)
-    w = stationary_distribution(rows, tol=1e-12)
+    w = stationary_distribution(rows)
     assert np.abs(w.rho @ rows - w.rho).max() <= 1e-11
+
+
+def _power_iteration(pi, tol=1e-12, max_iter=100000):
+    """Left fixed vector of Pi by power iteration from the uniform start."""
+    rows = as_rows(pi)
+    n = rows.shape[0]
+    rho = np.full(n, 1.0 / n)
+    for _ in range(max_iter):
+        nxt = rho @ rows
+        nxt = nxt / nxt.sum()
+        if np.abs(nxt - rho).max() < tol:
+            return StateWeights(nxt)
+        rho = nxt
+    raise NoConvergence(
+        f"stationary distribution: residual above {tol} after {max_iter} "
+        "iterations", last=StateWeights(rho))
+
+
+def _transient(rows):
+    """States from which some reachable state cannot reach back, by a
+    Warshall closure of the support."""
+    n = len(rows)
+    reach = [[i == j or rows[i, j] > 0 for j in range(n)] for i in range(n)]
+    for m in range(n):
+        for i in range(n):
+            if reach[i][m]:
+                for j in range(n):
+                    reach[i][j] = reach[i][j] or reach[m][j]
+    return [i for i in range(n)
+            if any(reach[i][j] and not reach[j][i] for j in range(n))]
+
+
+def _weights(rng, mask):
+    """Row-normalized weights in [0.1, 1] on a support mask."""
+    rows = np.where(mask, rng.uniform(0.1, 1.0, mask.shape), 0.0)
+    return rows / rows.sum(axis=1, keepdims=True)
+
+
+def _degenerate_chain(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "periodic":
+        # states cycle through d >= 2 groups; each row lives on the next one
+        d = int(rng.integers(2, max(n, 2) + 1))
+        n = max(n, d)
+        group = np.concatenate([np.arange(d), rng.integers(0, d, n - d)])
+        nxt = group[None, :] == (group[:, None] + 1) % d
+        mask = nxt & (rng.random((n, n)) < 0.7)
+        mask[np.arange(n), np.argmax(nxt, axis=1)] = True
+        return _weights(rng, mask)
+    mask = rng.random((n, n)) < 0.4
+    mask[np.arange(n), rng.integers(0, n, n)] = True
+    rows = _weights(rng, mask)
+    if kind == "absorbing":
+        for i in rng.choice(n, size=rng.integers(1, n + 1), replace=False):
+            rows[i] = np.eye(n)[i]
+    elif kind == "duplicate":
+        rows[rng.integers(0, n, n // 2 + 1)] = rows[rng.integers(0, n)]
+    elif kind == "reducible":
+        # label -1 states reach everything and leak into a labelled state;
+        # a labelled state stays within its label
+        label = rng.integers(-1, 2, n)
+        label[0] = 0
+        inside = label >= 0
+        mask[inside] &= label[inside, None] == label[None, :]
+        idx = np.flatnonzero(inside)
+        mask[idx, idx] = True
+        mask[np.arange(n), rng.choice(idx, n)] |= ~inside
+        rows = _weights(rng, mask)
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["sparse", "absorbing", "duplicate", "periodic",
+                        "reducible"]),
+       st.one_of(st.sampled_from([1, 2]), st.integers(1, 12)),
+       st.integers(0, 2**32 - 1))
+def test_stationary_degenerate_chains(kind, n, seed):
+    rows = _degenerate_chain(kind, n, seed)
+    assert np.allclose(rows.sum(axis=1), 1.0, atol=1e-15)
+    rho = stationary_distribution(rows).rho
+    assert np.abs(rho @ rows - rho).max() <= 1e-15
+    assert (rho >= 0).all()
+    assert abs(rho.sum() - 1.0) <= 1e-15
+    assert (rho[_transient(rows)] == 0.0).all()
+    try:
+        ref = _power_iteration(rows, max_iter=20000).rho
+    except NoConvergence:
+        return
+    assert np.abs(rho - ref).max() <= 1e-9
 
 
 def test_make_partition_groups_roundtrip():

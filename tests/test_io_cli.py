@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 
 from mcagg import cli
-from mcagg.core import make_partition
+from mcagg.core import make_partition, stationary_distribution
 from mcagg.errors import (BadAssignment, BadBigram, DuplicateLabel,
                           LabelMismatch, NegativeCount, NonLetter, ParseError,
                           RaggedRows, RowSumViolation)
 from mcagg.io import (file_sha256, ingest_bigrams, parse_matrix,
                       parse_partitions, read_report, write_matrix,
                       write_partitions, write_report)
+from mcagg.klgeom import build_model
 from mcagg.selection import SelectionOptions, SelectionReport
 
 DATA = Path(__file__).resolve().parents[1] / "data"
@@ -300,6 +301,51 @@ def test_cli_stationary_rho(tmp_path, capsys):
                    "--rho", "stationary"])
     assert rc == 0
     assert "k_t =" in capsys.readouterr().out
+
+
+def _sparse_chain(seed):
+    """A random chain of 2-8 states with about 70% of its entries zero."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 9))
+    rows = rng.dirichlet(np.ones(n), size=n)
+    rows[rng.random((n, n)) < 0.7] = 0.0
+    empty = rows.sum(axis=1) == 0.0
+    rows[empty, rng.integers(0, n, size=empty.sum())] = 1.0
+    return rows / rows.sum(axis=1, keepdims=True)
+
+
+DEGENERATE_CHAINS = {
+    "identity6": np.eye(6),
+    "swap": np.array([[0.0, 1.0], [1.0, 0.0]]),
+    "absorbing2": np.array([[1.0, 0.0], [0.4, 0.6]]),
+    "cycle3": np.roll(np.eye(3), 1, axis=1),
+    "duplicate-rows": np.array([[0.2, 0.8, 0.0, 0.0],
+                                [0.2, 0.8, 0.0, 0.0],
+                                [0.2, 0.8, 0.0, 0.0],
+                                [0.0, 0.0, 0.5, 0.5]]),
+    **{f"sparse-{s}": _sparse_chain(s) for s in range(32)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE_CHAINS))
+def test_cli_stationary_degenerate_chains(tmp_path, name):
+    rows = DEGENERATE_CHAINS[name]
+    n = len(rows)
+    mpath, report, parts = (tmp_path / "pi.csv", tmp_path / "report.json",
+                            tmp_path / "parts.json")
+    write_matrix(rows, mpath)
+    rc = cli.main(["pipeline", "--matrix", str(mpath), "--rho", "stationary",
+                   "--kmax", str(n), "--out", str(report),
+                   "--partitions-out", str(parts)])
+    assert rc == 0
+    rows = parse_matrix(mpath).rows
+    rho = stationary_distribution(rows).rho
+    for part in parse_partitions(parts).values():
+        psi = build_model(rows, part.assign, rho).psi
+        assert np.abs(psi.sum(axis=1) - 1.0).max() < 1e-9
+        assert (psi >= 0).all()
+    t_bars = list(read_report(report).t_bars.values())
+    assert all(np.isfinite(t) and t >= 0 for t in t_bars)
 
 
 # --- dependencies ---

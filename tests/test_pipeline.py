@@ -1,15 +1,22 @@
 """Refinement: the block-lazy table move descent against the scalar loop
 it replaced, the per-call polish memo, candidate de-duplication, and
-centroids of zero-weight groups."""
+centroids of zero-weight groups; end-to-end runs under stationary
+weights."""
+from pathlib import Path
+
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import mcagg.pipeline as pipeline
 from mcagg.anneal import AnnealConfig, _lloyd, anneal
 from mcagg.core import stationary_distribution
 from mcagg.generators import gen_ncd
+from mcagg.io import parse_matrix
 from mcagg.klgeom import _self_entropy
-from mcagg.pipeline import _move_descent, refine_per_k
+from mcagg.pipeline import _move_descent, refine_per_k, run_pipeline
+
+DATA = Path(__file__).resolve().parents[1] / "data"
 
 
 def contrib(Sg, Mg, SEg):
@@ -289,3 +296,25 @@ def test_zero_weight_group_gets_plain_mean_centroid():
     assert pipeline._farthest(rows, rho, ent, pos, idx) == int(np.argmax(d))
     split = pipeline._split_two(rows, rho, ent, pos, start, 2, 3)
     np.testing.assert_array_equal(np.sort(split[4:]), [2, 3])
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_pipeline_absorbing_chain_under_stationary_rho(seed):
+    # a (3,3,3) NCD chain whose state 0 is absorbing: all the weight sits on
+    # state 0, and every other member of its superstate weighs 0 and may
+    # deviate over coordinates its centroid lacks
+    rows = gen_ncd(blocks=[3, 3, 3], eps=0.05, seed=seed)[0].rows.copy()
+    rows[0] = np.eye(9)[0]
+    rho = stationary_distribution(rows).rho
+    assert rho.tolist() == [1.0] + [0.0] * 8
+    res = run_pipeline(rows, rho, k_max=6)
+    assert sorted(res.partitions) == list(range(1, 7))
+    assert all(np.isfinite(t) and t >= 0 for t in res.report.t_bars.values())
+
+
+def test_pipeline_courtois_three_blocks():
+    rows = parse_matrix(str(DATA / "courtois.csv")).rows
+    res = run_pipeline(rows, stationary_distribution(rows), k_max=6)
+    groups = sorted(sorted(int(i) for i in g)
+                    for g in res.partitions[3].groups())
+    assert groups == [[0, 1, 2], [3, 4], [5, 6, 7]]

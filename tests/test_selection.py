@@ -232,13 +232,14 @@ def test_telescoping_sum():
 
 
 def _reference_profile(rows, part, rho, options):
-    """Top eigenvalue of every superstate's covariance_matrix, with a
-    superstate of fewer than 2 kept coordinates scoring 0."""
+    """Top eigenvalue of every superstate's covariance_matrix over its
+    members with q > 0 (the others add nothing to it), with a superstate of
+    fewer than 2 kept coordinates scoring 0."""
     Q = hard_membership(part, rho, options.membership)
     W = Q.T @ rows
     out = np.zeros(part.k)
     for j in range(part.k):
-        idx = np.where(part.assign == j)[0]
+        idx = np.where((part.assign == j) & (Q[:, j] > 0))[0]
         try:
             C = covariance_matrix(rows[idx], W[j], Q[idx, j],
                                   mode=options.mode, floor=options.floor,
