@@ -54,17 +54,15 @@ def hard_membership(partition, rho=None, mode="normalized"):
     return R / R.sum(axis=0, keepdims=True)
 
 
-def _guard_floor(j, members, w, floor, q=None):
+def _guard_floor(j, members, w, floor, q):
     """Coordinates where the centroid sits below the floor are dropped when
-    no member row deviates there; a real deviation over a floored coordinate
-    is unrecoverable. With weights q, only members with q > 0 are checked:
-    the others add nothing to the covariance."""
+    no member row with weight q > 0 deviates there (a member with q = 0 adds
+    nothing to the covariance); a real deviation over a floored coordinate
+    is unrecoverable."""
     low = w < floor
     if not low.any():
         return np.maximum(w, floor), slice(None)
-    if q is not None:
-        members = members[q > 0]
-    dev = np.abs(members - w).max(axis=0)
+    dev = np.abs(members[q > 0] - w).max(axis=0, initial=0.0)
     bad = low & (dev > floor)
     if bad.any():
         raise FloorViolation(j, int(np.where(bad)[0][0]))
@@ -84,7 +82,7 @@ def covariance_matrix(members, w, q, mode="plain", floor=1e-12, j=0):
     members = np.atleast_2d(np.asarray(members, dtype=float))
     w = np.asarray(w, dtype=float)
     q = np.asarray(q, dtype=float)
-    wsafe, keep = _guard_floor(j, members, w, floor)
+    wsafe, keep = _guard_floor(j, members, w, floor, q)
     sub = members[:, keep] if not isinstance(keep, slice) else members
     theta = simplex_basis(wsafe.shape[0]).theta
     V = (sub - wsafe) / wsafe

@@ -92,6 +92,22 @@ def test_covariance_drops_dead_coordinate():
     assert abs(C[0, 0]) < 1e-15
 
 
+@pytest.mark.parametrize("mode", ["plain", "whiten"])
+def test_covariance_ignores_zero_weight_member_on_floored_coordinate(mode):
+    # an absorbing state of weight 0 deviates on the centroid's floored
+    # coordinate: it adds nothing to the covariance, so no FloorViolation,
+    # and the covariance equals that of the weighted members alone
+    members = np.array([[0.6, 0.4, 0.0], [0.3, 0.7, 0.0], [0.0, 0.0, 1.0]])
+    q = np.array([0.5, 0.5, 0.0])
+    w = q @ members
+    C = covariance_matrix(members, w, q, mode=mode)
+    C2 = covariance_matrix(members[:2], w, q[:2], mode=mode)
+    assert np.array_equal(C, C2)
+    t = heterogeneity_profile(members, make_partition([0, 0, 0]), q,
+                              SelectionOptions(mode=mode))[0]
+    assert t == pytest.approx(np.linalg.eigvalsh(C).max(), rel=1e-12)
+
+
 # --- heterogeneity ---
 
 def test_heterogeneity_two_state_k1():
@@ -232,14 +248,13 @@ def test_telescoping_sum():
 
 
 def _reference_profile(rows, part, rho, options):
-    """Top eigenvalue of every superstate's covariance_matrix over its
-    members with q > 0 (the others add nothing to it), with a superstate of
-    fewer than 2 kept coordinates scoring 0."""
+    """Top eigenvalue of every superstate's covariance_matrix, with a
+    superstate of fewer than 2 kept coordinates scoring 0."""
     Q = hard_membership(part, rho, options.membership)
     W = Q.T @ rows
     out = np.zeros(part.k)
     for j in range(part.k):
-        idx = np.where((part.assign == j) & (Q[:, j] > 0))[0]
+        idx = np.where(part.assign == j)[0]
         try:
             C = covariance_matrix(rows[idx], W[j], Q[idx, j],
                                   mode=options.mode, floor=options.floor,
