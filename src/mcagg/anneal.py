@@ -288,12 +288,11 @@ def _merge_bank(Z, tol):
             a = parent[a]
         return a
 
-    for a in range(k):
-        for b in range(a + 1, k):
-            if np.abs(Z[a] - Z[b]).max() < tol:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
+    close = np.abs(Z[:, None] - Z[None]).max(axis=2) < tol
+    for a, b in np.argwhere(np.triu(close, 1)).tolist():
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
     roots = sorted({find(a) for a in range(k)})
     index = {r: i for i, r in enumerate(roots)}
     merge_map = {a: index[find(a)] for a in range(k)}

@@ -17,6 +17,10 @@ __all__ = ["parse_matrix", "write_matrix", "ingest_bigrams",
 
 _LETTERS = string.ascii_lowercase
 
+# the one conversion of every csv data line, rounding as float() does
+_CSV = dict(delimiter=",", comments=None, quotechar=None, ndmin=2,
+            dtype=float)
+
 
 def file_sha256(path):
     with open(path, "rb") as fh:
@@ -52,7 +56,7 @@ def parse_matrix(path, format="csv"):
     if format != "csv":
         raise ValueError(f"unknown matrix format {format!r}")
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+        lines = [ln for ln in map(str.strip, fh.read().split("\n")) if ln]
     if not lines:
         raise ParseError("empty matrix file", line=1)
     labels = None
@@ -61,25 +65,36 @@ def parse_matrix(path, format="csv"):
     if any(_try_float(t) is None for t in head):
         labels = tuple(head)
         start = 1
-    data = []
-    width = None
-    for ln_no, ln in enumerate(lines[start:], start + 1):
+    body = lines[start:]
+    try:
+        # loadtxt warns on zero lines, so a header-only file skips it
+        rows = np.loadtxt(body, **_CSV) if body else np.empty(0)
+    except ValueError as e:
+        _raise_fault(body, start + 1, e)
+    return validate_stochastic(rows, tol=1e-6, labels=labels)
+
+
+def _raise_fault(body, first_no, err):
+    """Explain why loadtxt rejected the data lines body (numbered from
+    first_no): RaggedRows at the first line whose field count differs from
+    the first line's, or ParseError at the first token loadtxt rejects,
+    whichever comes first. Converts one line, then one token, at a time."""
+    width = body[0].count(",") + 1
+    for ln_no, ln in enumerate(body, first_no):
         toks = ln.split(",")
-        if width is None:
-            width = len(toks)
-        elif len(toks) != width:
+        if len(toks) != width:
             raise RaggedRows(
                 f"line {ln_no} has {len(toks)} fields, expected {width}")
         try:
-            # float() ignores surrounding whitespace, as strip() would
-            data.append(list(map(float, toks)))
+            np.loadtxt([ln], **_CSV)
         except ValueError:
             for col, tok in enumerate(toks, 1):
-                if _try_float(tok) is None:
+                try:
+                    np.loadtxt([ln], usecols=col - 1, **_CSV)
+                except ValueError:
                     raise ParseError(f"bad number {tok.strip()!r}",
                                      line=ln_no, column=col)
-    return validate_stochastic(np.asarray(data, dtype=float), tol=1e-6,
-                               labels=labels)
+    raise ParseError(str(err))
 
 
 def write_matrix(matrix, path, format="csv"):

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import as_rho, as_rows, simplex_basis
-from .errors import FloorViolation, NonConsecutiveK
+from .errors import DimensionMismatch, FloorViolation, NonConsecutiveK
 
 __all__ = ["SelectionOptions", "SelectionReport", "hard_membership",
            "covariance_matrix", "heterogeneity", "marginal_return",
@@ -147,14 +147,27 @@ def heterogeneity_profile(pi, partition, rho=None,
                           options=SelectionOptions()):
     """Per-superstate largest deviation eigenvalues (length k)."""
     rows = as_rows(pi)
-    rho = as_rho(rho, rows.shape[0])
+    return _profile(rows, partition, as_rho(rho, rows.shape[0]), options, {})
+
+
+def _profile(rows, partition, rho, options, memo):
+    """heterogeneity_profile on validated rows and rho. memo maps the exact
+    inputs of one superstate's _top_eigenvalue call (member indices, q and
+    centroid bytes; mode and floor are fixed by the caller) to its result,
+    so a superstate that recurs across partitions is scored once. Q^T rows
+    may round a recurring centroid differently at another k; that is a
+    miss, never a stale hit."""
     Q = hard_membership(partition, rho, options.membership)
     W = Q.T @ rows
     out = np.zeros(partition.k)
     for jj in range(partition.k):
         idx = np.where(partition.assign == jj)[0]
-        out[jj] = _top_eigenvalue(rows[idx], W[jj], Q[idx, jj],
-                                  options.mode, options.floor, jj)
+        q = Q[idx, jj]
+        key = (idx.tobytes(), q.tobytes(), W[jj].tobytes())
+        if key not in memo:
+            memo[key] = _top_eigenvalue(rows[idx], W[jj], q, options.mode,
+                                        options.floor, jj)
+        out[jj] = memo[key]
     return out
 
 
@@ -186,14 +199,23 @@ def marginal_return(t_bars):
 def select_k(pi, partitions, rho=None, options=SelectionOptions()):
     """Score a consecutive family of partitions and pick k_t = argmax nu
     (ties to the smallest k). Exact fits short-circuit: the smallest k with
-    t_bar = 0 wins."""
+    t_bar = 0 wins. Every partition must cover the matrix's n states. A
+    superstate that recurs across k with the same inputs is scored once."""
     rows = as_rows(pi)
-    rho = as_rho(rho, rows.shape[0])
+    n = rows.shape[0]
+    rho = as_rho(rho, n)
     ks = sorted(partitions)
     gaps = [k for k in range(ks[0], ks[-1] + 1) if k not in partitions]
     if gaps:
         raise NonConsecutiveK(gaps)
-    profiles = {k: heterogeneity_profile(rows, partitions[k], rho, options)
+    wrong = [f"k={k}: n={partitions[k].n}" for k in ks
+             if partitions[k].n != n]
+    if wrong:
+        raise DimensionMismatch(f"partitions of the wrong length "
+                                f"({', '.join(wrong)}); the matrix has {n} "
+                                "states")
+    memo = {}
+    profiles = {k: _profile(rows, partitions[k], rho, options, memo)
                 for k in ks}
     t_bars = {k: float(p.max(initial=0.0)) for k, p in profiles.items()}
     nus = marginal_return(t_bars)

@@ -513,6 +513,74 @@ def test_extract_rho_scale_invariance():
     assert np.array_equal(a1.assign, a2.assign)
 
 
+# --- _merge_bank ---
+
+def _loop_merge_bank(Z, tol):
+    """_merge_bank with the pairwise O(k^2) Python loop it had before the
+    broadcast test, kept verbatim as the reference."""
+    k = Z.shape[0]
+    parent = list(range(k))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for a in range(k):
+        for b in range(a + 1, k):
+            if np.abs(Z[a] - Z[b]).max() < tol:
+                ra, rb = find(a), find(b)
+                if ra != rb:
+                    parent[max(ra, rb)] = min(ra, rb)
+    roots = sorted({find(a) for a in range(k)})
+    index = {r: i for i, r in enumerate(roots)}
+    merge_map = {a: index[find(a)] for a in range(k)}
+    Zm = np.stack([Z[[a for a in range(k) if find(a) == r]].mean(axis=0)
+                   for r in roots])
+    return Zm, merge_map
+
+
+def _bank_with_near_duplicates(rng, k, n, tol):
+    """k rows on the simplex where some rows sit within tol/2 of an earlier
+    row, some chains a -> b -> c step by 0.6 tol, so c can be farther than
+    tol from a and still join a through b, and some rows match an earlier
+    row except for one coordinate 2 tol away, so they stay apart."""
+    Z = rng.dirichlet(np.ones(n), size=k)
+    for i in range(1, k):
+        r = rng.random()
+        step = np.zeros(n)
+        step[rng.integers(0, n)] = tol
+        if r < 0.3:
+            Z[i] = Z[rng.integers(0, i)] + rng.uniform(-tol / 2, tol / 2, n)
+        elif r < 0.5:
+            Z[i] = Z[i - 1] + 0.6 * step
+        elif r < 0.65:
+            Z[i] = Z[rng.integers(0, i)] + 2 * step
+    return Z
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_merge_bank_matches_pairwise_loop(seed):
+    rng = np.random.default_rng(seed)
+    tol = 1e-6
+    k, n = int(rng.integers(1, 17)), int(rng.integers(2, 12))
+    Z = _bank_with_near_duplicates(rng, k, n, tol)
+    Zm, merge_map = anneal_module._merge_bank(Z, tol)
+    Zr, ref_map = _loop_merge_bank(Z, tol)
+    assert merge_map == ref_map
+    assert Zm.tobytes() == Zr.tobytes()
+
+
+def test_merge_bank_chain_joins_through_middle():
+    Z = np.array([[0.5, 0.5], [0.5 + 6e-7, 0.5], [0.5 + 1.2e-6, 0.5],
+                  [0.1, 0.9], [0.5 + 1.2e-6, 0.5]])
+    Zm, merge_map = anneal_module._merge_bank(Z, 1e-6)
+    assert merge_map == {0: 0, 1: 0, 2: 0, 3: 1, 4: 0}
+    assert merge_map == _loop_merge_bank(Z, 1e-6)[1]
+    assert Zm.shape == (2, 2)
+
+
 # --- anneal ---
 
 def test_anneal_identical_rows_only_k1():

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 from mcagg import cli
-from mcagg.core import make_partition, stationary_distribution
+from mcagg import pipeline
+from mcagg.core import (StochasticMatrix, make_partition,
+                        stationary_distribution, validate_stochastic)
 from mcagg.errors import (BadAssignment, BadBigram, DuplicateLabel,
-                          LabelMismatch, NegativeCount, NonLetter, ParseError,
-                          RaggedRows, RowSumViolation)
+                          LabelMismatch, McaggError, NegativeCount, NonLetter,
+                          NonSquare, ParseError, RaggedRows, RowSumViolation)
 from mcagg.io import (file_sha256, ingest_bigrams, parse_matrix,
                       parse_partitions, read_report, write_matrix,
                       write_partitions, write_report)
@@ -92,6 +94,127 @@ def test_matrix_round_trip(tmp_path, fmt):
     back = parse_matrix(p, format=fmt)
     assert np.abs(back.rows - m.rows).max() < 1e-12
     assert back.labels == m.labels
+
+
+def _try_float(tok):
+    try:
+        return float(tok)
+    except ValueError:
+        return None
+
+
+def _float_parse_csv(path):
+    """The csv branch of parse_matrix as it was before the one-call loadtxt
+    conversion: one float() per token, kept verbatim as the reference."""
+    with open(path) as fh:
+        lines = [ln.strip() for ln in fh if ln.strip()]
+    if not lines:
+        raise ParseError("empty matrix file", line=1)
+    labels = None
+    start = 0
+    head = [t.strip() for t in lines[0].split(",")]
+    if any(_try_float(t) is None for t in head):
+        labels = tuple(head)
+        start = 1
+    data = []
+    width = None
+    for ln_no, ln in enumerate(lines[start:], start + 1):
+        toks = ln.split(",")
+        if width is None:
+            width = len(toks)
+        elif len(toks) != width:
+            raise RaggedRows(
+                f"line {ln_no} has {len(toks)} fields, expected {width}")
+        try:
+            # float() ignores surrounding whitespace, as strip() would
+            data.append(list(map(float, toks)))
+        except ValueError:
+            for col, tok in enumerate(toks, 1):
+                if _try_float(tok) is None:
+                    raise ParseError(f"bad number {tok.strip()!r}",
+                                     line=ln_no, column=col)
+    return validate_stochastic(np.asarray(data, dtype=float), tol=1e-6,
+                               labels=labels)
+
+
+def _assert_same_parse(path):
+    ref, got = _float_parse_csv(path), parse_matrix(path)
+    assert got.rows.dtype == ref.rows.dtype
+    assert got.rows.shape == ref.rows.shape
+    assert got.rows.tobytes() == ref.rows.tobytes()
+    assert got.labels == ref.labels
+    return got
+
+
+def _raised(fn, path):
+    with pytest.raises(McaggError) as exc:
+        fn(path)
+    e = exc.value
+    return type(e), str(e), getattr(e, "line", None), getattr(e, "column",
+                                                             None)
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 57])
+@pytest.mark.parametrize("labelled", [False, True])
+def test_parse_csv_bit_identical_to_float_reference(tmp_path, n, labelled):
+    rng = np.random.default_rng(n)
+    rows = rng.dirichlet(np.ones(n), size=n)
+    rows[rng.random((n, n)) < 0.2] = 0.0
+    rows[np.arange(n), np.arange(n)] += 1e-3
+    rows /= rows.sum(axis=1, keepdims=True)
+    labels = tuple(f"s{i}" for i in range(n)) if labelled else None
+    p = tmp_path / "m.csv"
+    write_matrix(StochasticMatrix(rows=rows, labels=labels), p)
+    got = _assert_same_parse(p)
+    assert got.labels == labels
+
+
+def test_parse_courtois_bit_identical_to_float_reference():
+    assert _assert_same_parse(DATA / "courtois.csv").n == 8
+
+
+@pytest.mark.parametrize("text", [
+    "0.5,0.5\n\n   \n\t\n0.25,0.75\n\n",             # blank lines
+    "u,v\r\n0.5,0.5\r\n0.25,0.75\r\n",                # CRLF
+    " 0.5 ,\t0.5\n0.25\t, 0.75 \n",                    # spaces and tabs
+    "\n  \nu,v\n0.5,0.5\n\n0.25,0.75\n",               # header after blanks
+    "1e-1,9E-1,0\n.5,5.e-1,0\n0,0,1\n",                # exponent forms
+])
+def test_parse_csv_edge_files_match_float_reference(tmp_path, text):
+    p = tmp_path / "m.csv"
+    p.write_bytes(text.encode())
+    _assert_same_parse(p)
+
+
+@pytest.mark.parametrize("text,err,line,column", [
+    ("1,0\n\n0,1\n1\n", RaggedRows, None, None),      # ragged at line 3
+    ("\nu,v\n1,0\n\n0,1,0\n", RaggedRows, None, None),  # after a header
+    ("1,0\n0,oops\n", ParseError, 2, 2),
+    ("1,0\nx,y\n1,2,3\n", ParseError, 2, 1),           # first fault wins
+    ("1,0\n0,1,2\nx,y\n", RaggedRows, None, None),
+    ("u,v,w\n1,0,\n0,1,\n", ParseError, 2, 3),         # trailing comma
+    ("u,v\n", NonSquare, None, None),                    # header only
+])
+def test_parse_csv_errors_match_float_reference(tmp_path, text, err, line,
+                                                column):
+    p = tmp_path / "m.csv"
+    p.write_text(text)
+    got = _raised(parse_matrix, p)
+    assert got == _raised(_float_parse_csv, p)
+    assert got[0] is err
+    assert got[2:] == (line, column)
+
+
+@pytest.mark.parametrize("tok", ["1_0e-1", "\u0661", "\uff11"])
+def test_parse_csv_rejects_tokens_only_float_accepts(tmp_path, tok):
+    # underscore digit groups and non-ASCII digits: float() takes them,
+    # the loadtxt conversion does not
+    p = tmp_path / "m.csv"
+    p.write_text(f"0,1\n{tok},0\n")
+    assert _float_parse_csv(p).n == 2
+    with pytest.raises(ParseError) as exc:
+        parse_matrix(p)
+    assert (exc.value.line, exc.value.column) == (2, 1)
 
 
 # --- ingest_bigrams ---
@@ -283,6 +406,70 @@ def test_cli_exit_codes(tmp_path):
     sums.write_text("0.5,0.6\n0.5,0.5\n")
     assert cli.main(["pipeline", "--matrix", str(sums)]) == 1
     assert cli.main(["pipeline", "--matrix", str(sums), "--bogus"]) == 1
+
+
+def test_cli_select_wrong_length_partitions(tmp_path, capsys):
+    mpath = _gen_matrix(tmp_path)                      # 9 states
+    parts = tmp_path / "parts.json"
+    parts.write_text(json.dumps({"1": [0] * 8, "2": [0] * 4 + [1] * 4}))
+    rc = cli.main(["select", "--matrix", str(mpath),
+                   "--partitions", str(parts)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "k=1: n=8" in err and "k=2: n=8" in err
+
+
+def _count_calls(monkeypatch, module, name, calls):
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append((name, args, kwargs))
+        return original(*args, **kwargs)
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def _assert_select_k_call(call, n):
+    # the benchmark's output check reads (rows, partitions, rho) from the
+    # positional arguments of the captured select_k call
+    _, args, _ = call
+    rows, partitions, rho = args[:3]
+    assert rows.shape == (n, n)
+    assert sorted(partitions) == list(range(1, len(partitions) + 1))
+    assert all(p.n == n for p in partitions.values())
+    assert rho.shape == (n,)
+
+
+def test_cli_select_reaches_module_hooks(tmp_path, monkeypatch):
+    # perfbench/tracing.py times `select` by replacing these attributes of
+    # mcagg.cli; a call that bypasses them would zero its counters silently
+    mpath = _gen_matrix(tmp_path)
+    parts = tmp_path / "parts.json"
+    write_partitions({1: make_partition([0] * 9),
+                      2: make_partition([0] * 3 + [1] * 6)}, parts)
+    calls = []
+    _count_calls(monkeypatch, cli, "parse_matrix", calls)
+    _count_calls(monkeypatch, cli, "select_k", calls)
+    assert cli.main(["select", "--matrix", str(mpath), "--partitions",
+                     str(parts), "--out", str(tmp_path / "r.json")]) == 0
+    assert [c[0] for c in calls] == ["parse_matrix", "select_k"]
+    _assert_select_k_call(calls[1], 9)
+
+
+def test_cli_pipeline_reaches_module_hooks(tmp_path, monkeypatch):
+    mpath = _gen_matrix(tmp_path)
+    calls = []
+    _count_calls(monkeypatch, cli, "parse_matrix", calls)
+    _count_calls(monkeypatch, cli, "select_k", calls)
+    _count_calls(monkeypatch, cli, "run_pipeline", calls)
+    _count_calls(monkeypatch, pipeline, "select_k", calls)
+    assert cli.main(["pipeline", "--matrix", str(mpath), "--kmax", "4",
+                     "--out", str(tmp_path / "r.json")]) == 0
+    # the pipeline selects through mcagg.pipeline.select_k, which the
+    # benchmark wraps as well; mcagg.cli.select_k is for `select` alone
+    assert [c[0] for c in calls] == ["parse_matrix", "run_pipeline",
+                                     "select_k"]
+    _assert_select_k_call(calls[2], 9)
 
 
 def test_cli_deterministic_reports(tmp_path):

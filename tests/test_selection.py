@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mcagg import selection
 from mcagg.core import make_partition
 from mcagg.errors import DimensionMismatch, FloorViolation, NonConsecutiveK
 from mcagg.generators import gen_ncd
@@ -203,6 +204,83 @@ def test_select_report_per_superstate():
     assert len(rep.per_superstate[2]) == 2
     assert max(rep.per_superstate[2]) == pytest.approx(rep.t_bars[2],
                                                        rel=1e-12)
+
+
+def test_select_rejects_wrong_length_partitions():
+    rows, _ = _random_chain_and_partition(9, 2, seed=5)
+    parts = {1: make_partition([0] * 9),
+             2: make_partition([0] * 4 + [1] * 4),
+             3: make_partition([0, 1, 2] * 3 + [0])}
+    with pytest.raises(DimensionMismatch, match=r"k=2: n=8.*k=3: n=10"):
+        select_k(rows, parts)
+
+
+def _planted_partitions(blocks, k_max, seed):
+    """Nested partitions around planted blocks: for k <= B the last blocks
+    are merged into one group, for k > B single states are split off."""
+    truth = np.repeat(np.arange(len(blocks)), blocks)
+    B = len(blocks)
+    singles = np.random.default_rng(seed).permutation(len(truth))[:k_max - B]
+    parts = {}
+    for k in range(1, k_max + 1):
+        assign = np.minimum(truth, k - 1)
+        if k > B:
+            assign[singles[:k - B]] = B + np.arange(k - B)
+        parts[k] = make_partition(assign, k=k)
+    return parts
+
+
+def _memo_cases():
+    pi, _ = gen_ncd(blocks=[80] * 5, eps=0.02, seed=11)
+    yield pi.rows, _planted_partitions([80] * 5, 8, seed=11), None
+    small, _ = gen_ncd(blocks=[3, 3, 3], eps=0.05, seed=42)
+    res = run_pipeline(small.rows, k_max=6)
+    yield small.rows, res.partitions, None
+    rho = np.random.default_rng(3).dirichlet(np.ones(9))
+    yield small.rows, res.partitions, rho
+
+
+@pytest.mark.parametrize("mode", ["plain", "whiten"])
+def test_select_memo_bit_identical_to_profile_loop(mode):
+    opts = SelectionOptions(mode=mode)
+    for rows, parts, rho in _memo_cases():
+        rep = select_k(rows, parts, rho, opts)
+        profiles = {k: heterogeneity_profile(rows, p, rho, opts)
+                    for k, p in parts.items()}
+        t_bars = {k: float(p.max(initial=0.0)) for k, p in profiles.items()}
+        nus = marginal_return(t_bars)
+        assert not rep.exact_fit
+        assert rep.t_bars == t_bars
+        assert rep.nus == nus
+        assert rep.per_superstate == {k: [float(v) for v in p]
+                                      for k, p in profiles.items()}
+        assert rep.k_t == min(k for k, v in nus.items()
+                              if v == max(nus.values()))
+
+
+def test_select_scores_each_distinct_superstate_once(monkeypatch):
+    calls = []
+    original = selection._top_eigenvalue
+
+    def counting(members, *args):
+        calls.append(len(members))
+        return original(members, *args)
+    monkeypatch.setattr(selection, "_top_eigenvalue", counting)
+    for rows, parts, rho in _memo_cases():
+        calls.clear()
+        select_k(rows, parts, rho)
+        # a superstate is its members with their weights and centroid; the
+        # centroid row of Q^T rows may round differently at another k
+        distinct = set()
+        for p in parts.values():
+            Q = hard_membership(p, rho)
+            W = Q.T @ rows
+            for j in range(p.k):
+                idx = np.where(p.assign == j)[0]
+                distinct.add((idx.tobytes(), Q[idx, j].tobytes(),
+                              W[j].tobytes()))
+        assert len(calls) == len(distinct)
+        assert len(calls) < sum(p.k for p in parts.values())
 
 
 # --- invariants ---
