@@ -90,7 +90,7 @@ def _fp_iterate(rows, rho, Z0, T, tol, max_iter):
     for _ in range(max_iter):
         posterior, Znew = posterior_and_centroids(rows, p, rho)
         last = (p, posterior)
-        if np.abs(Znew - Z).max() < tol:
+        if np.maximum.reduce(np.abs(Znew - Z), axis=None) < tol:
             return Znew, SoftAssociation(*last), True
         Z = Znew
         cycle.append(Z)
@@ -114,10 +114,12 @@ def _squarem(Z, Z1, Z2):
     length clips to -1 (the extrapolation is Z2 itself)."""
     r = Z1 - Z
     v = Z2 - Z1 - r
-    nv = np.linalg.norm(v)
+    # np.linalg.norm's own path for a 2-D array, without its dispatch
+    rf, vf = r.ravel(order="K"), v.ravel(order="K")
+    nv = np.sqrt(vf.dot(vf))
     if not nv > 0:
         return None
-    a = -np.linalg.norm(r) / nv
+    a = -np.sqrt(rf.dot(rf)) / nv
     if a >= -1.0:
         return None
     return Z - 2.0 * a * r + a * a * v

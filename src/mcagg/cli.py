@@ -245,10 +245,17 @@ def build_parser():
     return parser
 
 
+# built by the first main call and reused: parse_args keeps no state
+# between calls, and building it at import would slow every import
+_parser = None
+
+
 def main(argv=None):
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as e:
         return 0 if e.code == 0 else 1
     try:

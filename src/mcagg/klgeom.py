@@ -99,8 +99,8 @@ def _softmin(D, T, with_lse=True):
     """
     if T <= 0:
         raise NonPositiveTemperature(f"T = {T}")
-    A = -D / T
-    m = A.max(axis=1, keepdims=True)
+    A = D / -T   # one pass over D; negating T instead of D is exact
+    m = np.maximum.reduce(A, axis=1, keepdims=True)
     dead = ~np.isfinite(m[:, 0])
     if dead.any():
         m[dead] = 0.0
@@ -108,7 +108,7 @@ def _softmin(D, T, with_lse=True):
         E[dead] = 1.0
     else:
         E = np.exp(A - m)
-    s = E.sum(axis=1, keepdims=True)
+    s = np.add.reduce(E, axis=1, keepdims=True)
     if not with_lse:
         return E / s, None
     lse = m[:, 0] + np.log(s[:, 0])
@@ -137,8 +137,9 @@ def posterior_and_centroids(pi, p, rho=None):
     p = p if _is_floats(p) else np.asarray(p, dtype=float)
     rho = rho if _is_floats(rho) else as_rho(rho, rows.shape[0])
     weighted = rho[:, None] * p
-    col = weighted.sum(axis=0)
-    if col.min() < _TINY:
+    # the ufunc reductions the ndarray methods call, without their dispatch
+    col = np.add.reduce(weighted, axis=0)
+    if np.minimum.reduce(col) < _TINY:
         raise EmptySuperstate(int(np.flatnonzero(col < _TINY)[0]))
     posterior = weighted / col
     Z = posterior.T @ rows

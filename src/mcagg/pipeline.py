@@ -47,12 +47,12 @@ def _group_terms(Sg, Mg, SEg):
         return np.where(Mg > 0.0, SEg - np.einsum("ij,ij->i", Sg, lz), 0.0)
 
 
-# rows per scan block of _move_descent: a block's stale table columns are
-# recomputed just before the scan reads it
+# rows per scan block of _move_descent: the rows of a block that a current
+# group column lacks are computed just before the scan reads the block
 _BLOCK = 32
 
 
-def _move_descent(rows, rho, assign, self_ent, max_passes=50):
+def _move_descent(rows, rho, assign, self_ent, memo=None, max_passes=50):
     """Single-state relocation descent with immediate centroid updates.
 
     Batch reassignment (Lloyd) stalls on stale centroids; moving one state
@@ -60,17 +60,22 @@ def _move_descent(rows, rho, assign, self_ent, max_passes=50):
     as SE_g - S_g . log(S_g / M_g), with S_g the rho-weighted row sum, M_g
     the group mass and SE_g the weighted self-entropies (the Bregman
     information form of KL hard clustering), so the value of every move is
-    read from one n x k table: tab[i, g] is group g's term with state i
-    added, or, for i's own group, with i removed.
+    read from per-group columns: entry i of group g's column is g's term
+    with state i added, or, for a member i, with i removed.
 
-    A move from group a to group b changes S, M and SE of a and b only, so
-    it bumps their versions ver[a] and ver[b]; seen[i, g] is the version
-    tab[i, g] was computed at. The scan reads the rows from the current
-    state to the end of its block of _BLOCK rows and, just before,
-    recomputes the columns that hold a stale entry in those rows. Every entry read is therefore computed from the current group
-    sums by the same row-wise expression, and an entry a move makes stale
-    is recomputed only if the scan reads it before its group changes
-    again.
+    A column depends on the group only through S_g, M_g, SE_g and its
+    member set, so memo maps the bytes of those four to the column and a
+    mask of the rows computed so far. Every state-side input (rho_i, row i,
+    self-entropy i) is fixed for given rows, rho and self_ent, so a memo
+    may be shared by descents on the same chain and weights, and a hit
+    holds the bytes a fresh computation would give. It must not be shared
+    across chains or weights. memo=None uses a fresh dict.
+
+    tab[:, g] and have[:, g] hold group g's memo column while g stays in
+    one state; they go back to the memo when g changes and when the
+    descent ends. The scan reads the rows from the current state to the
+    end of its block of _BLOCK rows and, just before, computes the rows of
+    that block that a current column lacks.
 
     States are visited in index order, one pass after another, and a state
     moves to the first group whose gain beats the best so far by more than
@@ -83,8 +88,14 @@ def _move_descent(rows, rho, assign, self_ent, max_passes=50):
     k = int(assign.max()) + 1
     if k == 1:
         return assign
+    if memo is None:
+        memo = {}
     se = self_ent * rho
     wrows = rho[:, None] * rows
+    # additions in rows 0..n-1, removals (the negated inputs) in n..2n-1
+    dw = np.concatenate([wrows, -wrows])
+    drho = np.concatenate([rho, -rho])
+    dse = np.concatenate([se, -se])
 
     S = np.zeros((k, rows.shape[1]))
     M = np.zeros(k)
@@ -96,8 +107,23 @@ def _move_descent(rows, rho, assign, self_ent, max_passes=50):
         SE[j] = se[m].sum()
 
     tab = np.empty((n, k))
-    ver = np.zeros(k, dtype=int)
-    seen = np.full((n, k), -1)
+    have = np.empty((n, k), dtype=bool)
+    keys = [None] * k
+
+    def look_up(g):
+        keys[g] = key = (S[g].tobytes(), M[g].tobytes(), SE[g].tobytes(),
+                         (assign == g).tobytes())
+        hit = memo.get(key)
+        if hit is None:
+            have[:, g] = False
+        else:
+            tab[:, g], have[:, g] = hit
+
+    def store(g):
+        memo[keys[g]] = (tab[:, g].copy(), have[:, g].copy())
+
+    for g in range(k):
+        look_up(g)
     cur = _group_terms(S, M, SE)
     counts = np.bincount(assign, minlength=k)
     for _ in range(max_passes):
@@ -106,20 +132,16 @@ def _move_descent(rows, rho, assign, self_ent, max_passes=50):
         while i < n:
             hi = min((i // _BLOCK + 1) * _BLOCK, n)   # the end of i's block
             own = assign[i:hi]
-            cols = np.flatnonzero((seen[i:hi] != ver).any(axis=0))
-            if len(cols):
-                # rows i..hi of every stale column, member rows as removals
-                Sg = S[cols][:, None] + wrows[i:hi]
-                Mg = M[cols][:, None] + rho[i:hi]
-                SEg = SE[cols][:, None] + se[i:hi]
-                c, r = np.nonzero(own == cols[:, None])
-                Sg[c, r] = S[cols[c]] - wrows[i + r]
-                Mg[c, r] = M[cols[c]] - rho[i + r]
-                SEg[c, r] = SE[cols[c]] - se[i + r]
-                terms = _group_terms(Sg.reshape(-1, S.shape[1]), Mg.ravel(),
-                                     SEg.ravel())
-                tab[i:hi, cols] = terms.reshape(len(cols), -1).T
-                seen[i:hi, cols] = ver[cols]
+            r, c = np.nonzero(~have[i:hi])
+            if len(r):
+                # S_g + w_i, or S_g - w_i = S_g + (-w_i) for a member row,
+                # summed in one buffer as w + S (addition commutes exactly)
+                r += i
+                d = r + n * (assign[r] == c)
+                Sg = dw.take(d, axis=0)
+                Sg += S.take(c, axis=0)
+                tab[r, c] = _group_terms(Sg, M[c] + drho[d], SE[c] + dse[d])
+                have[r, c] = True
             t = tab[i:hi]
             idx = np.arange(hi - i)
             # gain of moving each state to each group, in the tie rule's
@@ -138,22 +160,26 @@ def _move_descent(rows, rho, assign, self_ent, max_passes=50):
             for j in range(k):
                 if j != a and g[j] > best_gain + 1e-14:
                     best_gain, b = g[j], j
+            cur[a], cur[b] = tab[i, a], tab[i, b]
+            store(a)
+            store(b)
             S[a] -= wrows[i]
             M[a] -= rho[i]
             SE[a] -= se[i]
             S[b] += wrows[i]
             M[b] += rho[i]
             SE[b] += se[i]
-            cur[a], cur[b] = tab[i, a], tab[i, b]
             counts[a] -= 1
             counts[b] += 1
             assign[i] = b
-            ver[a] += 1
-            ver[b] += 1
+            look_up(a)
+            look_up(b)
             improved = True
             i += 1
         if not improved:
             break
+    for g in range(k):
+        store(g)
     return assign
 
 
@@ -203,12 +229,15 @@ def refine_per_k(pi, rho, sweep_parts, k_max, cfg=AnnealConfig()):
     # Lloyd output bytes -> its move descent; distinct starts repeat often
     # across k, and the descent is deterministic
     descended = {}
+    # group state -> column of group terms, shared by this call's descents
+    # (one chain, one rho) and dropped with the call
+    memo = {}
 
     def polish(assign):
         start = _lloyd(rows, rho, assign, ent, pos)
         key = start.tobytes()
         if key not in descended:
-            descended[key] = _move_descent(rows, rho, start, ent)
+            descended[key] = _move_descent(rows, rho, start, ent, memo)
         return descended[key]
 
     chosen = {1: np.zeros(n, dtype=int)}

@@ -482,6 +482,42 @@ def test_cli_deterministic_reports(tmp_path):
     assert file_sha256(r1) == file_sha256(r2)
 
 
+def test_cli_main_reuses_one_parser(tmp_path, monkeypatch, capsys):
+    mpath = _gen_matrix(tmp_path)
+    parts = tmp_path / "parts.json"
+    write_partitions({1: make_partition([0] * 9),
+                      2: make_partition([0] * 3 + [1] * 6)}, parts)
+    out = tmp_path / "out.json"
+    select = ["select", "--matrix", str(mpath), "--partitions", str(parts),
+              "--out", str(out)]
+    argvs = [select,
+             ["pipeline", "--matrix", str(mpath), "--kmax", "4",
+              "--rho", "stationary", "--out", str(out)],
+             ["select", "--matrix", str(mpath), "--kmax", "4"],  # exit 1
+             select]
+    capsys.readouterr()
+
+    def run(argv):
+        out.unlink(missing_ok=True)
+        rc = cli.main(argv)
+        text = out.read_text() if out.exists() else None
+        return rc, capsys.readouterr(), text
+
+    fresh = []
+    for argv in argvs:
+        monkeypatch.setattr(cli, "_parser", None)
+        fresh.append(run(argv))
+    assert [rc for rc, _, _ in fresh] == [0, 0, 1, 0]
+
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: built.append(1) or build())
+    monkeypatch.setattr(cli, "_parser", None)
+    assert [run(argv) for argv in argvs] == fresh
+    assert len(built) == 1
+
+
 def test_cli_stationary_rho(tmp_path, capsys):
     mpath = _gen_matrix(tmp_path)
     rc = cli.main(["pipeline", "--matrix", str(mpath), "--kmax", "4",

@@ -1,6 +1,6 @@
-"""Refinement: the block-lazy table move descent against the scalar loop
-it replaced, the per-call polish memo, candidate de-duplication, and
-centroids of zero-weight groups; end-to-end runs under stationary
+"""Refinement: the memo-backed move descent against the scalar loop it
+replaced, the per-call column and polish memos, candidate de-duplication,
+and centroids of zero-weight groups; end-to-end runs under stationary
 weights."""
 from pathlib import Path
 
@@ -196,6 +196,68 @@ def test_move_descent_one_group_and_max_passes():
             np.testing.assert_array_equal(got, want)
 
 
+def _nearby_starts(n, k, seed, count=6):
+    """A start that uses every one of k groups and variants of it with one
+    to three states relabelled, so descents share many group states."""
+    rng = np.random.default_rng(seed)
+    base = np.arange(n) % k
+    rng.shuffle(base)
+    starts = [base]
+    while len(starts) < count:
+        s = base.copy()
+        moved = rng.choice(n, size=int(rng.integers(1, 4)), replace=False)
+        s[moved] = rng.integers(0, k, size=len(moved))
+        if np.bincount(s, minlength=k).min() > 0:
+            starts.append(s)
+    return starts
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_move_descent_shared_memo_matches_memo_free(seed):
+    rows, rho, _ = _problem(50, 5, seed, [0.0, 0.5, 0.8][seed % 3],
+                            zero_rho=seed % 2 == 1)
+    memo = {}
+    for start in _nearby_starts(50, 5, seed):
+        want = reference_move_descent(rows, rho, start)
+        free = descend_each_block(rows, rho, start)
+        shared = descend_each_block(rows, rho, start, memo=memo)
+        for got in free + shared:
+            np.testing.assert_array_equal(got, want)
+        # re-descending from a result is a fixed point read from the memo
+        for got in descend_each_block(rows, rho, want, memo=memo):
+            np.testing.assert_array_equal(got, want)
+    assert memo
+
+
+def _twin_chain(seed, n=9):
+    """A chain whose states 1 and 2 have the same row and the same weight."""
+    rng = np.random.default_rng(seed)
+    rows = _sparse_chain(rng, n, 0.3)
+    rows[2] = rows[1]
+    rho = rng.random(n) + 0.05
+    rho[2] = rho[1]
+    return rows, rho / rho.sum()
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_move_descent_memo_keys_on_members(seed):
+    # swapping the twins 1 and 2 between their groups gives groups with the
+    # same S, M and SE bytes but different members; a member row holds a
+    # removal and any other row an addition, so the member set is part of
+    # the key
+    rows, rho = _twin_chain(seed)
+    a = np.array([0, 0, 1, 1, 2, 0, 1, 2, 2])
+    b = a.copy()
+    b[[1, 2]] = a[[2, 1]]
+    memo = {}
+    for start in (a, b, a, b):
+        want = reference_move_descent(rows, rho, start)
+        for got in descend_each_block(rows, rho, start, memo=memo):
+            np.testing.assert_array_equal(got, want)
+    # the case is exercised: two keys differ only in their member mask
+    assert len({key[:3] for key in memo}) < len(memo)
+
+
 def _sweep(n_blocks=4, size=6, eps=0.05, seed=2, k_max=6):
     pi, _ = gen_ncd(blocks=[size] * n_blocks, eps=eps, seed=seed)
     rows = pi.rows
@@ -217,7 +279,7 @@ def test_refine_memo_descends_each_lloyd_output_once(monkeypatch):
         starts.append(out.tobytes())
         return out
 
-    def reference(rows, rho, assign, self_ent):
+    def reference(rows, rho, assign, self_ent, memo=None):
         descended.append(assign.tobytes())
         return reference_move_descent(rows, rho, assign)
 
@@ -230,6 +292,51 @@ def test_refine_memo_descends_each_lloyd_output_once(monkeypatch):
         np.testing.assert_array_equal(got[k], want[k])
     assert sorted(descended) == sorted(set(starts))
     assert len(starts) > len(set(starts))   # the memo saved descents
+
+
+def _memo_free(monkeypatch):
+    """Make every descent in refine_per_k start from an empty memo."""
+    descend = pipeline._move_descent
+
+    def fresh(rows, rho, assign, self_ent, memo=None):
+        return descend(rows, rho, assign, self_ent)
+    monkeypatch.setattr(pipeline, "_move_descent", fresh)
+
+
+def test_refine_memo_stays_within_one_call(monkeypatch):
+    # the second call weights states 2, 6 and 18 ten times as much and
+    # leaves the rest of rho as it is, so every group without them keeps
+    # its key bytes while its entries in their rows change
+    rows, rho, sweep = _sweep()
+    heavy = rho.copy()
+    heavy[[2, 6, 18]] *= 10.0
+    got = [refine_per_k(rows, w, sweep, 6) for w in (rho, heavy)]
+    _memo_free(monkeypatch)
+    want = [refine_per_k(rows, w, sweep, 6) for w in (rho, heavy)]
+    for g, w in zip(got, want):
+        assert sorted(g) == sorted(w)
+        for k in w:
+            np.testing.assert_array_equal(g[k], w[k])
+
+
+def test_refine_memo_saves_kernel_rows(monkeypatch):
+    rows, rho, sweep = _sweep()
+    counted = []
+    terms = pipeline._group_terms
+
+    def counting_terms(Sg, Mg, SEg):
+        counted[-1] += len(Mg)
+        return terms(Sg, Mg, SEg)
+
+    monkeypatch.setattr(pipeline, "_group_terms", counting_terms)
+    counted.append(0)
+    shared = refine_per_k(rows, rho, sweep, 6)
+    _memo_free(monkeypatch)
+    counted.append(0)
+    free = refine_per_k(rows, rho, sweep, 6)
+    for k in free:
+        np.testing.assert_array_equal(shared[k], free[k])
+    assert 0 < counted[0] < counted[1]
 
 
 def test_refine_scores_each_candidate_once(monkeypatch):
