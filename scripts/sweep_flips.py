@@ -1,0 +1,206 @@
+"""Record, and compare, what the annealing sweep chooses on a fixed chain set.
+
+A change to annealing that is not bit-identical moves some partitions. This
+script records, per chain, k_t, the planted k, and at every k the
+partition (relabelled canonically, by first occurrence) and its distortion:
+
+    python scripts/sweep_flips.py --out before.json
+    python scripts/sweep_flips.py --out after.json      # on the changed code
+    python scripts/sweep_flips.py --compare before.json after.json
+
+The default chain set has 195 chains:
+
+- acceptance: the 125 chains of acceptance criteria 1-4 (uniform rho);
+- large-ncd: the benchmark's six 200-state chains for seeds 1-10;
+- ncd100-eps0: the benchmark's 100-state eps = 0 chain for seeds 1-10,
+  under stationary rho.
+
+``--with-ncd9-eps0`` adds the benchmark's 70 nine-state eps = 0 chains per
+seed under stationary rho (700 more). The benchmark chains are drawn with
+the same seeds as perfbench/workloads.py draws them.
+
+``--null t0|delta|swap`` records a null run of the same code, to size how
+many flips a change with no intended effect already causes: ``t0`` and
+``delta`` raise AnnealConfig.t0_factor or .delta by one ulp, ``swap``
+places each shadow pair in -/+ instead of +/- order. ``--compare`` prints
+every k_t change and every partition flip with its distortion before and
+after, then totals: flips, ties among them (distortions equal within
+1e-12 relative), flips at k <= the planted k_t that raise distortion by
+more than a tie, and the summed distortion change over the flips.
+"""
+import argparse
+import importlib
+import json
+import time
+
+import numpy as np
+
+import mcagg
+from mcagg import AnnealConfig, gen_ncd, gen_replicated_rows, run_pipeline
+
+anneal_module = importlib.import_module("mcagg.anneal")
+
+# two distortions closer than this, relative, are a tie: different partitions
+# with the same cost up to rounding, such as swapped equal blocks
+TIE_REL = 1e-12
+
+
+def _chain_seeds(seed, tag, count):
+    """perfbench/workloads.py's per-chain seeds for one benchmark seed."""
+    ss = np.random.SeedSequence([seed, sum(map(ord, tag))])
+    return [int(s) for s in ss.generate_state(count)]
+
+
+def chains(with_ncd9):
+    """(name, rows, rho mode, k_max, planted k) for every chain of the set."""
+    for seed in range(30):
+        pi, truth = gen_ncd(blocks=[3, 3, 3], eps=0.05, seed=seed)
+        yield f"crit1-{seed}", pi.rows, "uniform", 6, truth.k
+    for seed in range(5):
+        pi, truth = gen_ncd(blocks=[10, 30, 20, 20, 20], eps=0.02, seed=seed)
+        yield f"crit2-{seed}", pi.rows, "uniform", 8, truth.k
+    for counts in ((4, 3, 3), (3, 3, 2, 2)):
+        tag = "".join(map(str, counts))
+        for seed in range(30):
+            pi, truth = gen_replicated_rows(n=10, counts=counts, eps=0.1,
+                                            seed=seed)
+            yield f"crit3-{tag}-{seed}", pi.rows, "uniform", 6, truth.k
+    for seed in range(30):
+        pi, truth = gen_ncd(blocks=[3, 3, 3], eps=0.01, seed=seed)
+        yield f"crit4-{seed}", pi.rows, "uniform", 6, truth.k
+    for seed in range(1, 11):
+        for i, s in enumerate(_chain_seeds(seed, "large-ncd", 6)):
+            pi, truth = gen_ncd(blocks=[40] * 5, eps=0.02, seed=s)
+            yield f"large-ncd-s{seed}-{i}", pi.rows, "uniform", 8, truth.k
+    for seed in range(1, 11):
+        seeds = _chain_seeds(seed, "sparse-stationary", 72)
+        pi, truth = gen_ncd(blocks=[20] * 5, eps=0.0, seed=seeds[70])
+        yield f"ncd100-eps0-s{seed}", pi.rows, "stationary", 6, truth.k
+        if with_ncd9:
+            for i, s in enumerate(seeds[:70]):
+                pi, truth = gen_ncd(blocks=[3, 3, 3], eps=0.0, seed=s)
+                yield (f"ncd9-eps0-s{seed}-{i}", pi.rows, "stationary", 6,
+                       truth.k)
+
+
+def canonical(assign):
+    """Labels renumbered by first occurrence, so equal partitions compare
+    equal whatever their labels."""
+    first = {}
+    return [first.setdefault(int(a), len(first)) for a in assign]
+
+
+def _swap_shadow_order():
+    """Make anneal place each shadow pair in -/+ instead of +/- order."""
+    plain = anneal_module._shadow_bank
+
+    def swapped(Z, dirs, delta):
+        bank, owner = plain(Z, dirs, delta)
+        order = np.arange(len(owner)).reshape(-1, 2)[:, ::-1].ravel()
+        return bank[order], [owner[i] for i in order]
+
+    anneal_module._shadow_bank = swapped
+
+
+def record(with_ncd9, null):
+    cfg = AnnealConfig()
+    if null == "t0":
+        cfg = AnnealConfig(t0_factor=float(np.nextafter(cfg.t0_factor, 3.0)))
+    elif null == "delta":
+        cfg = AnnealConfig(delta=float(np.nextafter(cfg.delta, 1.0)))
+    elif null == "swap":
+        _swap_shadow_order()
+    out = {}
+    for name, rows, rho_mode, k_max, planted in chains(with_ncd9):
+        rho = (mcagg.stationary_distribution(rows) if rho_mode == "stationary"
+               else None)
+        res = run_pipeline(rows, rho, k_max=k_max, cfg=cfg)
+        out[name] = {
+            "k_t": int(res.k_t),
+            "planted_k": int(planted),
+            "partitions": {str(k): canonical(p.assign)
+                           for k, p in res.partitions.items()},
+            "distortion": {str(k): mcagg.distortion(rows, m, rho)
+                           for k, m in res.models.items()},
+        }
+    return out
+
+
+def family(name):
+    """The chain set a chain belongs to, from its name."""
+    if name.startswith("crit"):
+        return "acceptance"
+    return name[:name.rindex("-s")]
+
+
+def compare(a, b):
+    """Print every k_t change and partition flip from run a to run b, then
+    the totals per chain set and overall; returns the number of flips."""
+    totals = {}
+    for name in a:
+        ca, cb = a[name], b[name]
+        t = totals.setdefault(family(name), dict(
+            chains=0, partitions=0, hits_a=0, hits_b=0, kt_changed=0,
+            flips=0, ties=0, raised_low=0, delta=0.0))
+        t["chains"] += 1
+        t["partitions"] += len(ca["partitions"])
+        t["hits_a"] += ca["k_t"] == ca["planted_k"]
+        t["hits_b"] += cb["k_t"] == cb["planted_k"]
+        if ca["k_t"] != cb["k_t"]:
+            t["kt_changed"] += 1
+            print(f"K_T {name}: {ca['k_t']} -> {cb['k_t']} "
+                  f"(planted {ca['planted_k']})")
+        for k, pa in ca["partitions"].items():
+            if pa == cb["partitions"][k]:
+                continue
+            da, db = ca["distortion"][k], cb["distortion"][k]
+            tie = abs(db - da) <= TIE_REL * max(abs(da), abs(db))
+            low = int(k) <= ca["planted_k"]
+            t["flips"] += 1
+            t["ties"] += tie
+            t["raised_low"] += low and db > da and not tie
+            t["delta"] += db - da
+            print(f"FLIP {name} k={k}: distortion {da:.6g} -> {db:.6g} "
+                  f"({db - da:+.3g}){' tie' if tie else ''}"
+                  f"{' at k <= planted' if low else ''}")
+    overall = {key: sum(t[key] for t in totals.values())
+               for key in next(iter(totals.values()))}
+    for fam, t in list(totals.items()) + [("all", overall)]:
+        print(f"{fam}: {t['chains']} chains, {t['partitions']} (chain, k) "
+              f"partitions; k_t hits {t['hits_a']} -> {t['hits_b']}, "
+              f"{t['kt_changed']} k_t changes; {t['flips']} flips "
+              f"({t['ties']} ties), {t['raised_low']} at k <= planted k_t "
+              f"raise distortion beyond a tie; summed distortion change "
+              f"over the flips {t['delta']:+.4g}")
+    return overall["flips"]
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--out", help="write the record of this run to a JSON file")
+    ap.add_argument("--with-ncd9-eps0", action="store_true",
+                    help="add the 700 nine-state eps = 0 stationary chains")
+    ap.add_argument("--null", choices=("t0", "delta", "swap"),
+                    help="record a null run (see the module docstring)")
+    ap.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                    help="print the flips from record A to record B")
+    args = ap.parse_args()
+    if args.compare:
+        a, b = (json.load(open(p)) for p in args.compare)
+        missing = sorted(set(a) ^ set(b))
+        if missing:
+            ap.error(f"the records differ in chains: {missing[:5]}")
+        compare(a, b)
+        return
+    if not args.out:
+        ap.error("give --out FILE or --compare A B")
+    t0 = time.time()
+    out = record(args.with_ncd9_eps0, args.null)
+    with open(args.out, "w") as fh:
+        json.dump(out, fh)
+    print(f"{len(out)} chains written to {args.out} "
+          f"[{time.time() - t0:.1f}s]")
+
+
+if __name__ == "__main__":
+    main()

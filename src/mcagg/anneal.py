@@ -159,10 +159,11 @@ def _critical_full(rows, rho, Z, assoc, floor, vectors=False):
     diag((p_j @ rows) / z^2) on the simplex tangent space (Rose 1998). That
     is selection._top_deviation with q = p_j, s = sqrt(p_j @ rows) and u
     along z / s, on the coordinates where z clears the floor and p_j puts
-    mass; the others are dropped, never raised over. The split direction is
-    x z / s for the top eigenvector x, unit-normalized. A centroid with no
-    mass, fewer than 2 kept coordinates or a zero top eigenvalue gets t_cr 0
-    and a zero direction.
+    mass; the others are dropped, never raised over. Each centroid costs one
+    eigvalsh, plus one linear solve for its direction with vectors=True.
+    The split direction is x z / s for the top eigenvector x,
+    unit-normalized. A centroid with no mass, fewer than 2 kept coordinates
+    or a zero top eigenvalue gets t_cr 0 and a zero direction.
     """
     k = Z.shape[0]
     posterior = _posterior_from(rows, rho, assoc)
@@ -318,6 +319,22 @@ def _shadow_bank(Z, dirs, delta):
     return np.stack(out), owner
 
 
+def _unsplit_order(owner, merge_map):
+    """The settled index of each distinct centroid when every distinct
+    centroid is exactly the two shadow copies of one settled centroid, so
+    that nothing split; None otherwise. owner and merge_map are
+    _shadow_bank's and _merge_bank's maps. A bank that lost a dead row no
+    longer lines up with owner, and gives None."""
+    if len(merge_map) != len(owner):
+        return None
+    members = {}
+    for b, d in merge_map.items():
+        members.setdefault(d, []).append(owner[b])
+    if not all(len(m) == 2 and m[0] == m[1] for m in members.values()):
+        return None
+    return [members[d][0] for d in range(len(members))]
+
+
 def _converge(rows, rho, Z, T, cfg, warnings, label):
     """Fixed point with dead-centroid recovery; never raises."""
     while True:
@@ -406,8 +423,16 @@ def anneal(pi, rho=None, cfg=AnnealConfig()):
             break
         # cooling
         if cfg.schedule == "adaptive":
-            probe = gibbs_weights(distance_matrix(rows, Z), T)
-            tcrs = _critical_full(rows, rho, Z, probe, cfg.floor)
+            # When nothing split, the bank is the settled one within the
+            # merge tolerance and the settled t_cr stand. A split moves the
+            # Gibbs weights of the centroids beside it, so then the probe
+            # solves every centroid.
+            order = _unsplit_order(owner, merge_map)
+            if order is not None:
+                tcrs = tcrs[order]
+            else:
+                probe = gibbs_weights(distance_matrix(rows, Z), T)
+                tcrs = _critical_full(rows, rho, Z, probe, cfg.floor)
             tmax = float(tcrs.max()) if len(tcrs) else 0.0
             nxt = cfg.alpha * T
             if tmax > 0 and tmax < T:

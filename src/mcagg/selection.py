@@ -6,6 +6,7 @@ of a deviation covariance restricted to the simplex tangent basis), then
 pick the k whose heterogeneity drop from k-1 is largest on a log scale.
 """
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -101,28 +102,53 @@ def covariance_matrix(members, w, q, mode="plain", floor=1e-12, j=0):
     return 0.5 * (C + C.T)
 
 
+@lru_cache(maxsize=128)
+def _start_vector(m):
+    """Fixed start vector of length m for _top_deviation's inverse
+    iteration, drawn from its own generator so that no caller's random
+    stream moves. Read-only, because it is shared between calls; a vector
+    the cache dropped is drawn again, bit for bit."""
+    b = np.random.default_rng(0).standard_normal(m)
+    b.flags.writeable = False
+    return b
+
+
 def _top_deviation(members, w, q, s, u, vectors=False):
-    """Largest eigenvalue of A^T A for the m x d deviation factor
+    """Largest eigenvalue t of A^T A for the m x d deviation factor
     A = sqrt(q) (U - (U u) u^T), with U = (members - w) / s and u scaled to
     unit length.
 
-    The eigensolve runs on the smaller of A A^T and A^T A. With vectors=True
-    it returns (t, x), x the unit top eigenvector of A^T A (A^T y normalized
-    on the A A^T side), or zeros when t is 0. Without, it calls eigvalsh only.
+    The eigensolve runs on the smaller Gram G, A A^T or A^T A, and t is the
+    top eigenvalue from eigvalsh (0 when G has none above 0). With
+    vectors=True it returns (t, x), x the unit top eigenvector of A^T A
+    (A^T y normalized on the A A^T side), or zeros when t is 0. The
+    eigenvector comes from one step of inverse iteration at the known t
+    (Golub & Van Loan, sec. 8.2): solve (G / t - (1 + 2^-36) I) y = G b / t
+    for a fixed start vector b. The matrix is negative definite, so the
+    solve never meets a singular matrix and y stays near 2^36 in size; the
+    right-hand side lies in range(G), so x stays orthogonal to u. On a
+    multiple top eigenvalue x is the projection of A^T b (or b) onto that
+    eigenspace, the same on every call.
     """
     U = (members - w) / s
     u = u / np.linalg.norm(u)
     A = np.sqrt(q)[:, None] * (U - np.outer(U @ u, u))
     wide = A.shape[0] <= A.shape[1]
     G = A @ A.T if wide else A.T @ A
+    t = np.linalg.eigvalsh(G).max(initial=0.0)
     if not vectors:
-        return np.linalg.eigvalsh(G).max(initial=0.0)
-    vals, vecs = np.linalg.eigh(G)
-    x = A.T @ vecs[:, -1] if wide else vecs[:, -1]
-    nrm = np.linalg.norm(x)
-    if not (vals[-1] > 0 and nrm > 0):
+        return t
+    if not t > 0:
         return 0.0, np.zeros(A.shape[1])
-    return float(vals[-1]), x / nrm
+    G = G / t
+    rhs = G @ _start_vector(G.shape[0])
+    G.flat[::G.shape[0] + 1] -= 1.0 + 2.0**-36   # the diagonal
+    y = np.linalg.solve(G, rhs)
+    x = A.T @ y if wide else y
+    nrm = np.linalg.norm(x)
+    if not nrm > 0:
+        return 0.0, np.zeros(A.shape[1])
+    return float(t), x / nrm
 
 
 def _top_eigenvalue(members, w, q, mode, floor, j):

@@ -176,6 +176,33 @@ def test_critical_full_identical_rows_zero_direction():
     assert tcrs[0] == 0.0 and not dirs.any()
 
 
+def test_critical_full_multiple_top_eigenvalue_deterministic():
+    # Three closed classes of equal stationary mass: the first critical
+    # temperature is a double eigenvalue (1), so the split direction is a
+    # vector of a 2-dimensional eigenspace. It is the same on every call,
+    # unit, tangent, and its Rayleigh quotient of the whitened form is t.
+    pi, _ = gen_ncd(blocks=[4] * 3, eps=0.0, seed=0)
+    rows = pi.rows
+    rho = stationary_distribution(rows).rho
+    z = rho @ rows
+    ones = SoftAssociation(p=np.ones((12, 1)), posterior=rho[:, None])
+    with np.errstate(all="raise"):
+        t1, d1 = anneal_module._critical_full(rows, rho, z[None, :], ones,
+                                              1e-12, vectors=True)
+        t2, d2 = anneal_module._critical_full(rows, rho, z[None, :], ones,
+                                              1e-12, vectors=True)
+    _, _, vals = _whiten_eigs(rows, rho, z, rho, 1e-12)
+    assert vals[-2] == pytest.approx(vals[-1], rel=1e-12)
+    assert np.array_equal(t1, t2) and np.array_equal(d1, d2)
+    d = d1[0]
+    assert np.linalg.norm(d) == pytest.approx(1.0, abs=1e-12)
+    assert abs(d.sum()) < 1e-12
+    V = (rows - z) / z
+    num = float(rho @ (V @ d) ** 2)
+    den = float(d @ ((rho @ rows) / z**2 * d))
+    assert num / den == pytest.approx(t1[0], rel=1e-12)
+
+
 # --- fixed_point ---
 
 def test_fixed_point_k1_is_weighted_mean():
@@ -626,6 +653,132 @@ def test_anneal_deterministic():
     assert [k for k, _, _ in r1.entries] == [k for k, _, _ in r2.entries]
     for (_, p1, _), (_, p2, _) in zip(r1.entries, r2.entries):
         assert np.array_equal(p1.assign, p2.assign)
+
+
+@pytest.mark.parametrize("blocks, eps, rho_mode", [
+    ([3, 3, 3], 0.05, "uniform"), ([4] * 3, 0.0, "stationary")])
+def test_anneal_bit_identical_twice_in_one_process(blocks, eps, rho_mode):
+    # the split directions' start vector is fixed and shared between calls,
+    # so a second sweep repeats the first bit for bit; the equal-mass chain
+    # has a double first critical temperature
+    pi, _ = gen_ncd(blocks=blocks, eps=eps, seed=2)
+    rho = stationary_distribution(pi.rows) if rho_mode == "stationary" \
+        else None
+    r1 = anneal(pi.rows, rho, AnnealConfig(k_max=6))
+    r2 = anneal(pi.rows, rho, AnnealConfig(k_max=6))
+    assert r1.trace == r2.trace
+    assert len(r1.entries) == len(r2.entries)
+    for (k1, p1, m1), (k2, p2, m2) in zip(r1.entries, r2.entries):
+        assert k1 == k2 and np.array_equal(p1.assign, p2.assign)
+        assert np.array_equal(m1.psi, m2.psi)
+        assert np.array_equal(m1.distributions, m2.distributions)
+
+
+def test_unsplit_order_only_when_every_pair_merged_alone():
+    Z = np.array([[0.2, 0.3, 0.5], [0.6, 0.2, 0.2], [0.1, 0.8, 0.1]])
+    dirs = np.array([[1.0, -1.0, 0.0]] * 3) / np.sqrt(2.0)
+    bank, owner = anneal_module._shadow_bank(Z, dirs, 1e-2)
+    unsplit = bank.copy()
+    for j in range(3):
+        unsplit[[2 * j, 2 * j + 1]] = Z[j]
+
+    def order(b):
+        return anneal_module._unsplit_order(
+            owner, anneal_module._merge_bank(b, 1e-6)[1])
+
+    assert order(unsplit) == [0, 1, 2]
+    # the copies of centroid 1 stay apart
+    split = unsplit.copy()
+    split[[2, 3]] = bank[[2, 3]]
+    assert order(split) is None
+    # a copy of centroid 1 lands on centroid 0, the other stays apart:
+    # still three distinct centroids, but not three re-merged pairs
+    crossed = split.copy()
+    crossed[2] = Z[0]
+    assert order(crossed) is None
+    # a dead shadow row was dropped: the bank no longer lines up with owner
+    _, merge_map = anneal_module._merge_bank(np.delete(unsplit, 5, axis=0),
+                                             1e-6)
+    assert anneal_module._unsplit_order(owner, merge_map) is None
+
+
+def _count_solves(monkeypatch, pi, fresh):
+    """anneal on pi, counting _top_deviation calls; with fresh=True every
+    temperature runs the full probe, as if something always split."""
+    calls = [0]
+    plain_top = anneal_module._top_deviation
+
+    def counting_top(*args, **kwargs):
+        calls[0] += 1
+        return plain_top(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(anneal_module, "_top_deviation", counting_top)
+        if fresh:
+            m.setattr(anneal_module, "_unsplit_order", lambda owner, mm: None)
+        res = anneal(pi.rows, cfg=AnnealConfig(k_max=6))
+    return res, calls[0]
+
+
+@pytest.mark.parametrize("seed", [0, 2])
+def test_anneal_probe_reuses_settled_tcrs_when_nothing_split(monkeypatch,
+                                                             seed):
+    # At a temperature where every shadow pair re-merged alone, the cooling
+    # step takes the settled t_cr instead of solving each centroid again;
+    # they agree with a fresh probe of the merged bank within 1e-6
+    # relative, and the sweep keeps its k sequence and temperatures.
+    pi, _ = gen_ncd(blocks=[3, 3, 3], eps=0.05, seed=seed)
+    plain_full = anneal_module._critical_full
+    plain_converge = anneal_module._converge
+    plain_merge = anneal_module._merge_bank
+    plain_order = anneal_module._unsplit_order
+    last = {}
+    reused = []
+
+    def spying_full(rows, rho, Z, assoc, floor, vectors=False):
+        out = plain_full(rows, rho, Z, assoc, floor, vectors)
+        if vectors:
+            last["settled"] = (rows, rho, floor, out[0])
+        return out
+
+    def spying_converge(rows, rho, Z, T, *args):
+        last["T"] = T
+        return plain_converge(rows, rho, Z, T, *args)
+
+    def spying_merge(Z, tol):
+        out = plain_merge(Z, tol)
+        last["Zm"] = out[0]
+        return out
+
+    def checking_order(owner, merge_map):
+        out = plain_order(owner, merge_map)
+        if out is not None:
+            rows, rho, floor, tcrs = last["settled"]
+            Zm, T = last["Zm"], last["T"]
+            fresh = plain_full(rows, rho, Zm,
+                               gibbs_weights(distance_matrix(rows, Zm), T),
+                               floor)
+            reused.append((len(out), np.abs(tcrs[out] / fresh - 1.0).max()))
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(anneal_module, "_critical_full", spying_full)
+        m.setattr(anneal_module, "_converge", spying_converge)
+        m.setattr(anneal_module, "_merge_bank", spying_merge)
+        m.setattr(anneal_module, "_unsplit_order", checking_order)
+        anneal(pi.rows, cfg=AnnealConfig(k_max=6))
+    assert reused and max(rel for _, rel in reused) < 1e-6
+
+    # the probes skipped are exactly the solves saved
+    res, solves = _count_solves(monkeypatch, pi, fresh=False)
+    res_fresh, solves_fresh = _count_solves(monkeypatch, pi, fresh=True)
+    assert solves_fresh - solves == sum(k for k, _ in reused)
+    assert [k for _, _, k in res.trace] == [k for _, _, k in res_fresh.trace]
+    Ts = np.array([t for t, _, _ in res.trace])
+    Ts_fresh = np.array([t for t, _, _ in res_fresh.trace])
+    assert np.allclose(Ts, Ts_fresh, rtol=1e-6, atol=0.0)
+    for (k1, p1, _), (k2, p2, _) in zip(res.entries, res_fresh.entries):
+        assert k1 == k2 and np.array_equal(p1.assign, p2.assign)
 
 
 def test_anneal_per_k_fills_gaps():

@@ -462,3 +462,105 @@ def test_membership_zero_weight_group_uniform():
     Q = hard_membership(part, np.array([0.25, 0.75, 0.0, 0.0, 0.0]))
     assert np.allclose(Q[:, 0], [0.25, 0.75, 0, 0, 0], atol=1e-15)
     assert np.allclose(Q[:, 1], [0, 0, 1 / 3, 1 / 3, 1 / 3], atol=1e-15)
+
+
+# --- _top_deviation split directions ---
+
+def _factor(members, w, q, s, u):
+    """The deviation factor A of _top_deviation, built directly."""
+    U = (members - w) / s
+    u = u / np.linalg.norm(u)
+    return np.sqrt(q)[:, None] * (U - np.outer(U @ u, u)), u
+
+
+def _check_direction(members, w, q, s, u):
+    """(t, x) of the vector path: t equal to the temperature-only path, x
+    unit, orthogonal to u and with Rayleigh quotient t within 1e-12."""
+    with np.errstate(all="raise"):
+        t, x = selection._top_deviation(members, w, q, s, u, vectors=True)
+        t_only = selection._top_deviation(members, w, q, s, u)
+    A, un = _factor(members, w, q, s, u)
+    assert t == t_only
+    assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
+    assert abs(x @ un) < 1e-12
+    assert np.linalg.norm(A @ x) ** 2 == pytest.approx(t, rel=1e-12)
+    return t, x, A
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 15), st.integers(0, 15), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_top_deviation_direction_matches_eigh(d, extra, tall, seed):
+    # tall factors (m > d) solve on A^T A, wide ones (m <= d) on A A^T
+    m = d + 1 + extra if tall else max(1, d - extra)
+    rng = np.random.default_rng(seed)
+    members = rng.dirichlet(np.ones(d), size=m)
+    w = rng.dirichlet(np.ones(d))
+    q = rng.dirichlet(np.ones(m))
+    s = rng.uniform(0.1, 1.0, size=d)
+    u = rng.uniform(0.1, 1.0, size=d)
+    t, x, A = _check_direction(members, w, q, s, u)
+    vals, vecs = np.linalg.eigh(A.T @ A)
+    assert t == pytest.approx(max(vals[-1], 0.0), rel=1e-10, abs=1e-15)
+    if vals[-1] - vals[-2] > 1e-6 * vals[-1]:
+        assert abs(x @ vecs[:, -1]) >= 1 - 1e-9
+
+
+def test_top_deviation_single_member():
+    # m = 1: a 1 x 1 Gram, whose top eigenvector is the member's own
+    # projected deviation
+    members = np.array([[0.5, 0.2, 0.3]])
+    w = np.array([0.2, 0.3, 0.5])
+    q, s, u = np.ones(1), np.sqrt(w), np.sqrt(w)
+    t, x, A = _check_direction(members, w, q, s, u)
+    assert t == pytest.approx(float(A[0] @ A[0]), rel=1e-14)
+    assert abs(x @ A[0]) / np.linalg.norm(A[0]) == pytest.approx(1.0,
+                                                                 abs=1e-15)
+
+
+@pytest.mark.parametrize("m, d", [(5, 7), (9, 4)])
+def test_top_deviation_rank_one(m, d):
+    # every member deviates from w along the same vector v, so A has rank 1
+    # and its top eigenvector is v / s with the u component removed
+    rng = np.random.default_rng(3)
+    w = rng.dirichlet(np.ones(d))
+    v = rng.standard_normal(d)
+    c = rng.uniform(-1.0, 1.0, size=m) * 1e-3
+    members = w + c[:, None] * v
+    q = rng.dirichlet(np.ones(m))
+    s = np.sqrt(w)
+    u = w / s
+    t, x, _ = _check_direction(members, w, q, s, u)
+    un = u / np.linalg.norm(u)
+    e = v / s - (v / s @ un) * un
+    assert t == pytest.approx(float(q @ c**2) * float(e @ e), rel=1e-12)
+    assert abs(x @ e) / np.linalg.norm(e) == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("m, d", [(4, 6), (8, 3)])
+def test_top_deviation_tiny_deviations(m, d):
+    # deviations near 1e-150 give a Gram near 1e-300: the scaled solve
+    # neither overflows nor underflows, and the direction is that of the
+    # same deviations at unit scale
+    rng = np.random.default_rng(5)
+    w = rng.dirichlet(np.ones(d))
+    dev = rng.uniform(0.5, 1.5, size=(m, d)) * rng.choice([-1.0, 1.0],
+                                                          size=(m, d))
+    q = rng.dirichlet(np.ones(m))
+    s = u = np.ones(d)
+    t, x, _ = _check_direction(1e-150 * (w + dev), 1e-150 * w, q, s, u)
+    with np.errstate(all="raise"):
+        t1, x1 = selection._top_deviation(w + dev, w, q, s, u, vectors=True)
+    assert 0.0 < t < 1e-290
+    assert t == pytest.approx(1e-300 * t1, rel=1e-12)
+    assert abs(x @ x1) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("m", [1, 3, 6])
+def test_top_deviation_identical_rows_zero_vector(m):
+    w = np.array([0.1, 0.2, 0.3, 0.4])
+    members = np.tile(w, (m, 1))
+    with np.errstate(all="raise"):
+        t, x = selection._top_deviation(members, w, np.full(m, 1.0 / m),
+                                        np.sqrt(w), np.sqrt(w), vectors=True)
+    assert t == 0.0 and x.shape == (4,) and not x.any()
