@@ -26,11 +26,13 @@ places each shadow pair in -/+ instead of +/- order. ``--compare`` prints
 every k_t change and every partition flip with its distortion before and
 after, then totals: flips, ties among them (distortions equal within
 1e-12 relative), flips at k <= the planted k_t that raise distortion by
-more than a tie, and the summed distortion change over the flips.
+more than a tie, and the summed distortion change over the flips. It exits
+1 when any chain's k_t changed, so it serves as the k_t gate alone.
 """
 import argparse
 import importlib
 import json
+import sys
 import time
 
 import numpy as np
@@ -95,9 +97,8 @@ def _swap_shadow_order():
     plain = anneal_module._shadow_bank
 
     def swapped(Z, dirs, delta):
-        bank, owner = plain(Z, dirs, delta)
-        order = np.arange(len(owner)).reshape(-1, 2)[:, ::-1].ravel()
-        return bank[order], [owner[i] for i in order]
+        bank = plain(Z, dirs, delta)
+        return bank[np.arange(len(bank)).reshape(-1, 2)[:, ::-1].ravel()]
 
     anneal_module._shadow_bank = swapped
 
@@ -135,7 +136,7 @@ def family(name):
 
 def compare(a, b):
     """Print every k_t change and partition flip from run a to run b, then
-    the totals per chain set and overall; returns the number of flips."""
+    the totals per chain set and overall; returns the overall totals."""
     totals = {}
     for name in a:
         ca, cb = a[name], b[name]
@@ -172,7 +173,7 @@ def compare(a, b):
               f"({t['ties']} ties), {t['raised_low']} at k <= planted k_t "
               f"raise distortion beyond a tie; summed distortion change "
               f"over the flips {t['delta']:+.4g}")
-    return overall["flips"]
+    return overall
 
 
 def main():
@@ -190,8 +191,7 @@ def main():
         missing = sorted(set(a) ^ set(b))
         if missing:
             ap.error(f"the records differ in chains: {missing[:5]}")
-        compare(a, b)
-        return
+        return 1 if compare(a, b)["kt_changed"] else 0
     if not args.out:
         ap.error("give --out FILE or --compare A B")
     t0 = time.time()
@@ -200,7 +200,8 @@ def main():
         json.dump(out, fh)
     print(f"{len(out)} chains written to {args.out} "
           f"[{time.time() - t0:.1f}s]")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

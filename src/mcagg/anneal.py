@@ -15,10 +15,9 @@ import numpy as np
 
 from .core import as_rho, as_rows, make_partition, simplex_basis
 from .errors import EmptySuperstate, InadmissiblePerturbation, NoConvergence
-from .klgeom import (SoftAssociation, _group_mean, _kl_rows, _self_entropy,
-                     _softmin, aggregate_transitions, build_model,
-                     distance_matrix, free_energy, gibbs_weights,
-                     posterior_and_centroids)
+from .klgeom import (SoftAssociation, _free_energy, _group_mean, _kl_rows,
+                     _self_entropy, _softmin, aggregate_transitions,
+                     build_model, posterior_and_centroids)
 from .selection import _top_deviation
 
 log = logging.getLogger(__name__)
@@ -58,9 +57,11 @@ class AnnealResult:
     warnings: list = field(default_factory=list)
 
 
-def _fp_iterate(rows, rho, Z0, T, tol, max_iter):
+def _fp_iterate(rows, self_ent, positive, rho, Z0, T, tol, max_iter):
     """Settle the bank at temperature T by the Gibbs-weight / centroid map,
-    accelerated by SQUAREM-S3 (Varadhan & Roland 2008).
+    accelerated by SQUAREM-S3 (Varadhan & Roland 2008). self_ent and
+    positive are the rows' self-entropies and support mask (see
+    klgeom._kl_rows).
 
     Each cycle makes two plain steps Z -> Z1 -> Z2 and extrapolates to
     Z - 2a r + a^2 v, with r = Z1 - Z, v = Z2 - Z1 - r and
@@ -72,8 +73,6 @@ def _fp_iterate(rows, rho, Z0, T, tol, max_iter):
     evaluations. Returns (Z, assoc, converged). Dead bank rows raise
     EmptySuperstate.
     """
-    self_ent = _self_entropy(rows)
-    positive = rows > 0
     # a zero-weight state adds nothing, even where its log-sum-exp is -inf
     live = rho > 0
     rho_live = rho[live]
@@ -133,7 +132,8 @@ def fixed_point(pi, rho, Z0, T, tol=1e-8, max_iter=500):
     """
     rows = as_rows(pi)
     rho = as_rho(rho, rows.shape[0])
-    Z, assoc, ok = _fp_iterate(rows, rho, Z0, T, tol, max_iter)
+    Z, assoc, ok = _fp_iterate(rows, _self_entropy(rows), rows > 0, rho, Z0,
+                               T, tol, max_iter)
     if not ok:
         raise NoConvergence(
             f"fixed point at T={T:g} moved more than {tol:g} after "
@@ -308,38 +308,20 @@ def _shadow_bank(Z, dirs, delta):
     """Two copies per distinct centroid, offset +/- delta along its most
     unstable direction, clipped positive and renormalized."""
     out = []
-    owner = []
     for j in range(Z.shape[0]):
         d = dirs[j]
         for s in (+1.0, -1.0):
             z = Z[j] + s * delta * d
             z = np.maximum(z, 1e-15)
             out.append(z / z.sum())
-            owner.append(j)
-    return np.stack(out), owner
+    return np.stack(out)
 
 
-def _unsplit_order(owner, merge_map):
-    """The settled index of each distinct centroid when every distinct
-    centroid is exactly the two shadow copies of one settled centroid, so
-    that nothing split; None otherwise. owner and merge_map are
-    _shadow_bank's and _merge_bank's maps. A bank that lost a dead row no
-    longer lines up with owner, and gives None."""
-    if len(merge_map) != len(owner):
-        return None
-    members = {}
-    for b, d in merge_map.items():
-        members.setdefault(d, []).append(owner[b])
-    if not all(len(m) == 2 and m[0] == m[1] for m in members.values()):
-        return None
-    return [members[d][0] for d in range(len(members))]
-
-
-def _converge(rows, rho, Z, T, cfg, warnings, label):
+def _converge(rows, self_ent, positive, rho, Z, T, cfg, warnings, label):
     """Fixed point with dead-centroid recovery; never raises."""
     while True:
         try:
-            Z2, assoc, ok = _fp_iterate(rows, rho, Z, T,
+            Z2, assoc, ok = _fp_iterate(rows, self_ent, positive, rho, Z, T,
                                         cfg.fp_tol, cfg.fp_max_iter)
             if not ok:
                 warnings.append((T, label, "max_iter"))
@@ -381,6 +363,7 @@ def anneal(pi, rho=None, cfg=AnnealConfig()):
     k_max = min(k_max, n)
     rng = np.random.default_rng(cfg.seed)
 
+    self_ent, positive = _self_entropy(rows), rows > 0
     entries = {}
     seen = set()
     trace = []
@@ -389,28 +372,27 @@ def anneal(pi, rho=None, cfg=AnnealConfig()):
     z0 = (rho @ rows)[None, :]
     ones = SoftAssociation(p=np.ones((n, 1)),
                            posterior=(rho / rho.sum())[:, None])
-    tcrs = _critical_full(rows, rho, z0, ones, cfg.floor)
+    tcrs, dirs = _critical_full(rows, rho, z0, ones, cfg.floor, vectors=True)
     _record(entries, seen, rows, rho, z0, ones, {0: 0})
     t0 = cfg.t0_factor * max(tcrs[0], 1e-12)
     t_min = cfg.t_min_factor * t0
     T = t0
     Z = z0
-    trace.append((T, free_energy(rows, Z, rho, T), 1))
+    trace.append((T, _free_energy(_kl_rows(rows, self_ent, positive, Z),
+                                  rho, T), 1))
 
     while T > t_min and Z.shape[0] < k_max:
-        # settle the distinct bank, then probe with shadow copies
-        Z, assoc = _converge(rows, rho, Z, T, cfg, warnings, "settle")
-        Z, mm = _merge_bank(Z, cfg.merge_tol)
-        tcrs, dirs = _critical_full(rows, rho, Z, assoc if Z.shape[0] == assoc.p.shape[1] else
-                                    gibbs_weights(distance_matrix(rows, Z), T),
-                                    cfg.floor, vectors=True)
+        # shadow copies of the distinct bank along the directions solved at
+        # the previous temperature (or for the starting centroid), settled
+        # once at T
         for j in range(Z.shape[0]):
             if not dirs[j].any():
                 theta = simplex_basis(n).theta
                 d = theta @ rng.standard_normal(n - 1)
                 dirs[j] = d / np.linalg.norm(d)
-        bank, owner = _shadow_bank(Z, dirs, cfg.delta)
-        bank, assoc = _converge(rows, rho, bank, T, cfg, warnings, "shadow")
+        bank = _shadow_bank(Z, dirs, cfg.delta)
+        bank, assoc = _converge(rows, self_ent, positive, rho, bank, T, cfg,
+                                warnings, "shadow")
         Zm, merge_map = _merge_bank(bank, cfg.merge_tol)
         if Zm.shape[0] > Z.shape[0]:
             # a jump past k_max is recorded too; AnnealResult drops entries
@@ -418,21 +400,16 @@ def anneal(pi, rho=None, cfg=AnnealConfig()):
             # cooling
             _record(entries, seen, rows, rho, Zm, assoc, merge_map)
         Z = Zm
-        trace.append((T, free_energy(rows, Z, rho, T), Z.shape[0]))
+        D = _kl_rows(rows, self_ent, positive, Z)
+        trace.append((T, _free_energy(D, rho, T), Z.shape[0]))
         if Z.shape[0] >= k_max:
             break
-        # cooling
+        # one solve of the merged bank under its Gibbs weights at T gives
+        # the critical temperatures for cooling and the next directions
+        probe = SoftAssociation(p=_softmin(D, T, False)[0])
+        tcrs, dirs = _critical_full(rows, rho, Z, probe, cfg.floor,
+                                    vectors=True)
         if cfg.schedule == "adaptive":
-            # When nothing split, the bank is the settled one within the
-            # merge tolerance and the settled t_cr stand. A split moves the
-            # Gibbs weights of the centroids beside it, so then the probe
-            # solves every centroid.
-            order = _unsplit_order(owner, merge_map)
-            if order is not None:
-                tcrs = tcrs[order]
-            else:
-                probe = gibbs_weights(distance_matrix(rows, Z), T)
-                tcrs = _critical_full(rows, rho, Z, probe, cfg.floor)
             tmax = float(tcrs.max()) if len(tcrs) else 0.0
             nxt = cfg.alpha * T
             if tmax > 0 and tmax < T:
@@ -496,6 +473,7 @@ def aggregate_fixed_k(pi, rho, k, cfg=AnnealConfig()):
         part = make_partition(np.zeros(n, dtype=int), k=1)
         return part, build_model(rows, part.assign, rho)
     rng = np.random.default_rng(cfg.seed + 7919 * k)
+    self_ent, positive = _self_entropy(rows), rows > 0
     theta = simplex_basis(rows.shape[1]).theta
     z0 = rho @ rows
     bank = []
@@ -514,7 +492,8 @@ def aggregate_fixed_k(pi, rho, k, cfg=AnnealConfig()):
     prev = Z.copy()
     still = 0
     while T > t_min:
-        Z, assoc = _converge(rows, rho, Z, T, cfg, warnings, "fixed_k")
+        Z, assoc = _converge(rows, self_ent, positive, rho, Z, T, cfg,
+                             warnings, "fixed_k")
         if Z.shape[0] < k:
             # a centroid died; respawn near the heaviest one
             while Z.shape[0] < k:
@@ -529,7 +508,7 @@ def aggregate_fixed_k(pi, rho, k, cfg=AnnealConfig()):
             still = 0
         prev = Z.copy()
         T = cfg.alpha * T
-    D = distance_matrix(rows, Z)
+    D = _kl_rows(rows, self_ent, positive, Z)
     assign = np.argmin(D, axis=1)
     # force k nonempty groups before polishing
     for j in range(k):
@@ -538,7 +517,7 @@ def aggregate_fixed_k(pi, rho, k, cfg=AnnealConfig()):
             donors = np.where(counts[assign] > 1)[0]
             far = donors[np.argmax(D[donors, assign[donors]])]
             assign[far] = j
-    assign = _lloyd(rows, rho, assign, _self_entropy(rows), rows > 0)
+    assign = _lloyd(rows, rho, assign, self_ent, positive)
     used, compact = np.unique(assign, return_inverse=True)
     part = make_partition(compact, k=len(used))
     return part, build_model(rows, part.assign, rho)

@@ -11,13 +11,13 @@ import sys
 
 import numpy as np
 
-from .anneal import AnnealConfig, anneal
+from .anneal import AnnealConfig
 from .core import stationary_distribution
 from .errors import InputError, McaggError, ValidationError
 from .generators import default_counts, gen_ncd, gen_replicated_rows
 from .io import (file_sha256, ingest_bigrams, parse_matrix, parse_partitions,
                  write_matrix, write_partitions, write_report)
-from .pipeline import run_pipeline
+from .pipeline import aggregate_per_k, run_pipeline
 from .selection import SelectionOptions, select_k
 
 
@@ -110,14 +110,13 @@ def _cmd_aggregate(args):
     k_max = args.kmax if args.kmax else min(matrix.n, 8)
     cfg = _anneal_cfg(args, k_max)
     _print_config("aggregate", args, {"kmax_effective": k_max})
-    result = anneal(matrix.rows, rho, cfg)
-    partitions = {k: part for k, part, _ in result.entries}
+    partitions, models, _ = aggregate_per_k(matrix.rows, rho, k_max, cfg)
     write_partitions(partitions, args.out)
     if args.models:
         obj = {}
-        for k, part, model in result.entries:
+        for k, model in models.items():
             obj[str(k)] = {
-                "assign": [int(v) for v in part.assign],
+                "assign": [int(v) for v in model.partition.assign],
                 "psi": [[float(v) for v in row] for row in model.psi],
                 "distributions": [[float(v) for v in row]
                                   for row in model.distributions],
@@ -202,7 +201,8 @@ def build_parser():
     g.add_argument("--format", choices=["csv", "json"])
     g.set_defaults(func=_cmd_gen)
 
-    a = sub.add_parser("aggregate", help="anneal and record partitions")
+    a = sub.add_parser("aggregate",
+                       help="anneal, refine and record one partition per k")
     a.add_argument("--matrix", required=True)
     a.add_argument("--out", required=True, help="partitions json path")
     a.add_argument("--models", help="also write centroids and psi here")

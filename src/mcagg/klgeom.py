@@ -152,10 +152,14 @@ def free_energy(pi, Z, rho=None, T=1.0, floor=0.0):
         raise NonPositiveTemperature(f"T = {T}")
     rows = as_rows(pi)
     rho = as_rho(rho, rows.shape[0])
-    D = distance_matrix(rows, Z, floor=floor)
+    return _free_energy(distance_matrix(rows, Z, floor=floor), rho, T)
+
+
+def _free_energy(D, rho, T):
+    """free_energy from the n x k distances D (T > 0)."""
     m = D.min(axis=1)
     finite = np.isfinite(m)
-    vals = np.full(rows.shape[0], np.inf)
+    vals = np.full(D.shape[0], np.inf)
     if np.any(finite):
         shifted = np.exp(-(D[finite] - m[finite][:, None]) / T)
         vals[finite] = m[finite] - T * np.log(shifted.sum(axis=1))

@@ -16,7 +16,8 @@ from .klgeom import (_group_mean, _kl_rows, _self_entropy, build_model,
                      hard_centroids)
 from .selection import SelectionOptions, SelectionReport, select_k
 
-__all__ = ["PipelineResult", "run_pipeline", "refine_per_k"]
+__all__ = ["PipelineResult", "aggregate_per_k", "run_pipeline",
+           "refine_per_k"]
 
 
 @dataclass
@@ -283,10 +284,10 @@ def refine_per_k(pi, rho, sweep_parts, k_max, cfg=AnnealConfig()):
     return chosen
 
 
-def run_pipeline(pi, rho=None, k_max=None, cfg=None,
-                 options=SelectionOptions()):
-    """Aggregate then select. Returns PipelineResult with one partition and
-    model per k in 1..k_max and the selection report."""
+def aggregate_per_k(pi, rho=None, k_max=None, cfg=None):
+    """Anneal, then refine: one partition and model per k in 1..k_max, and
+    the annealing trace, as (partitions, models, trace). k_max defaults to
+    cfg.k_max, else min(n, 8), and is capped at n."""
     rows = as_rows(pi)
     n = rows.shape[0]
     rho = as_rho(rho, n)
@@ -308,6 +309,16 @@ def run_pipeline(pi, rho=None, k_max=None, cfg=None,
         part = make_partition(a, k=kk)
         partitions[k] = part
         models[k] = build_model(rows, part.assign, rho)
+    return partitions, models, result.trace
+
+
+def run_pipeline(pi, rho=None, k_max=None, cfg=None,
+                 options=SelectionOptions()):
+    """Aggregate then select. Returns PipelineResult with one partition and
+    model per k in 1..k_max and the selection report."""
+    rows = as_rows(pi)
+    rho = as_rho(rho, rows.shape[0])
+    partitions, models, trace = aggregate_per_k(rows, rho, k_max, cfg)
     report = select_k(rows, partitions, rho, options)
     return PipelineResult(partitions=partitions, models=models,
-                          report=report, trace=result.trace)
+                          report=report, trace=trace)

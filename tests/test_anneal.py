@@ -12,8 +12,8 @@ from mcagg.anneal import (AnnealConfig, aggregate_fixed_k, anneal,
 from mcagg.core import simplex_basis, stationary_distribution
 from mcagg.errors import InadmissiblePerturbation, NoConvergence
 from mcagg.generators import gen_ncd
-from mcagg.klgeom import (SoftAssociation, distance_matrix, free_energy,
-                          gibbs_weights, posterior_and_centroids)
+from mcagg.klgeom import (SoftAssociation, _self_entropy, distance_matrix,
+                          free_energy, gibbs_weights, posterior_and_centroids)
 
 anneal_module = importlib.import_module("mcagg.anneal")
 
@@ -314,7 +314,7 @@ def test_fixed_point_sparse_rows_keep_exact_zeros():
 
 def test_anneal_fixed_points_never_raise_free_energy(monkeypatch):
     # An extrapolation that raises the free energy above its cycle's start is
-    # not taken, so across a whole sweep no map output of a fixed-point call
+    # not taken, so across whole sweeps no map output of a fixed-point call
     # rises above the free energy of the bank that call started from.
     outputs, rises = [], []
 
@@ -325,17 +325,19 @@ def test_anneal_fixed_points_never_raise_free_energy(monkeypatch):
 
     fp_iterate = anneal_module._fp_iterate
 
-    def checked(rows, rho, Z0, T, tol, max_iter):
+    def checked(rows, self_ent, positive, rho, Z0, T, tol, max_iter):
         outputs.clear()
-        result = fp_iterate(rows, rho, Z0, T, tol, max_iter)
+        result = fp_iterate(rows, self_ent, positive, rho, Z0, T, tol,
+                            max_iter)
         f0 = free_energy(rows, Z0, rho, T)
         rises.append(max(free_energy(rows, Z, rho, T) for Z in outputs) - f0)
         return result
 
     monkeypatch.setattr(anneal_module, "posterior_and_centroids", recording)
     monkeypatch.setattr(anneal_module, "_fp_iterate", checked)
-    pi, _ = gen_ncd(blocks=[3, 3, 3], eps=0.05, seed=0)
-    anneal(pi.rows, cfg=AnnealConfig(k_max=6))
+    for seed in range(3):
+        pi, _ = gen_ncd(blocks=[3, 3, 3], eps=0.05, seed=seed)
+        anneal(pi.rows, cfg=AnnealConfig(k_max=6))
     assert len(rises) > 10
     assert max(rises) <= 1e-10
 
@@ -368,7 +370,7 @@ def test_anneal_zero_weight_states_free_energy_finite(monkeypatch):
     rho = stationary_distribution(ZERO_WEIGHT_ROWS).rho
     assert np.array_equal(rho[4:], [0.0, 0.0])
     caught = []
-    for name in ("_fp_iterate", "free_energy"):
+    for name in ("_fp_iterate", "_free_energy"):
         monkeypatch.setattr(anneal_module, name, _no_runtime_warnings(
             getattr(anneal_module, name), caught))
     res = anneal(ZERO_WEIGHT_ROWS, rho, AnnealConfig(k_max=5))
@@ -394,8 +396,9 @@ def _jump_run(monkeypatch, rho, T, jump):
                         posterior_and_centroids(r, p, w))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        _, _, ok = anneal_module._fp_iterate(ZERO_WEIGHT_ROWS, rho,
-                                             ZERO_WEIGHT_Z0, T, 1e-12, 10_000)
+        _, _, ok = anneal_module._fp_iterate(
+            ZERO_WEIGHT_ROWS, _self_entropy(ZERO_WEIGHT_ROWS),
+            ZERO_WEIGHT_ROWS > 0, rho, ZERO_WEIGHT_Z0, T, 1e-12, 10_000)
     monkeypatch.undo()
     assert ok and not jumps
     return seen
@@ -674,111 +677,44 @@ def test_anneal_bit_identical_twice_in_one_process(blocks, eps, rho_mode):
         assert np.array_equal(m1.distributions, m2.distributions)
 
 
-def test_unsplit_order_only_when_every_pair_merged_alone():
-    Z = np.array([[0.2, 0.3, 0.5], [0.6, 0.2, 0.2], [0.1, 0.8, 0.1]])
-    dirs = np.array([[1.0, -1.0, 0.0]] * 3) / np.sqrt(2.0)
-    bank, owner = anneal_module._shadow_bank(Z, dirs, 1e-2)
-    unsplit = bank.copy()
-    for j in range(3):
-        unsplit[[2 * j, 2 * j + 1]] = Z[j]
-
-    def order(b):
-        return anneal_module._unsplit_order(
-            owner, anneal_module._merge_bank(b, 1e-6)[1])
-
-    assert order(unsplit) == [0, 1, 2]
-    # the copies of centroid 1 stay apart
-    split = unsplit.copy()
-    split[[2, 3]] = bank[[2, 3]]
-    assert order(split) is None
-    # a copy of centroid 1 lands on centroid 0, the other stays apart:
-    # still three distinct centroids, but not three re-merged pairs
-    crossed = split.copy()
-    crossed[2] = Z[0]
-    assert order(crossed) is None
-    # a dead shadow row was dropped: the bank no longer lines up with owner
-    _, merge_map = anneal_module._merge_bank(np.delete(unsplit, 5, axis=0),
-                                             1e-6)
-    assert anneal_module._unsplit_order(owner, merge_map) is None
-
-
-def _count_solves(monkeypatch, pi, fresh):
-    """anneal on pi, counting _top_deviation calls; with fresh=True every
-    temperature runs the full probe, as if something always split."""
-    calls = [0]
-    plain_top = anneal_module._top_deviation
-
-    def counting_top(*args, **kwargs):
-        calls[0] += 1
-        return plain_top(*args, **kwargs)
-
-    with monkeypatch.context() as m:
-        m.setattr(anneal_module, "_top_deviation", counting_top)
-        if fresh:
-            m.setattr(anneal_module, "_unsplit_order", lambda owner, mm: None)
-        res = anneal(pi.rows, cfg=AnnealConfig(k_max=6))
-    return res, calls[0]
-
-
-@pytest.mark.parametrize("seed", [0, 2])
-def test_anneal_probe_reuses_settled_tcrs_when_nothing_split(monkeypatch,
-                                                             seed):
-    # At a temperature where every shadow pair re-merged alone, the cooling
-    # step takes the settled t_cr instead of solving each centroid again;
-    # they agree with a fresh probe of the merged bank within 1e-6
-    # relative, and the sweep keeps its k sequence and temperatures.
-    pi, _ = gen_ncd(blocks=[3, 3, 3], eps=0.05, seed=seed)
+def test_anneal_one_solve_per_temperature(monkeypatch):
+    # The starting centroid is solved once, with its direction. Then each
+    # temperature makes one fixed point and, unless the bank has reached
+    # k_max, one solve of the merged bank with directions, at that
+    # temperature.
+    pi, _ = gen_ncd(blocks=[3, 3, 3], eps=0.05, seed=2)
+    events = []
     plain_full = anneal_module._critical_full
     plain_converge = anneal_module._converge
-    plain_merge = anneal_module._merge_bank
-    plain_order = anneal_module._unsplit_order
-    last = {}
-    reused = []
+    plain_top = anneal_module._top_deviation
 
     def spying_full(rows, rho, Z, assoc, floor, vectors=False):
-        out = plain_full(rows, rho, Z, assoc, floor, vectors)
-        if vectors:
-            last["settled"] = (rows, rho, floor, out[0])
-        return out
+        events.append(["solve", Z.shape[0], vectors, 0])
+        return plain_full(rows, rho, Z, assoc, floor, vectors)
 
-    def spying_converge(rows, rho, Z, T, *args):
-        last["T"] = T
-        return plain_converge(rows, rho, Z, T, *args)
+    def spying_converge(rows, self_ent, positive, rho, Z, T, *args):
+        events.append(["fp", T])
+        return plain_converge(rows, self_ent, positive, rho, Z, T, *args)
 
-    def spying_merge(Z, tol):
-        out = plain_merge(Z, tol)
-        last["Zm"] = out[0]
-        return out
-
-    def checking_order(owner, merge_map):
-        out = plain_order(owner, merge_map)
-        if out is not None:
-            rows, rho, floor, tcrs = last["settled"]
-            Zm, T = last["Zm"], last["T"]
-            fresh = plain_full(rows, rho, Zm,
-                               gibbs_weights(distance_matrix(rows, Zm), T),
-                               floor)
-            reused.append((len(out), np.abs(tcrs[out] / fresh - 1.0).max()))
-        return out
+    def counting_top(*args, **kwargs):
+        events[-1][3] += 1
+        return plain_top(*args, **kwargs)
 
     with monkeypatch.context() as m:
         m.setattr(anneal_module, "_critical_full", spying_full)
         m.setattr(anneal_module, "_converge", spying_converge)
-        m.setattr(anneal_module, "_merge_bank", spying_merge)
-        m.setattr(anneal_module, "_unsplit_order", checking_order)
-        anneal(pi.rows, cfg=AnnealConfig(k_max=6))
-    assert reused and max(rel for _, rel in reused) < 1e-6
-
-    # the probes skipped are exactly the solves saved
-    res, solves = _count_solves(monkeypatch, pi, fresh=False)
-    res_fresh, solves_fresh = _count_solves(monkeypatch, pi, fresh=True)
-    assert solves_fresh - solves == sum(k for k, _ in reused)
-    assert [k for _, _, k in res.trace] == [k for _, _, k in res_fresh.trace]
-    Ts = np.array([t for t, _, _ in res.trace])
-    Ts_fresh = np.array([t for t, _, _ in res_fresh.trace])
-    assert np.allclose(Ts, Ts_fresh, rtol=1e-6, atol=0.0)
-    for (k1, p1, _), (k2, p2, _) in zip(res.entries, res_fresh.entries):
-        assert k1 == k2 and np.array_equal(p1.assign, p2.assign)
+        m.setattr(anneal_module, "_top_deviation", counting_top)
+        res = anneal(pi.rows, cfg=AnnealConfig(k_max=6))
+    temps = [t for t, _, _ in res.trace[1:]]
+    ks = [k for _, _, k in res.trace[1:]]
+    assert events[0] == ["solve", 1, True, 1]
+    expected = []
+    for t, k in zip(temps, ks):
+        expected.append(["fp", t])
+        if k < 6:
+            expected.append(["solve", k, True])
+    assert [e[:3] for e in events[1:]] == expected
+    assert len(temps) > 5 and ks[-1] == 6
 
 
 def test_anneal_per_k_fills_gaps():

@@ -395,6 +395,31 @@ def test_cli_aggregate_writes_partitions(tmp_path):
         assert np.abs(psi.sum(axis=1) - 1.0).max() < 1e-9
 
 
+def test_cli_aggregate_then_select_matches_pipeline(tmp_path, capsys):
+    # aggregate writes the refined partition of every k in 1..kmax, so
+    # select on its file gives pipeline's report bit for bit; on the
+    # criterion-1 chains the sweep alone skips some k (seeds 4, 13, 18, 20)
+    for seed in range(30):
+        m = tmp_path / f"pi{seed}.csv"
+        files = {name: tmp_path / f"{name}{seed}.json"
+                 for name in ("piped", "parts", "aggregated", "selected")}
+        assert cli.main(["gen", "ncd", "--blocks", "3,3,3", "--eps", "0.05",
+                         "--seed", str(seed), "--out", str(m)]) == 0
+        assert cli.main(["pipeline", "--matrix", str(m), "--kmax", "6",
+                         "--out", str(files["piped"]),
+                         "--partitions-out", str(files["parts"])]) == 0
+        assert cli.main(["aggregate", "--matrix", str(m), "--kmax", "6",
+                         "--out", str(files["aggregated"])]) == 0
+        assert cli.main(["select", "--matrix", str(m), "--partitions",
+                         str(files["aggregated"]),
+                         "--out", str(files["selected"])]) == 0
+        assert files["aggregated"].read_bytes() == files["parts"].read_bytes()
+        assert sorted(json.loads(files["aggregated"].read_text())) == \
+            [str(k) for k in range(1, 7)]
+        assert files["selected"].read_bytes() == files["piped"].read_bytes()
+    capsys.readouterr()
+
+
 def test_cli_exit_codes(tmp_path):
     assert cli.main(["select"]) == 1                     # missing args
     assert cli.main(["pipeline", "--matrix", "nope.csv"]) == 2
