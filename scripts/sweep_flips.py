@@ -8,12 +8,15 @@ partition (relabelled canonically, by first occurrence) and its distortion:
     python scripts/sweep_flips.py --out after.json      # on the changed code
     python scripts/sweep_flips.py --compare before.json after.json
 
-The default chain set has 195 chains:
+The default chain set has 205 chains:
 
 - acceptance: the 125 chains of acceptance criteria 1-4 (uniform rho);
 - large-ncd: the benchmark's six 200-state chains for seeds 1-10;
 - ncd100-eps0: the benchmark's 100-state eps = 0 chain for seeds 1-10,
-  under stationary rho.
+  under stationary rho;
+- absorbing: the benchmark's 9-state chain whose state 0 is absorbing, for
+  seeds 1-10, under stationary rho. All the steady-state mass sits on
+  state 0, so every other state weighs 0 and many partitions tie.
 
 ``--with-ncd9-eps0`` adds the benchmark's 70 nine-state eps = 0 chains per
 seed under stationary rho (700 more). The benchmark chains are drawn with
@@ -78,6 +81,10 @@ def chains(with_ncd9):
         seeds = _chain_seeds(seed, "sparse-stationary", 72)
         pi, truth = gen_ncd(blocks=[20] * 5, eps=0.0, seed=seeds[70])
         yield f"ncd100-eps0-s{seed}", pi.rows, "stationary", 6, truth.k
+        pi, truth = gen_ncd(blocks=[3, 3, 3], eps=0.05, seed=seeds[71])
+        rows = pi.rows.copy()
+        rows[0] = np.eye(9)[0]
+        yield f"absorbing-s{seed}", rows, "stationary", 6, truth.k
         if with_ncd9:
             for i, s in enumerate(seeds[:70]):
                 pi, truth = gen_ncd(blocks=[3, 3, 3], eps=0.0, seed=s)

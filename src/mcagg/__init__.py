@@ -4,9 +4,8 @@ from .anneal import (AnnealConfig, AnnealResult, CriticalReport,
                      aggregate_fixed_k, anneal, critical_temperature,
                      extract_hard_partition, fixed_point,
                      hessian_quadratic_form)
-from .core import (AggregatedModel, Partition, SimplexBasis, StateWeights,
-                   StochasticMatrix, make_partition, simplex_basis,
-                   stationary_distribution, uniform_weights,
+from .core import (AggregatedModel, Partition, StochasticMatrix,
+                   make_partition, simplex_basis, stationary_distribution,
                    validate_stochastic)
 from .generators import GenSpec, gen_ncd, gen_replicated_rows, perturb
 from .io import (ingest_bigrams, parse_matrix, parse_partitions, read_report,
@@ -24,16 +23,15 @@ __version__ = "0.1.0"
 __all__ = [
     "AggregatedModel", "AnnealConfig", "AnnealResult", "CriticalReport",
     "GenSpec", "Partition", "PipelineResult", "SelectionOptions",
-    "SelectionReport", "SimplexBasis", "SoftAssociation", "StateWeights",
-    "StochasticMatrix", "aggregate_fixed_k", "aggregate_transitions",
-    "anneal", "build_model", "covariance_matrix", "critical_temperature",
-    "distance_matrix", "distortion", "extract_hard_partition", "fixed_point",
-    "free_energy", "gen_ncd", "gen_replicated_rows", "gibbs_weights",
-    "hard_membership", "hessian_quadratic_form", "heterogeneity",
-    "heterogeneity_profile", "ingest_bigrams", "kl_divergence",
-    "make_partition", "marginal_return", "parse_matrix", "parse_partitions",
-    "perturb", "posterior_and_centroids", "read_report", "run_pipeline",
-    "select_k", "simplex_basis", "stationary_distribution",
-    "uniform_weights", "validate_stochastic", "write_matrix",
+    "SelectionReport", "SoftAssociation", "StochasticMatrix",
+    "aggregate_fixed_k", "aggregate_transitions", "anneal", "build_model",
+    "covariance_matrix", "critical_temperature", "distance_matrix",
+    "distortion", "extract_hard_partition", "fixed_point", "free_energy",
+    "gen_ncd", "gen_replicated_rows", "gibbs_weights", "hard_membership",
+    "hessian_quadratic_form", "heterogeneity", "heterogeneity_profile",
+    "ingest_bigrams", "kl_divergence", "make_partition", "marginal_return",
+    "parse_matrix", "parse_partitions", "perturb", "posterior_and_centroids",
+    "read_report", "run_pipeline", "select_k", "simplex_basis",
+    "stationary_distribution", "validate_stochastic", "write_matrix",
     "write_partitions", "write_report",
 ]

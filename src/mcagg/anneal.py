@@ -14,10 +14,11 @@ from typing import Optional
 import numpy as np
 
 from .core import as_rho, as_rows, make_partition, simplex_basis
-from .errors import EmptySuperstate, InadmissiblePerturbation, NoConvergence
+from .errors import (DimensionMismatch, EmptySuperstate,
+                     InadmissiblePerturbation, NoConvergence)
 from .klgeom import (SoftAssociation, _free_energy, _group_mean, _kl_rows,
-                     _self_entropy, _softmin, aggregate_transitions,
-                     build_model, posterior_and_centroids)
+                     _self_entropy, _softmin, build_model,
+                     posterior_and_centroids)
 from .selection import _top_deviation
 
 log = logging.getLogger(__name__)
@@ -38,7 +39,6 @@ class AnnealConfig:
     seed: int = 0
     schedule: str = "adaptive"    # "adaptive" hugs critical temperatures,
                                   # "geometric" is plain T <- alpha*T
-    per_k: bool = False           # fill skipped k values with fixed-k runs
     floor: float = 1e-12
 
 
@@ -50,8 +50,9 @@ class CriticalReport:
 
 @dataclass
 class AnnealResult:
-    """Entries (k, Partition, AggregatedModel) in increasing k, plus the
-    (T, free_energy, effective_count) trace and any convergence warnings."""
+    """The sweep's partitions, one per k it reached, in increasing k (each
+    Partition carries its k), plus the (T, free_energy, effective_count)
+    trace and any convergence warnings."""
     entries: list
     trace: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
@@ -332,30 +333,9 @@ def _converge(rows, self_ent, positive, rho, Z, T, cfg, warnings, label):
             Z = np.delete(Z, e.j, axis=0)
 
 
-def _record(entries, seen, rows, rho, Z, assoc, merge_map):
-    part = extract_hard_partition(assoc, merge_map)
-    k = part.k
-    if k in seen:
-        return
-    # distinct bank rows, reindexed to the partition's compacted superstates
-    grouped = np.zeros((assoc.p.shape[0], len(set(merge_map.values()))))
-    for b, d in merge_map.items():
-        grouped[:, d] += assoc.p[:, b]
-    raw = np.argmax(grouped, axis=1)
-    used = np.unique(raw)
-    bank = Z[used]
-    if bank.shape[0] != k:
-        bank = Z[:k]
-    psi = aggregate_transitions(bank, part)
-    from .core import AggregatedModel
-    entries[k] = (part, AggregatedModel(partition=part, psi=psi,
-                                        distributions=bank))
-    seen.add(k)
-
-
 def anneal(pi, rho=None, cfg=AnnealConfig()):
     """Full annealing sweep. Returns AnnealResult whose entries hold at most
-    one (k, Partition, AggregatedModel) per k, in increasing k order."""
+    one Partition per k, in increasing k order."""
     rows = as_rows(pi)
     n = rows.shape[0]
     rho = as_rho(rho, n)
@@ -364,8 +344,7 @@ def anneal(pi, rho=None, cfg=AnnealConfig()):
     rng = np.random.default_rng(cfg.seed)
 
     self_ent, positive = _self_entropy(rows), rows > 0
-    entries = {}
-    seen = set()
+    entries = {1: make_partition(np.zeros(n, dtype=int), k=1)}
     trace = []
     warnings = []
 
@@ -373,7 +352,6 @@ def anneal(pi, rho=None, cfg=AnnealConfig()):
     ones = SoftAssociation(p=np.ones((n, 1)),
                            posterior=(rho / rho.sum())[:, None])
     tcrs, dirs = _critical_full(rows, rho, z0, ones, cfg.floor, vectors=True)
-    _record(entries, seen, rows, rho, z0, ones, {0: 0})
     t0 = cfg.t0_factor * max(tcrs[0], 1e-12)
     t_min = cfg.t_min_factor * t0
     T = t0
@@ -387,8 +365,7 @@ def anneal(pi, rho=None, cfg=AnnealConfig()):
         # once at T
         for j in range(Z.shape[0]):
             if not dirs[j].any():
-                theta = simplex_basis(n).theta
-                d = theta @ rng.standard_normal(n - 1)
+                d = simplex_basis(n) @ rng.standard_normal(n - 1)
                 dirs[j] = d / np.linalg.norm(d)
         bank = _shadow_bank(Z, dirs, cfg.delta)
         bank, assoc = _converge(rows, self_ent, positive, rho, bank, T, cfg,
@@ -398,7 +375,8 @@ def anneal(pi, rho=None, cfg=AnnealConfig()):
             # a jump past k_max is recorded too; AnnealResult drops entries
             # above k_max. In practice such jumps are rare under adaptive
             # cooling
-            _record(entries, seen, rows, rho, Zm, assoc, merge_map)
+            part = extract_hard_partition(assoc, merge_map)
+            entries.setdefault(part.k, part)
         Z = Zm
         D = _kl_rows(rows, self_ent, positive, Z)
         trace.append((T, _free_energy(D, rho, T), Z.shape[0]))
@@ -418,17 +396,9 @@ def anneal(pi, rho=None, cfg=AnnealConfig()):
         else:
             T = cfg.alpha * T
 
-    result = AnnealResult(entries=[(k, entries[k][0], entries[k][1])
-                                   for k in sorted(entries) if k <= k_max],
-                          trace=trace, warnings=warnings)
-    if cfg.per_k:
-        have = {k for k, _, _ in result.entries}
-        for k in range(1, k_max + 1):
-            if k not in have:
-                part, model = aggregate_fixed_k(rows, rho, k, cfg)
-                result.entries.append((k, part, model))
-        result.entries.sort(key=lambda e: e[0])
-    return result
+    return AnnealResult(entries=[entries[k] for k in sorted(entries)
+                                 if k <= k_max],
+                        trace=trace, warnings=warnings)
 
 
 def _lloyd(rows, rho, assign, self_ent, positive, max_iter=200):
@@ -465,16 +435,19 @@ def _lloyd(rows, rho, assign, self_ent, positive, max_iter=200):
 def aggregate_fixed_k(pi, rho, k, cfg=AnnealConfig()):
     """Independent annealing run targeting exactly k superstates: seeded
     perturbed initialization around the global centroid, plain cooling, then
-    a zero-temperature polish."""
+    a zero-temperature polish. Raises DimensionMismatch unless
+    1 <= k <= n."""
     rows = as_rows(pi)
     n = rows.shape[0]
     rho = as_rho(rho, n)
+    if not 1 <= k <= n:
+        raise DimensionMismatch(f"k = {k} is outside 1..{n}")
     if k == 1:
         part = make_partition(np.zeros(n, dtype=int), k=1)
         return part, build_model(rows, part.assign, rho)
     rng = np.random.default_rng(cfg.seed + 7919 * k)
     self_ent, positive = _self_entropy(rows), rows > 0
-    theta = simplex_basis(rows.shape[1]).theta
+    theta = simplex_basis(rows.shape[1])
     z0 = rho @ rows
     bank = []
     for _ in range(k):

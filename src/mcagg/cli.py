@@ -53,7 +53,7 @@ def _anneal_cfg(args, k_max):
         t_min_factor=args.tmin_factor, merge_tol=args.merge_tol,
         delta=args.delta, fp_tol=args.fp_tol, fp_max_iter=args.fp_max_iter,
         k_max=k_max, seed=args.seed, schedule=args.schedule,
-        per_k=args.per_k, floor=args.floor)
+        floor=args.floor)
 
 
 def _add_anneal_flags(p):
@@ -69,8 +69,6 @@ def _add_anneal_flags(p):
     p.add_argument("--fp-max-iter", dest="fp_max_iter", type=int, default=500)
     p.add_argument("--schedule", choices=["adaptive", "geometric"],
                    default="adaptive")
-    p.add_argument("--per-k", dest="per_k", action="store_true",
-                   help="fill skipped k values with independent fixed-k runs")
 
 
 def _add_select_flags(p):

@@ -1,7 +1,8 @@
-"""Shared domain types: stochastic matrices, state weights, partitions, and
-the deterministic zero-sum basis used by every spectral computation.
+"""Shared domain types: stochastic matrices, partitions and aggregated
+models; steady-state weights; and the deterministic zero-sum basis used by
+every spectral computation.
 """
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -19,12 +20,6 @@ class StochasticMatrix:
     @property
     def n(self):
         return self.rows.shape[0]
-
-
-@dataclass(frozen=True)
-class StateWeights:
-    """Relative state weights rho, normalized to sum 1."""
-    rho: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -47,13 +42,6 @@ class AggregatedModel:
     distributions: np.ndarray
 
 
-@dataclass(frozen=True)
-class SimplexBasis:
-    """Orthonormal basis of the hyperplane {v : sum(v) = 0}."""
-    n: int
-    theta: np.ndarray
-
-
 def as_rows(pi):
     """Accept a StochasticMatrix or a bare ndarray and return the ndarray."""
     if isinstance(pi, StochasticMatrix):
@@ -62,17 +50,13 @@ def as_rows(pi):
 
 
 def as_rho(rho, n=None):
-    if isinstance(rho, StateWeights):
-        return rho.rho
+    """Accept state weights or None (uniform over n states); return the
+    ndarray."""
     if rho is None:
         if n is None:
             raise DimensionMismatch("need n to build uniform weights")
         return np.full(n, 1.0 / n)
     return np.asarray(rho, dtype=float)
-
-
-def uniform_weights(n):
-    return StateWeights(np.full(n, 1.0 / n))
 
 
 def validate_stochastic(rows, tol=1e-9, labels=None):
@@ -120,7 +104,8 @@ def make_partition(assign, k=None):
 
 
 def simplex_basis(n):
-    """Helmert basis of the zero-sum hyperplane.
+    """Helmert basis of the zero-sum hyperplane, as an n x (n-1) array with
+    orthonormal columns.
 
     Column m (1-indexed) carries 1/sqrt(m(m+1)) on the first m coordinates
     and -m/sqrt(m(m+1)) on coordinate m+1. Deterministic, so eigenvalue
@@ -132,7 +117,7 @@ def simplex_basis(n):
     c = 1.0 / np.sqrt(m * (m + 1))
     theta = np.triu(np.broadcast_to(c, (n, n - 1)))
     theta[m, m - 1] = -m * c
-    return SimplexBasis(n=n, theta=theta)
+    return theta
 
 
 def _gth(block):
@@ -181,4 +166,4 @@ def stationary_distribution(pi):
     rho = np.zeros(n)
     for c, m in zip(classes, mass):
         rho[c] = m * _gth(rows[np.ix_(c, c)])
-    return StateWeights(rho / rho.sum())
+    return rho / rho.sum()

@@ -1,19 +1,21 @@
 """End-to-end aggregation: anneal, refine per-k partitions, select k.
 
 The annealing sweep gives one partition per k it passes through. Refinement
-closes gaps and repairs near-critical artifacts deterministically: for each
-k we collect the sweep partition (polished) together with single-group
-splits of the chosen (k-1)-partition, and keep whichever has the lowest
-distortion. Selection then scores the chosen family.
+gives one partition for every k in 1..min(k_max, n), deterministically: at
+each k the candidates are the sweep partition, if the sweep reached k, and
+the chosen (k-1)-partition with the farthest state of one group split off,
+unpolished and polished, for each group of at least 2 states. Polishing is
+a Lloyd pass and then a single-state move descent. The candidate with the
+lowest distortion wins. Selection then scores the chosen family.
 """
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+# aggregate_fixed_k is not called here: perfbench/tracing.py patches it by name
 from .anneal import AnnealConfig, _lloyd, aggregate_fixed_k, anneal
 from .core import as_rho, as_rows, make_partition
-from .klgeom import (_group_mean, _kl_rows, _self_entropy, build_model,
-                     hard_centroids)
+from .klgeom import _kl_rows, _self_entropy, build_model, hard_centroids
 from .selection import SelectionOptions, SelectionReport, select_k
 
 __all__ = ["PipelineResult", "aggregate_per_k", "run_pipeline",
@@ -195,34 +197,11 @@ def _farthest(rows, rho, self_ent, positive, idx):
     return int(np.argmax(d))
 
 
-def _split_two(rows, rho, self_ent, positive, assign, g, knew):
-    """2-way Lloyd split of group g seeded by its farthest member; None if
-    the split collapses."""
-    idx = np.where(assign == g)[0]
-    sub = np.zeros(len(idx), dtype=int)
-    sub[_farthest(rows, rho, self_ent, positive, idx)] = 1
-    R, E, P = rows[idx], self_ent[idx], positive[idx]
-    for _ in range(50):
-        Z = np.zeros((2, rows.shape[1]))
-        for j in (0, 1):
-            m = sub == j
-            if not m.any():
-                return None
-            Z[j] = _group_mean(R[m], rho[idx][m])
-        new = np.argmin(_kl_rows(R, E, P, Z), axis=1)
-        if np.array_equal(new, sub):
-            break
-        sub = new
-    if sub.min() == sub.max():
-        return None
-    out = assign.copy()
-    out[idx[sub == 1]] = knew
-    return out
-
-
-def refine_per_k(pi, rho, sweep_parts, k_max, cfg=AnnealConfig()):
-    """Consecutive k -> assignment map, each the lowest-distortion candidate
-    among the sweep snapshot and one-group splits of the previous choice."""
+def refine_per_k(pi, rho, sweep_parts, k_max):
+    """Consecutive k -> assignment map for k in 1..min(k_max, n), each the
+    lowest-distortion candidate among the polished sweep snapshot and the
+    farthest-state splits of the previous choice, unpolished and polished.
+    The first of equal scores wins."""
     rows = as_rows(pi)
     n = rows.shape[0]
     rho = as_rho(rho, n)
@@ -241,39 +220,22 @@ def refine_per_k(pi, rho, sweep_parts, k_max, cfg=AnnealConfig()):
             descended[key] = _move_descent(rows, rho, start, ent, memo)
         return descended[key]
 
+    # every candidate at k has k groups: Lloyd reseeds an empty group, the
+    # descent never empties one, and for k <= n the previous choice has a
+    # group of at least 2 states to split
     chosen = {1: np.zeros(n, dtype=int)}
-    for k in range(2, k_max + 1):
+    for k in range(2, min(k_max, n) + 1):
         cands = []
         if k in sweep_parts:
-            raw = np.asarray(sweep_parts[k], dtype=int)
-            a = polish(raw)
-            cands.append(a if a.max() + 1 == k else raw)
+            cands.append(polish(np.asarray(sweep_parts[k], dtype=int)))
         prev = chosen[k - 1]
-        kprev = int(prev.max()) + 1
-        for g in range(kprev):
+        for g in range(k - 1):
             idx = np.where(prev == g)[0]
             if len(idx) < 2:
                 continue
             a = prev.copy()
-            a[idx[_farthest(rows, rho, ent, pos, idx)]] = kprev
-            ap = polish(a)
-            for cand in (a, ap):
-                if cand.max() + 1 == k:
-                    cands.append(cand)
-            s = _split_two(rows, rho, ent, pos, prev, g, kprev)
-            if s is not None:
-                sp = polish(s)
-                for cand in (s, sp):
-                    if cand.max() + 1 == k:
-                        cands.append(cand)
-        if not cands:
-            # sweep skipped k and no split applies: independent fixed-k run
-            part, _ = aggregate_fixed_k(rows, rho, k, cfg)
-            if part.k == k:
-                cands.append(part.assign)
-            else:
-                chosen[k] = prev
-                continue
+            a[idx[_farthest(rows, rho, ent, pos, idx)]] = k - 1
+            cands += [a, polish(a)]
         # a repeat scores the same, so it can never be the first minimum
         unique = {}
         for a in cands:
@@ -299,14 +261,12 @@ def aggregate_per_k(pi, rho=None, k_max=None, cfg=None):
     elif cfg.k_max != k_max:
         cfg = replace(cfg, k_max=k_max)
     result = anneal(rows, rho, cfg)
-    sweep_parts = {k: part.assign for k, part, _ in result.entries}
-    chosen = refine_per_k(rows, rho, sweep_parts, k_max, cfg)
+    sweep_parts = {part.k: part.assign for part in result.entries}
+    chosen = refine_per_k(rows, rho, sweep_parts, k_max)
     partitions = {}
     models = {}
     for k in sorted(chosen):
-        a = chosen[k]
-        kk = int(a.max()) + 1
-        part = make_partition(a, k=kk)
+        part = make_partition(chosen[k], k=k)
         partitions[k] = part
         models[k] = build_model(rows, part.assign, rho)
     return partitions, models, result.trace

@@ -85,7 +85,7 @@ def covariance_matrix(members, w, q, mode="plain", floor=1e-12, j=0):
     q = np.asarray(q, dtype=float)
     wsafe, keep = _guard_floor(j, members, w, floor, q)
     sub = members[:, keep] if not isinstance(keep, slice) else members
-    theta = simplex_basis(wsafe.shape[0]).theta
+    theta = simplex_basis(wsafe.shape[0])
     V = (sub - wsafe) / wsafe
     B = V @ theta
     if mode == "plain":

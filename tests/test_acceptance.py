@@ -141,7 +141,7 @@ def _fd_lambda_min(P, rho, z, T, h=1e-4):
     # duplicated bank [z, z], in the zero-sum basis: symmetric modes stay
     # stable through the split, antisymmetric ones carry it.
     n = len(z)
-    Y = simplex_basis(n).theta
+    Y = simplex_basis(n)
     d = Y.shape[1]
 
     def F(vec, eps):

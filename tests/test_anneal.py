@@ -10,7 +10,8 @@ from mcagg.anneal import (AnnealConfig, aggregate_fixed_k, anneal,
                           critical_temperature, extract_hard_partition,
                           fixed_point, hessian_quadratic_form)
 from mcagg.core import simplex_basis, stationary_distribution
-from mcagg.errors import InadmissiblePerturbation, NoConvergence
+from mcagg.errors import (DimensionMismatch, InadmissiblePerturbation,
+                          NoConvergence)
 from mcagg.generators import gen_ncd
 from mcagg.klgeom import (SoftAssociation, _self_entropy, distance_matrix,
                           free_energy, gibbs_weights, posterior_and_centroids)
@@ -65,7 +66,7 @@ def _whiten_eigs(rows, rho, z, p_given_j, floor):
         return 0.0, np.zeros(n), np.zeros(1)
     zs = z[sup]
     pis = rows[:, sup]
-    Y = simplex_basis(len(sup)).theta
+    Y = simplex_basis(len(sup))
     lam = (p_given_j @ pis) / zs**2
     H0 = Y.T @ (lam[:, None] * Y)
     V = (pis - zs) / zs
@@ -183,7 +184,7 @@ def test_critical_full_multiple_top_eigenvalue_deterministic():
     # unit, tangent, and its Rayleigh quotient of the whitened form is t.
     pi, _ = gen_ncd(blocks=[4] * 3, eps=0.0, seed=0)
     rows = pi.rows
-    rho = stationary_distribution(rows).rho
+    rho = stationary_distribution(rows)
     z = rho @ rows
     ones = SoftAssociation(p=np.ones((12, 1)), posterior=rho[:, None])
     with np.errstate(all="raise"):
@@ -367,7 +368,7 @@ def test_anneal_zero_weight_states_free_energy_finite(monkeypatch):
     # The transient states are at +inf from every centroid that lives on one
     # class, so their log-sum-exp is -inf; weighing 0, they must add nothing
     # to the free energy instead of 0 * -inf = NaN.
-    rho = stationary_distribution(ZERO_WEIGHT_ROWS).rho
+    rho = stationary_distribution(ZERO_WEIGHT_ROWS)
     assert np.array_equal(rho[4:], [0.0, 0.0])
     caught = []
     for name in ("_fp_iterate", "_free_energy"):
@@ -407,7 +408,7 @@ def _jump_run(monkeypatch, rho, T, jump):
 def test_fixed_point_jump_accept_and_reject_with_zero_weight_states(
         monkeypatch):
     rows = ZERO_WEIGHT_ROWS
-    rho = stationary_distribution(rows).rho
+    rho = stationary_distribution(rows)
     T = 0.05
     f0 = free_energy(rows, ZERO_WEIGHT_Z0, rho, T)
     # a jump to the fixed point lowers the free energy and is taken: two
@@ -617,12 +618,7 @@ def test_anneal_identical_rows_only_k1():
     common = np.array([0.1, 0.2, 0.3, 0.4])
     rows = np.tile(common, (4, 1))
     res = anneal(rows, cfg=AnnealConfig(k_max=4))
-    ks = [k for k, _, _ in res.entries]
-    assert ks == [1]
-    _, part, model = res.entries[0]
-    assert part.k == 1
-    assert np.allclose(model.distributions[0], common, atol=1e-12)
-    assert np.allclose(model.psi, [[1.0]], atol=1e-12)
+    assert [part.k for part in res.entries] == [1]
 
 
 def test_anneal_exact_blocks_recovers_partition():
@@ -631,7 +627,7 @@ def test_anneal_exact_blocks_recovers_partition():
     for b in range(3):
         rows[2 * b:2 * b + 2, 2 * b:2 * b + 2] = proto[b]
     res = anneal(rows, cfg=AnnealConfig(k_max=3))
-    by_k = {k: part for k, part, _ in res.entries}
+    by_k = {part.k: part for part in res.entries}
     assert 3 in by_k
     truth = np.repeat(np.arange(3), 2)
     assert _groups_equal(by_k[3].assign, truth)
@@ -640,7 +636,7 @@ def test_anneal_exact_blocks_recovers_partition():
 def test_anneal_k_sequence_and_trace():
     pi, _ = gen_ncd(blocks=[3, 3, 3], eps=0.05, seed=0)
     res = anneal(pi.rows, cfg=AnnealConfig(k_max=6))
-    ks = [k for k, _, _ in res.entries]
+    ks = [part.k for part in res.entries]
     assert ks[0] == 1
     assert all(b > a for a, b in zip(ks, ks[1:]))
     assert max(ks) <= 6
@@ -653,8 +649,8 @@ def test_anneal_deterministic():
     cfg = AnnealConfig(k_max=5)
     r1 = anneal(pi.rows, cfg=cfg)
     r2 = anneal(pi.rows, cfg=cfg)
-    assert [k for k, _, _ in r1.entries] == [k for k, _, _ in r2.entries]
-    for (_, p1, _), (_, p2, _) in zip(r1.entries, r2.entries):
+    assert [p.k for p in r1.entries] == [p.k for p in r2.entries]
+    for p1, p2 in zip(r1.entries, r2.entries):
         assert np.array_equal(p1.assign, p2.assign)
 
 
@@ -671,10 +667,8 @@ def test_anneal_bit_identical_twice_in_one_process(blocks, eps, rho_mode):
     r2 = anneal(pi.rows, rho, AnnealConfig(k_max=6))
     assert r1.trace == r2.trace
     assert len(r1.entries) == len(r2.entries)
-    for (k1, p1, m1), (k2, p2, m2) in zip(r1.entries, r2.entries):
-        assert k1 == k2 and np.array_equal(p1.assign, p2.assign)
-        assert np.array_equal(m1.psi, m2.psi)
-        assert np.array_equal(m1.distributions, m2.distributions)
+    for p1, p2 in zip(r1.entries, r2.entries):
+        assert p1.k == p2.k and np.array_equal(p1.assign, p2.assign)
 
 
 def test_anneal_one_solve_per_temperature(monkeypatch):
@@ -717,13 +711,6 @@ def test_anneal_one_solve_per_temperature(monkeypatch):
     assert len(temps) > 5 and ks[-1] == 6
 
 
-def test_anneal_per_k_fills_gaps():
-    pi, _ = gen_ncd(blocks=[3, 3, 3], eps=0.05, seed=3)
-    res = anneal(pi.rows, cfg=AnnealConfig(k_max=5, per_k=True))
-    ks = [k for k, _, _ in res.entries]
-    assert ks == [1, 2, 3, 4, 5]
-
-
 # --- aggregate_fixed_k ---
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -733,3 +720,10 @@ def test_aggregate_fixed_k_structure(k):
     assert part.k == k
     assert np.abs(model.psi.sum(axis=1) - 1.0).max() < 1e-9
     assert np.abs(model.distributions.sum(axis=1) - 1.0).max() < 1e-9
+
+
+@pytest.mark.parametrize("k", [0, -1, 10, 12])
+def test_aggregate_fixed_k_rejects_k_outside_one_to_n(k):
+    pi, _ = gen_ncd(blocks=[3, 3, 3], eps=0.05, seed=1)
+    with pytest.raises(DimensionMismatch, match=f"k = {k} is outside 1..9"):
+        aggregate_fixed_k(pi.rows, None, k)

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mcagg.core import (Partition, StateWeights, StochasticMatrix, as_rows,
-                        make_partition, simplex_basis,
-                        stationary_distribution, uniform_weights,
+from mcagg.core import (Partition, StochasticMatrix, as_rows, make_partition,
+                        simplex_basis, stationary_distribution,
                         validate_stochastic)
 from mcagg.errors import (DimensionMismatch, NegativeEntry, NoConvergence,
                           NonSquare, RowSumViolation)
@@ -58,13 +57,13 @@ def test_validate_label_count():
 
 
 def test_simplex_basis_n2():
-    th = simplex_basis(2).theta
+    th = simplex_basis(2)
     assert np.allclose(th[:, 0], [1 / np.sqrt(2), -1 / np.sqrt(2)],
                        atol=1e-15)
 
 
 def test_simplex_basis_n3():
-    th = simplex_basis(3).theta
+    th = simplex_basis(3)
     want = np.array([[1 / np.sqrt(2), 1 / np.sqrt(6)],
                      [-1 / np.sqrt(2), 1 / np.sqrt(6)],
                      [0.0, -2 / np.sqrt(6)]])
@@ -73,7 +72,7 @@ def test_simplex_basis_n3():
 
 @pytest.mark.parametrize("n", list(range(2, 20)) + [50, 128, 256, 512])
 def test_simplex_basis_orthonormal_zero_sum(n):
-    th = simplex_basis(n).theta
+    th = simplex_basis(n)
     assert np.abs(th.T @ th - np.eye(n - 1)).max() < 1e-12
     assert np.abs(th.sum(axis=0)).max() < 1e-12
 
@@ -87,7 +86,7 @@ def test_simplex_basis_matches_column_definition(n):
         c = 1.0 / np.sqrt(m * (m + 1))
         want[:m, m - 1] = c
         want[m, m - 1] = -m * c
-    assert np.array_equal(simplex_basis(n).theta, want)
+    assert np.array_equal(simplex_basis(n), want)
 
 
 def test_simplex_basis_needs_two_states():
@@ -97,17 +96,17 @@ def test_simplex_basis_needs_two_states():
 
 def test_stationary_identity_is_uniform():
     w = stationary_distribution(np.eye(3))
-    assert np.allclose(w.rho, 1 / 3, atol=1e-15)
+    assert np.allclose(w, 1 / 3, atol=1e-15)
 
 
 def test_stationary_swap():
     w = stationary_distribution(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert np.allclose(w.rho, 0.5, atol=1e-15)
+    assert np.allclose(w, 0.5, atol=1e-15)
 
 
 def test_stationary_two_state():
     w = stationary_distribution(np.array([[0.9, 0.1], [0.2, 0.8]]))
-    assert np.allclose(w.rho, [2 / 3, 1 / 3], atol=1e-10)
+    assert np.allclose(w, [2 / 3, 1 / 3], atol=1e-10)
 
 
 def test_stationary_periodic():
@@ -116,26 +115,26 @@ def test_stationary_periodic():
     rows = np.array([[0, 1, 0, 0], [0, 0, .5, .5], [1, 0, 0, 0],
                      [1, 0, 0, 0]], dtype=float)
     w = stationary_distribution(rows)
-    assert np.allclose(w.rho, [1 / 3, 1 / 3, 1 / 6, 1 / 6], atol=1e-15)
+    assert np.allclose(w, [1 / 3, 1 / 3, 1 / 6, 1 / 6], atol=1e-15)
 
 
 def test_stationary_courtois_residual():
     rows = parse_matrix(str(DATA / "courtois.csv")).rows
-    rho = stationary_distribution(rows).rho
+    rho = stationary_distribution(rows)
     assert np.abs(rho @ rows - rho).max() <= 1e-16
     assert abs(rho.sum() - 1.0) <= 1e-15
 
 
 def test_stationary_absorbing_two_state():
     w = stationary_distribution(np.array([[1.0, 0.0], [0.3, 0.7]]))
-    assert w.rho.tolist() == [1.0, 0.0]
+    assert w.tolist() == [1.0, 0.0]
 
 
 def test_stationary_splits_by_absorption():
     # state 2 is transient and falls into {0} or {1} with probability 1/4
     # and 3/4; the start puts 1/3 on each state
     rows = np.array([[1.0, 0, 0], [0, 1.0, 0], [0.25, 0.75, 0]])
-    rho = stationary_distribution(rows).rho
+    rho = stationary_distribution(rows)
     assert np.allclose(rho, [(1 + 0.25) / 3, (1 + 0.75) / 3, 0.0],
                        atol=1e-15)
     assert rho[2] == 0.0
@@ -146,7 +145,7 @@ def test_stationary_splits_by_absorption():
 def test_stationary_residual(n, seed):
     rows = np.random.default_rng(seed).dirichlet(np.ones(n), size=n)
     w = stationary_distribution(rows)
-    assert np.abs(w.rho @ rows - w.rho).max() <= 1e-11
+    assert np.abs(w @ rows - w).max() <= 1e-11
 
 
 def _power_iteration(pi, tol=1e-12, max_iter=100000):
@@ -158,11 +157,11 @@ def _power_iteration(pi, tol=1e-12, max_iter=100000):
         nxt = rho @ rows
         nxt = nxt / nxt.sum()
         if np.abs(nxt - rho).max() < tol:
-            return StateWeights(nxt)
+            return nxt
         rho = nxt
     raise NoConvergence(
         f"stationary distribution: residual above {tol} after {max_iter} "
-        "iterations", last=StateWeights(rho))
+        "iterations", last=rho)
 
 
 def _transient(rows):
@@ -226,13 +225,13 @@ def _degenerate_chain(kind, n, seed):
 def test_stationary_degenerate_chains(kind, n, seed):
     rows = _degenerate_chain(kind, n, seed)
     assert np.allclose(rows.sum(axis=1), 1.0, atol=1e-15)
-    rho = stationary_distribution(rows).rho
+    rho = stationary_distribution(rows)
     assert np.abs(rho @ rows - rho).max() <= 1e-15
     assert (rho >= 0).all()
     assert abs(rho.sum() - 1.0) <= 1e-15
     assert (rho[_transient(rows)] == 0.0).all()
     try:
-        ref = _power_iteration(rows, max_iter=20000).rho
+        ref = _power_iteration(rows, max_iter=20000)
     except NoConvergence:
         return
     assert np.abs(rho - ref).max() <= 1e-9
@@ -250,10 +249,6 @@ def test_make_partition_rejects_gaps():
         make_partition([0, 2], k=3)          # superstate 1 empty
     with pytest.raises(DimensionMismatch):
         make_partition([0, 2], k=2)          # index out of range
-
-
-def test_uniform_weights():
-    assert np.allclose(uniform_weights(4).rho, 0.25, atol=1e-16)
 
 
 @settings(max_examples=50, deadline=None)

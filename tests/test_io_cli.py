@@ -1,3 +1,5 @@
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -497,6 +499,19 @@ def test_cli_pipeline_reaches_module_hooks(tmp_path, monkeypatch):
     _assert_select_k_call(calls[2], 9)
 
 
+def test_benchmark_hook_names_resolve():
+    # perfbench/tracing.py wraps each (module, attribute) it lists with a
+    # getattr, so a name that is gone stops every traced benchmark run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    hooks = tracing.SPANS + tracing.COUNTS + tracing.CAPTURES
+    missing = [(mod, attr) for mod, attr, _ in hooks
+               if not hasattr(importlib.import_module(mod), attr)]
+    assert missing == []
+
+
 def test_cli_deterministic_reports(tmp_path):
     mpath = _gen_matrix(tmp_path, seed=7)
     r1, r2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -587,7 +602,7 @@ def test_cli_stationary_degenerate_chains(tmp_path, name):
                    "--partitions-out", str(parts)])
     assert rc == 0
     rows = parse_matrix(mpath).rows
-    rho = stationary_distribution(rows).rho
+    rho = stationary_distribution(rows)
     for part in parse_partitions(parts).values():
         psi = build_model(rows, part.assign, rho).psi
         assert np.abs(psi.sum(axis=1) - 1.0).max() < 1e-9

@@ -263,11 +263,12 @@ def _sweep(n_blocks=4, size=6, eps=0.05, seed=2, k_max=6):
     rows = pi.rows
     rho = np.full(rows.shape[0], 1 / rows.shape[0])
     res = anneal(rows, rho, AnnealConfig(k_max=k_max))
-    return rows, rho, {k: part.assign for k, part, _ in res.entries}
+    return rows, rho, {part.k: part.assign for part in res.entries}
 
 
 def test_refine_memo_descends_each_lloyd_output_once(monkeypatch):
-    rows, rho, sweep = _sweep()
+    # on this chain two candidates at different k reach one Lloyd output
+    rows, rho, sweep = _sweep(n_blocks=3, size=4)
     want = refine_per_k(rows, rho, sweep, 6)
 
     starts = []
@@ -339,6 +340,18 @@ def test_refine_memo_saves_kernel_rows(monkeypatch):
     assert 0 < counted[0] < counted[1]
 
 
+def test_refine_returns_every_k_up_to_n():
+    # k_max above n: one partition per k in 1..n, the last all singletons
+    rows, _ = gen_ncd(blocks=[2, 2], eps=0.05, seed=1)
+    rows = rows.rows
+    rho = np.full(4, 0.25)
+    sweep = {p.k: p.assign for p in anneal(rows, rho).entries}
+    chosen = refine_per_k(rows, rho, sweep, 6)
+    assert sorted(chosen) == [1, 2, 3, 4]
+    for k, a in chosen.items():
+        assert sorted(set(a.tolist())) == list(range(k))
+
+
 def test_refine_scores_each_candidate_once(monkeypatch):
     rows, rho, sweep = _sweep()
     scored = []
@@ -368,10 +381,10 @@ ZERO_WEIGHT_ROWS = np.array([[0.5, 0.5, 0, 0, 0, 0],
 
 def test_refine_zero_weight_states_score_finite(monkeypatch):
     rows = ZERO_WEIGHT_ROWS
-    rho = stationary_distribution(rows).rho
+    rho = stationary_distribution(rows)
     assert np.array_equal(rho[4:], [0.0, 0.0]) and (rho[:4] > 0).all()
     res = anneal(rows, rho, AnnealConfig(k_max=5))
-    sweep = {k: part.assign for k, part, _ in res.entries}
+    sweep = {part.k: part.assign for part in res.entries}
     scores = []
     score = pipeline._score
 
@@ -392,7 +405,7 @@ def test_refine_zero_weight_states_score_finite(monkeypatch):
 def test_zero_weight_group_gets_plain_mean_centroid():
     # the transient states 4 and 5 weigh 0 and form group 2 on their own
     rows = ZERO_WEIGHT_ROWS
-    rho = stationary_distribution(rows).rho
+    rho = stationary_distribution(rows)
     ent, pos = _self_entropy(rows), rows > 0
     start = np.array([0, 0, 1, 1, 2, 2])
     np.testing.assert_array_equal(_lloyd(rows, rho, start, ent, pos), start)
@@ -401,8 +414,6 @@ def test_zero_weight_group_gets_plain_mean_centroid():
     z = rows[idx].mean(axis=0)
     d = [float(r[r > 0] @ np.log(r[r > 0] / z[r > 0])) for r in rows[idx]]
     assert pipeline._farthest(rows, rho, ent, pos, idx) == int(np.argmax(d))
-    split = pipeline._split_two(rows, rho, ent, pos, start, 2, 3)
-    np.testing.assert_array_equal(np.sort(split[4:]), [2, 3])
 
 
 @pytest.mark.parametrize("seed", range(1, 11))
@@ -412,11 +423,17 @@ def test_pipeline_absorbing_chain_under_stationary_rho(seed):
     # deviate over coordinates its centroid lacks
     rows = gen_ncd(blocks=[3, 3, 3], eps=0.05, seed=seed)[0].rows.copy()
     rows[0] = np.eye(9)[0]
-    rho = stationary_distribution(rows).rho
+    rho = stationary_distribution(rows)
     assert rho.tolist() == [1.0] + [0.0] * 8
     res = run_pipeline(rows, rho, k_max=6)
     assert sorted(res.partitions) == list(range(1, 7))
     assert all(np.isfinite(t) and t >= 0 for t in res.report.t_bars.values())
+    # the steady state is a point mass on state 0, so every superstate is
+    # homogeneous at its one weighted member; refinement keeps the
+    # unpolished farthest-state splits, which hold the zero-weight states'
+    # ties in place, and without them t_bar reaches 8.5-11
+    assert res.report.exact_fit
+    assert all(t == 0.0 for t in res.report.t_bars.values())
 
 
 def test_pipeline_courtois_three_blocks():
