@@ -22,6 +22,12 @@ The default chain set has 205 chains:
 seed under stationary rho (700 more). The benchmark chains are drawn with
 the same seeds as perfbench/workloads.py draws them.
 
+``--with-degenerate`` adds 400 seeded random chains of 2-12 states with
+30-80% zero entries, some with an absorbing state and some with duplicated
+rows, each run with k_max = n under both rho and both selection modes (1600
+more). They have no planted k, so their planted_k is null and they count
+toward neither the k_t hits nor the flips at k <= planted k_t.
+
 ``--null t0|delta|swap`` records a null run of the same code, to size how
 many flips a change with no intended effect already causes: ``t0`` and
 ``delta`` raise AnnealConfig.t0_factor or .delta by one ulp, ``swap``
@@ -41,7 +47,8 @@ import time
 import numpy as np
 
 import mcagg
-from mcagg import AnnealConfig, gen_ncd, gen_replicated_rows, run_pipeline
+from mcagg import (AnnealConfig, SelectionOptions, gen_ncd,
+                   gen_replicated_rows, run_pipeline)
 
 anneal_module = importlib.import_module("mcagg.anneal")
 
@@ -92,6 +99,27 @@ def chains(with_ncd9):
                        truth.k)
 
 
+def degenerate_chains():
+    """(name, rows, rho mode, k_max, planted k, selection mode) for the 400
+    degenerate chains, each under both rho and both selection modes."""
+    rng = np.random.default_rng(20201)
+    for i in range(400):
+        n = int(rng.integers(2, 13))
+        mask = rng.random((n, n)) >= rng.uniform(0.3, 0.8)
+        mask[np.arange(n), rng.integers(0, n, n)] = True
+        rows = np.where(mask, rng.uniform(0.1, 1.0, (n, n)), 0.0)
+        rows /= rows.sum(axis=1, keepdims=True)
+        if rng.random() < 0.5:
+            j = rng.integers(n)
+            rows[j] = np.eye(n)[j]
+        if rng.random() < 0.5:
+            rows[rng.integers(0, n, n // 2 + 1)] = rows[rng.integers(n)]
+        for rho_mode in ("uniform", "stationary"):
+            for mode in ("plain", "whiten"):
+                yield (f"degenerate-{rho_mode}-{mode}-s{i}", rows, rho_mode,
+                       n, None, mode)
+
+
 def canonical(assign):
     """Labels renumbered by first occurrence, so equal partitions compare
     equal whatever their labels."""
@@ -110,7 +138,7 @@ def _swap_shadow_order():
     anneal_module._shadow_bank = swapped
 
 
-def record(with_ncd9, null):
+def record(with_ncd9, with_degenerate, null):
     cfg = AnnealConfig()
     if null == "t0":
         cfg = AnnealConfig(t0_factor=float(np.nextafter(cfg.t0_factor, 3.0)))
@@ -118,14 +146,18 @@ def record(with_ncd9, null):
         cfg = AnnealConfig(delta=float(np.nextafter(cfg.delta, 1.0)))
     elif null == "swap":
         _swap_shadow_order()
+    runs = [(*c, "plain") for c in chains(with_ncd9)]
+    if with_degenerate:
+        runs += degenerate_chains()
     out = {}
-    for name, rows, rho_mode, k_max, planted in chains(with_ncd9):
+    for name, rows, rho_mode, k_max, planted, mode in runs:
         rho = (mcagg.stationary_distribution(rows) if rho_mode == "stationary"
                else None)
-        res = run_pipeline(rows, rho, k_max=k_max, cfg=cfg)
+        res = run_pipeline(rows, rho, k_max=k_max, cfg=cfg,
+                           options=SelectionOptions(mode=mode))
         out[name] = {
             "k_t": int(res.k_t),
-            "planted_k": int(planted),
+            "planted_k": None if planted is None else int(planted),
             "partitions": {str(k): canonical(p.assign)
                            for k, p in res.partitions.items()},
             "distortion": {str(k): mcagg.distortion(rows, m, rho)
@@ -163,7 +195,8 @@ def compare(a, b):
                 continue
             da, db = ca["distortion"][k], cb["distortion"][k]
             tie = abs(db - da) <= TIE_REL * max(abs(da), abs(db))
-            low = int(k) <= ca["planted_k"]
+            low = (ca["planted_k"] is not None
+                   and int(k) <= ca["planted_k"])
             t["flips"] += 1
             t["ties"] += tie
             t["raised_low"] += low and db > da and not tie
@@ -188,6 +221,8 @@ def main():
     ap.add_argument("--out", help="write the record of this run to a JSON file")
     ap.add_argument("--with-ncd9-eps0", action="store_true",
                     help="add the 700 nine-state eps = 0 stationary chains")
+    ap.add_argument("--with-degenerate", action="store_true",
+                    help="add the 1600 runs of 400 degenerate chains")
     ap.add_argument("--null", choices=("t0", "delta", "swap"),
                     help="record a null run (see the module docstring)")
     ap.add_argument("--compare", nargs=2, metavar=("A", "B"),
@@ -202,7 +237,7 @@ def main():
     if not args.out:
         ap.error("give --out FILE or --compare A B")
     t0 = time.time()
-    out = record(args.with_ncd9_eps0, args.null)
+    out = record(args.with_ncd9_eps0, args.with_degenerate, args.null)
     with open(args.out, "w") as fh:
         json.dump(out, fh)
     print(f"{len(out)} chains written to {args.out} "

@@ -1,9 +1,8 @@
 """Markov chain aggregation by deterministic annealing, with
 heterogeneity-based selection of the number of superstates."""
-from .anneal import (AnnealConfig, AnnealResult, CriticalReport,
-                     aggregate_fixed_k, anneal, critical_temperature,
-                     extract_hard_partition, fixed_point,
-                     hessian_quadratic_form)
+from .anneal import (AnnealConfig, AnnealResult, CriticalReport, anneal,
+                     critical_temperature, extract_hard_partition,
+                     fixed_point, hessian_quadratic_form)
 from .core import (AggregatedModel, Partition, StochasticMatrix,
                    make_partition, simplex_basis, stationary_distribution,
                    validate_stochastic)
@@ -13,7 +12,7 @@ from .io import (ingest_bigrams, parse_matrix, parse_partitions, read_report,
 from .klgeom import (SoftAssociation, aggregate_transitions, build_model,
                      distance_matrix, distortion, free_energy, gibbs_weights,
                      kl_divergence, posterior_and_centroids)
-from .pipeline import PipelineResult, run_pipeline
+from .pipeline import PipelineResult, aggregate_fixed_k, run_pipeline
 from .selection import (SelectionOptions, SelectionReport, covariance_matrix,
                         hard_membership, heterogeneity, heterogeneity_profile,
                         marginal_return, select_k)

@@ -14,11 +14,9 @@ from typing import Optional
 import numpy as np
 
 from .core import as_rho, as_rows, make_partition, simplex_basis
-from .errors import (DimensionMismatch, EmptySuperstate,
-                     InadmissiblePerturbation, NoConvergence)
-from .klgeom import (SoftAssociation, _free_energy, _group_mean, _kl_rows,
-                     _self_entropy, _softmin, build_model,
-                     posterior_and_centroids)
+from .errors import EmptySuperstate, InadmissiblePerturbation, NoConvergence
+from .klgeom import (SoftAssociation, _free_energy, _kl_rows, _self_entropy,
+                     _softmin, hard_centroids, posterior_and_centroids)
 from .selection import _top_deviation
 
 log = logging.getLogger(__name__)
@@ -28,7 +26,7 @@ _TINY = 1e-300
 
 @dataclass(frozen=True)
 class AnnealConfig:
-    alpha: float = 0.9            # geometric cooling factor
+    alpha: float = 0.9            # cooling factor: T <- at most alpha*T
     t0_factor: float = 2.0        # T0 = t0_factor * t_cr(single centroid)
     t_min_factor: float = 1e-8    # stop when T < t_min_factor * T0
     merge_tol: float = 1e-6       # inf-norm for identifying coincident centroids
@@ -37,8 +35,6 @@ class AnnealConfig:
     fp_max_iter: int = 500        # map evaluations per fixed point
     k_max: Optional[int] = None   # defaults to n
     seed: int = 0
-    schedule: str = "adaptive"    # "adaptive" hugs critical temperatures,
-                                  # "geometric" is plain T <- alpha*T
     floor: float = 1e-12
 
 
@@ -318,14 +314,14 @@ def _shadow_bank(Z, dirs, delta):
     return np.stack(out)
 
 
-def _converge(rows, self_ent, positive, rho, Z, T, cfg, warnings, label):
+def _converge(rows, self_ent, positive, rho, Z, T, cfg, warnings):
     """Fixed point with dead-centroid recovery; never raises."""
     while True:
         try:
             Z2, assoc, ok = _fp_iterate(rows, self_ent, positive, rho, Z, T,
                                         cfg.fp_tol, cfg.fp_max_iter)
             if not ok:
-                warnings.append((T, label, "max_iter"))
+                warnings.append((T, "shadow", "max_iter"))
             return Z2, assoc
         except EmptySuperstate as e:
             if Z.shape[0] <= 1:
@@ -369,7 +365,7 @@ def anneal(pi, rho=None, cfg=AnnealConfig()):
                 dirs[j] = d / np.linalg.norm(d)
         bank = _shadow_bank(Z, dirs, cfg.delta)
         bank, assoc = _converge(rows, self_ent, positive, rho, bank, T, cfg,
-                                warnings, "shadow")
+                                warnings)
         Zm, merge_map = _merge_bank(bank, cfg.merge_tol)
         if Zm.shape[0] > Z.shape[0]:
             # a jump past k_max is recorded too; AnnealResult drops entries
@@ -387,14 +383,11 @@ def anneal(pi, rho=None, cfg=AnnealConfig()):
         probe = SoftAssociation(p=_softmin(D, T, False)[0])
         tcrs, dirs = _critical_full(rows, rho, Z, probe, cfg.floor,
                                     vectors=True)
-        if cfg.schedule == "adaptive":
-            tmax = float(tcrs.max()) if len(tcrs) else 0.0
-            nxt = cfg.alpha * T
-            if tmax > 0 and tmax < T:
-                nxt = min(nxt, 0.95 * tmax)
-            T = nxt
-        else:
-            T = cfg.alpha * T
+        tmax = float(tcrs.max()) if len(tcrs) else 0.0
+        nxt = cfg.alpha * T
+        if tmax > 0 and tmax < T:
+            nxt = min(nxt, 0.95 * tmax)
+        T = nxt
 
     return AnnealResult(entries=[entries[k] for k in sorted(entries)
                                  if k <= k_max],
@@ -409,12 +402,7 @@ def _lloyd(rows, rho, assign, self_ent, positive, max_iter=200):
     assign = np.asarray(assign, dtype=int).copy()
     k = int(assign.max()) + 1
     for _ in range(max_iter):
-        W = np.zeros((k, rows.shape[1]))
-        for j in range(k):
-            idx = np.where(assign == j)[0]
-            if len(idx) == 0:
-                continue
-            W[j] = _group_mean(rows[idx], rho[idx])
+        W = hard_centroids(rows, assign, rho)
         D = _kl_rows(rows, self_ent, positive, W)
         new = np.argmin(D, axis=1)
         # reseed empties deterministically
@@ -430,67 +418,3 @@ def _lloyd(rows, rho, assign, self_ent, positive, max_iter=200):
             break
         assign = new
     return assign
-
-
-def aggregate_fixed_k(pi, rho, k, cfg=AnnealConfig()):
-    """Independent annealing run targeting exactly k superstates: seeded
-    perturbed initialization around the global centroid, plain cooling, then
-    a zero-temperature polish. Raises DimensionMismatch unless
-    1 <= k <= n."""
-    rows = as_rows(pi)
-    n = rows.shape[0]
-    rho = as_rho(rho, n)
-    if not 1 <= k <= n:
-        raise DimensionMismatch(f"k = {k} is outside 1..{n}")
-    if k == 1:
-        part = make_partition(np.zeros(n, dtype=int), k=1)
-        return part, build_model(rows, part.assign, rho)
-    rng = np.random.default_rng(cfg.seed + 7919 * k)
-    self_ent, positive = _self_entropy(rows), rows > 0
-    theta = simplex_basis(rows.shape[1])
-    z0 = rho @ rows
-    bank = []
-    for _ in range(k):
-        d = theta @ rng.standard_normal(rows.shape[1] - 1)
-        d = d / np.linalg.norm(d)
-        z = np.maximum(z0 + cfg.delta * d, 1e-15)
-        bank.append(z / z.sum())
-    Z = np.stack(bank)
-    ones = SoftAssociation(p=np.ones((n, 1)),
-                           posterior=(rho / rho.sum())[:, None])
-    tcrs = _critical_full(rows, rho, z0[None, :], ones, cfg.floor)
-    T = cfg.t0_factor * max(tcrs[0], 1e-12)
-    t_min = cfg.t_min_factor * T
-    warnings = []
-    prev = Z.copy()
-    still = 0
-    while T > t_min:
-        Z, assoc = _converge(rows, self_ent, positive, rho, Z, T, cfg,
-                             warnings, "fixed_k")
-        if Z.shape[0] < k:
-            # a centroid died; respawn near the heaviest one
-            while Z.shape[0] < k:
-                d = theta @ rng.standard_normal(rows.shape[1] - 1)
-                z = np.maximum(Z[0] + cfg.delta * d / np.linalg.norm(d), 1e-15)
-                Z = np.vstack([Z, z / z.sum()])
-        if Z.shape == prev.shape and np.abs(Z - prev).max() < cfg.fp_tol:
-            still += 1
-            if still >= 3:
-                break
-        else:
-            still = 0
-        prev = Z.copy()
-        T = cfg.alpha * T
-    D = _kl_rows(rows, self_ent, positive, Z)
-    assign = np.argmin(D, axis=1)
-    # force k nonempty groups before polishing
-    for j in range(k):
-        if not np.any(assign == j):
-            counts = np.bincount(assign, minlength=k)
-            donors = np.where(counts[assign] > 1)[0]
-            far = donors[np.argmax(D[donors, assign[donors]])]
-            assign[far] = j
-    assign = _lloyd(rows, rho, assign, self_ent, positive)
-    used, compact = np.unique(assign, return_inverse=True)
-    part = make_partition(compact, k=len(used))
-    return part, build_model(rows, part.assign, rho)

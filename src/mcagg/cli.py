@@ -52,8 +52,7 @@ def _anneal_cfg(args, k_max):
         alpha=args.alpha, t0_factor=args.t0_factor,
         t_min_factor=args.tmin_factor, merge_tol=args.merge_tol,
         delta=args.delta, fp_tol=args.fp_tol, fp_max_iter=args.fp_max_iter,
-        k_max=k_max, seed=args.seed, schedule=args.schedule,
-        floor=args.floor)
+        k_max=k_max, seed=args.seed, floor=args.floor)
 
 
 def _add_anneal_flags(p):
@@ -67,8 +66,6 @@ def _add_anneal_flags(p):
     p.add_argument("--delta", type=float, default=1e-4)
     p.add_argument("--fp-tol", dest="fp_tol", type=float, default=1e-8)
     p.add_argument("--fp-max-iter", dest="fp_max_iter", type=int, default=500)
-    p.add_argument("--schedule", choices=["adaptive", "geometric"],
-                   default="adaptive")
 
 
 def _add_select_flags(p):
@@ -217,7 +214,6 @@ def build_parser():
     s.add_argument("--matrix", required=True)
     s.add_argument("--partitions", required=True)
     s.add_argument("--out")
-    s.add_argument("--seed", type=int, default=0)
     s.add_argument("--format", choices=["csv", "json"],
                    help="report format (default: by --out extension)")
     _add_select_flags(s)

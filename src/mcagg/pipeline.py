@@ -7,19 +7,20 @@ the chosen (k-1)-partition with the farthest state of one group split off,
 unpolished and polished, for each group of at least 2 states. Polishing is
 a Lloyd pass and then a single-state move descent. The candidate with the
 lowest distortion wins. Selection then scores the chosen family.
+aggregate_fixed_k returns the partition and model at one k of that family.
 """
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-# aggregate_fixed_k is not called here: perfbench/tracing.py patches it by name
-from .anneal import AnnealConfig, _lloyd, aggregate_fixed_k, anneal
+from .anneal import AnnealConfig, _lloyd, anneal
 from .core import as_rho, as_rows, make_partition
+from .errors import DimensionMismatch
 from .klgeom import _kl_rows, _self_entropy, build_model, hard_centroids
 from .selection import SelectionOptions, SelectionReport, select_k
 
-__all__ = ["PipelineResult", "aggregate_per_k", "run_pipeline",
-           "refine_per_k"]
+__all__ = ["PipelineResult", "aggregate_fixed_k", "aggregate_per_k",
+           "run_pipeline", "refine_per_k"]
 
 
 @dataclass
@@ -189,6 +190,9 @@ def _move_descent(rows, rho, assign, self_ent, memo=None, max_passes=50):
 def _farthest(rows, rho, self_ent, positive, idx):
     """Position within idx of the member farthest, in KL, from the
     rho-weighted mean of the rows in idx."""
+    # not klgeom._group_mean, whose last bits differ: in a group of
+    # duplicated rows every distance is rounding noise, and the argmax
+    # follows those bits
     w = rho[idx]
     if w.sum() == 0.0:
         w = np.ones(len(idx))   # zero-weight states: their plain mean
@@ -206,19 +210,13 @@ def refine_per_k(pi, rho, sweep_parts, k_max):
     n = rows.shape[0]
     rho = as_rho(rho, n)
     ent, pos = _self_entropy(rows), rows > 0
-    # Lloyd output bytes -> its move descent; distinct starts repeat often
-    # across k, and the descent is deterministic
-    descended = {}
     # group state -> column of group terms, shared by this call's descents
     # (one chain, one rho) and dropped with the call
     memo = {}
 
     def polish(assign):
-        start = _lloyd(rows, rho, assign, ent, pos)
-        key = start.tobytes()
-        if key not in descended:
-            descended[key] = _move_descent(rows, rho, start, ent, memo)
-        return descended[key]
+        return _move_descent(rows, rho, _lloyd(rows, rho, assign, ent, pos),
+                             ent, memo)
 
     # every candidate at k has k groups: Lloyd reseeds an empty group, the
     # descent never empties one, and for k <= n the previous choice has a
@@ -270,6 +268,17 @@ def aggregate_per_k(pi, rho=None, k_max=None, cfg=None):
         partitions[k] = part
         models[k] = build_model(rows, part.assign, rho)
     return partitions, models, result.trace
+
+
+def aggregate_fixed_k(pi, rho, k, cfg=AnnealConfig()):
+    """The pipeline's partition and model at exactly k superstates, as
+    (Partition, AggregatedModel). Raises DimensionMismatch unless
+    1 <= k <= n."""
+    n = as_rows(pi).shape[0]
+    if not 1 <= k <= n:
+        raise DimensionMismatch(f"k = {k} is outside 1..{n}")
+    partitions, models, _ = aggregate_per_k(pi, rho, k, cfg)
+    return partitions[k], models[k]
 
 
 def run_pipeline(pi, rho=None, k_max=None, cfg=None,

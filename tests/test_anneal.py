@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mcagg.anneal import (AnnealConfig, aggregate_fixed_k, anneal,
-                          critical_temperature, extract_hard_partition,
-                          fixed_point, hessian_quadratic_form)
+from mcagg.anneal import (AnnealConfig, anneal, critical_temperature,
+                          extract_hard_partition, fixed_point,
+                          hessian_quadratic_form)
 from mcagg.core import simplex_basis, stationary_distribution
 from mcagg.errors import (DimensionMismatch, InadmissiblePerturbation,
                           NoConvergence)
 from mcagg.generators import gen_ncd
 from mcagg.klgeom import (SoftAssociation, _self_entropy, distance_matrix,
                           free_energy, gibbs_weights, posterior_and_centroids)
+from mcagg.pipeline import aggregate_fixed_k
 
 anneal_module = importlib.import_module("mcagg.anneal")
 

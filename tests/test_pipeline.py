@@ -1,7 +1,7 @@
 """Refinement: the memo-backed move descent against the scalar loop it
-replaced, the per-call column and polish memos, candidate de-duplication,
-and centroids of zero-weight groups; end-to-end runs under stationary
-weights."""
+replaced, the per-call column memo, candidate de-duplication, and centroids
+of zero-weight groups; aggregate_fixed_k against the pipeline; end-to-end
+runs under stationary weights."""
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +14,8 @@ from mcagg.core import stationary_distribution
 from mcagg.generators import gen_ncd
 from mcagg.io import parse_matrix
 from mcagg.klgeom import _self_entropy
-from mcagg.pipeline import _move_descent, refine_per_k, run_pipeline
+from mcagg.pipeline import (_move_descent, aggregate_fixed_k, refine_per_k,
+                            run_pipeline)
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 
@@ -266,35 +267,6 @@ def _sweep(n_blocks=4, size=6, eps=0.05, seed=2, k_max=6):
     return rows, rho, {part.k: part.assign for part in res.entries}
 
 
-def test_refine_memo_descends_each_lloyd_output_once(monkeypatch):
-    # on this chain two candidates at different k reach one Lloyd output
-    rows, rho, sweep = _sweep(n_blocks=3, size=4)
-    want = refine_per_k(rows, rho, sweep, 6)
-
-    starts = []
-    descended = []
-    lloyd = pipeline._lloyd
-
-    def recording_lloyd(*args, **kwargs):
-        out = lloyd(*args, **kwargs)
-        starts.append(out.tobytes())
-        return out
-
-    def reference(rows, rho, assign, self_ent, memo=None):
-        descended.append(assign.tobytes())
-        return reference_move_descent(rows, rho, assign)
-
-    monkeypatch.setattr(pipeline, "_lloyd", recording_lloyd)
-    monkeypatch.setattr(pipeline, "_move_descent", reference)
-    got = refine_per_k(rows, rho, sweep, 6)
-
-    assert sorted(got) == sorted(want)
-    for k in want:
-        np.testing.assert_array_equal(got[k], want[k])
-    assert sorted(descended) == sorted(set(starts))
-    assert len(starts) > len(set(starts))   # the memo saved descents
-
-
 def _memo_free(monkeypatch):
     """Make every descent in refine_per_k start from an empty memo."""
     descend = pipeline._move_descent
@@ -434,6 +406,15 @@ def test_pipeline_absorbing_chain_under_stationary_rho(seed):
     # ties in place, and without them t_bar reaches 8.5-11
     assert res.report.exact_fit
     assert all(t == 0.0 for t in res.report.t_bars.values())
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_aggregate_fixed_k_is_the_pipeline_partition(k):
+    pi, _ = gen_ncd(blocks=[3, 3, 3], eps=0.05, seed=1)
+    part, model = aggregate_fixed_k(pi.rows, None, k)
+    want = run_pipeline(pi.rows, k_max=k).partitions[k]
+    np.testing.assert_array_equal(part.assign, want.assign)
+    np.testing.assert_array_equal(model.partition.assign, want.assign)
 
 
 def test_pipeline_courtois_three_blocks():
