@@ -30,25 +30,29 @@ toward neither the k_t hits nor the flips at k <= planted k_t.
 
 ``--null t0|delta|swap`` records a null run of the same code, to size how
 many flips a change with no intended effect already causes: ``t0`` and
-``delta`` raise AnnealConfig.t0_factor or .delta by one ulp, ``swap``
-places each shadow pair in -/+ instead of +/- order. ``--compare`` prints
-every k_t change and every partition flip with its distortion before and
-after, then totals: flips, ties among them (distortions equal within
-1e-12 relative), flips at k <= the planted k_t that raise distortion by
-more than a tie, and the summed distortion change over the flips. It exits
-1 when any chain's k_t changed, so it serves as the k_t gate alone.
+``delta`` raise the annealer's constant ``_T0_FACTOR`` or ``_DELTA`` by one
+ulp, ``swap`` places each shadow pair in -/+ instead of +/- order. Each
+patches mcagg.anneal for the run and restores it afterwards.
+``--compare`` prints every k_t change and every partition flip with its
+distortion before and after, then totals: flips, ties among them
+(distortions equal within 1e-12 relative), flips at k <= the planted k_t
+that raise distortion by more than a tie, and the summed distortion change
+over the flips. It exits 1 when any chain's k_t changed, so it serves as
+the k_t gate alone.
 """
 import argparse
+import contextlib
 import importlib
 import json
 import sys
 import time
+from unittest import mock
 
 import numpy as np
 
 import mcagg
-from mcagg import (AnnealConfig, SelectionOptions, gen_ncd,
-                   gen_replicated_rows, run_pipeline)
+from mcagg import (SelectionOptions, gen_ncd, gen_replicated_rows,
+                   run_pipeline)
 
 anneal_module = importlib.import_module("mcagg.anneal")
 
@@ -127,25 +131,28 @@ def canonical(assign):
     return [first.setdefault(int(a), len(first)) for a in assign]
 
 
-def _swap_shadow_order():
-    """Make anneal place each shadow pair in -/+ instead of +/- order."""
+def _null_patch(null):
+    """(name, value) to set on mcagg.anneal for a null run."""
+    if null == "t0":
+        return "_T0_FACTOR", float(np.nextafter(anneal_module._T0_FACTOR, 3.0))
+    if null == "delta":
+        return "_DELTA", float(np.nextafter(anneal_module._DELTA, 1.0))
     plain = anneal_module._shadow_bank
 
     def swapped(Z, dirs, delta):
         bank = plain(Z, dirs, delta)
         return bank[np.arange(len(bank)).reshape(-1, 2)[:, ::-1].ravel()]
 
-    anneal_module._shadow_bank = swapped
+    return "_shadow_bank", swapped
 
 
 def record(with_ncd9, with_degenerate, null):
-    cfg = AnnealConfig()
-    if null == "t0":
-        cfg = AnnealConfig(t0_factor=float(np.nextafter(cfg.t0_factor, 3.0)))
-    elif null == "delta":
-        cfg = AnnealConfig(delta=float(np.nextafter(cfg.delta, 1.0)))
-    elif null == "swap":
-        _swap_shadow_order()
+    with (mock.patch.object(anneal_module, *_null_patch(null)) if null
+          else contextlib.nullcontext()):
+        return _record(with_ncd9, with_degenerate)
+
+
+def _record(with_ncd9, with_degenerate):
     runs = [(*c, "plain") for c in chains(with_ncd9)]
     if with_degenerate:
         runs += degenerate_chains()
@@ -153,7 +160,7 @@ def record(with_ncd9, with_degenerate, null):
     for name, rows, rho_mode, k_max, planted, mode in runs:
         rho = (mcagg.stationary_distribution(rows) if rho_mode == "stationary"
                else None)
-        res = run_pipeline(rows, rho, k_max=k_max, cfg=cfg,
+        res = run_pipeline(rows, rho, k_max=k_max,
                            options=SelectionOptions(mode=mode))
         out[name] = {
             "k_t": int(res.k_t),

@@ -23,19 +23,22 @@ log = logging.getLogger(__name__)
 
 _TINY = 1e-300
 
+# The annealing recipe, one for every run (Rose, Proc. IEEE 1998). anneal and
+# _converge read these when called, not as default arguments, so a script may
+# patch them for a null run.
+_ALPHA = 0.9            # cooling factor: T <- at most _ALPHA * T
+_T0_FACTOR = 2.0        # T0 = _T0_FACTOR * t_cr of the starting centroid
+_T_MIN_FACTOR = 1e-8    # stop once T < _T_MIN_FACTOR * T0
+_MERGE_TOL = 1e-6       # inf-norm under which two centroids coincide
+_DELTA = 1e-4           # shadow offset amplitude
+_FP_TOL = 1e-8          # sup-norm step that ends a fixed point
+_FP_MAX_ITER = 500      # map evaluations per fixed point
+_FLOOR = 1e-12          # centroid coordinates at or below it leave t_cr
+
 
 @dataclass(frozen=True)
 class AnnealConfig:
-    alpha: float = 0.9            # cooling factor: T <- at most alpha*T
-    t0_factor: float = 2.0        # T0 = t0_factor * t_cr(single centroid)
-    t_min_factor: float = 1e-8    # stop when T < t_min_factor * T0
-    merge_tol: float = 1e-6       # inf-norm for identifying coincident centroids
-    delta: float = 1e-4           # shadow offset amplitude
-    fp_tol: float = 1e-8
-    fp_max_iter: int = 500        # map evaluations per fixed point
     k_max: Optional[int] = None   # defaults to n
-    seed: int = 0
-    floor: float = 1e-12
 
 
 @dataclass(frozen=True)
@@ -121,7 +124,7 @@ def _squarem(Z, Z1, Z2):
     return Z - 2.0 * a * r + a * a * v
 
 
-def fixed_point(pi, rho, Z0, T, tol=1e-8, max_iter=500):
+def fixed_point(pi, rho, Z0, T, tol=_FP_TOL, max_iter=_FP_MAX_ITER):
     """Converge the Eq.-style alternating update at temperature T.
 
     Raises NoConvergence (carrying the last iterate) if max_iter is hit;
@@ -188,7 +191,7 @@ def _critical_full(rows, rho, Z, assoc, floor, vectors=False):
     return (tcrs, dirs) if vectors else tcrs
 
 
-def critical_temperature(pi, rho, Z, assoc, floor=1e-12):
+def critical_temperature(pi, rho, Z, assoc, floor=_FLOOR):
     """Critical temperatures of the current bank: per superstate, the top
     eigenvalue of its posterior-weighted deviation covariance whitened by the
     local KL curvature, on the coordinates where the centroid clears the
@@ -314,12 +317,12 @@ def _shadow_bank(Z, dirs, delta):
     return np.stack(out)
 
 
-def _converge(rows, self_ent, positive, rho, Z, T, cfg, warnings):
+def _converge(rows, self_ent, positive, rho, Z, T, warnings):
     """Fixed point with dead-centroid recovery; never raises."""
     while True:
         try:
             Z2, assoc, ok = _fp_iterate(rows, self_ent, positive, rho, Z, T,
-                                        cfg.fp_tol, cfg.fp_max_iter)
+                                        _FP_TOL, _FP_MAX_ITER)
             if not ok:
                 warnings.append((T, "shadow", "max_iter"))
             return Z2, assoc
@@ -330,14 +333,15 @@ def _converge(rows, self_ent, positive, rho, Z, T, cfg, warnings):
 
 
 def anneal(pi, rho=None, cfg=AnnealConfig()):
-    """Full annealing sweep. Returns AnnealResult whose entries hold at most
-    one Partition per k, in increasing k order."""
+    """Full annealing sweep, by the module's fixed recipe, up to cfg.k_max
+    centroids (default and cap n). Returns AnnealResult whose entries hold
+    at most one Partition per k, in increasing k order."""
     rows = as_rows(pi)
     n = rows.shape[0]
     rho = as_rho(rho, n)
     k_max = cfg.k_max if cfg.k_max is not None else n
     k_max = min(k_max, n)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(0)
 
     self_ent, positive = _self_entropy(rows), rows > 0
     entries = {1: make_partition(np.zeros(n, dtype=int), k=1)}
@@ -347,9 +351,9 @@ def anneal(pi, rho=None, cfg=AnnealConfig()):
     z0 = (rho @ rows)[None, :]
     ones = SoftAssociation(p=np.ones((n, 1)),
                            posterior=(rho / rho.sum())[:, None])
-    tcrs, dirs = _critical_full(rows, rho, z0, ones, cfg.floor, vectors=True)
-    t0 = cfg.t0_factor * max(tcrs[0], 1e-12)
-    t_min = cfg.t_min_factor * t0
+    tcrs, dirs = _critical_full(rows, rho, z0, ones, _FLOOR, vectors=True)
+    t0 = _T0_FACTOR * max(tcrs[0], 1e-12)
+    t_min = _T_MIN_FACTOR * t0
     T = t0
     Z = z0
     trace.append((T, _free_energy(_kl_rows(rows, self_ent, positive, Z),
@@ -363,10 +367,10 @@ def anneal(pi, rho=None, cfg=AnnealConfig()):
             if not dirs[j].any():
                 d = simplex_basis(n) @ rng.standard_normal(n - 1)
                 dirs[j] = d / np.linalg.norm(d)
-        bank = _shadow_bank(Z, dirs, cfg.delta)
-        bank, assoc = _converge(rows, self_ent, positive, rho, bank, T, cfg,
+        bank = _shadow_bank(Z, dirs, _DELTA)
+        bank, assoc = _converge(rows, self_ent, positive, rho, bank, T,
                                 warnings)
-        Zm, merge_map = _merge_bank(bank, cfg.merge_tol)
+        Zm, merge_map = _merge_bank(bank, _MERGE_TOL)
         if Zm.shape[0] > Z.shape[0]:
             # a jump past k_max is recorded too; AnnealResult drops entries
             # above k_max. In practice such jumps are rare under adaptive
@@ -381,10 +385,9 @@ def anneal(pi, rho=None, cfg=AnnealConfig()):
         # one solve of the merged bank under its Gibbs weights at T gives
         # the critical temperatures for cooling and the next directions
         probe = SoftAssociation(p=_softmin(D, T, False)[0])
-        tcrs, dirs = _critical_full(rows, rho, Z, probe, cfg.floor,
-                                    vectors=True)
+        tcrs, dirs = _critical_full(rows, rho, Z, probe, _FLOOR, vectors=True)
         tmax = float(tcrs.max()) if len(tcrs) else 0.0
-        nxt = cfg.alpha * T
+        nxt = _ALPHA * T
         if tmax > 0 and tmax < T:
             nxt = min(nxt, 0.95 * tmax)
         T = nxt

@@ -11,13 +11,12 @@ import sys
 
 import numpy as np
 
-from .anneal import AnnealConfig
 from .core import stationary_distribution
 from .errors import InputError, McaggError, ValidationError
 from .generators import default_counts, gen_ncd, gen_replicated_rows
 from .io import (file_sha256, ingest_bigrams, parse_matrix, parse_partitions,
                  write_matrix, write_partitions, write_report)
-from .pipeline import aggregate_per_k, run_pipeline
+from .pipeline import aggregate_per_k, resolve_k_max, run_pipeline
 from .selection import SelectionOptions, select_k
 
 
@@ -47,25 +46,9 @@ def _resolve_rho(matrix, choice):
     return np.full(matrix.n, 1.0 / matrix.n)
 
 
-def _anneal_cfg(args, k_max):
-    return AnnealConfig(
-        alpha=args.alpha, t0_factor=args.t0_factor,
-        t_min_factor=args.tmin_factor, merge_tol=args.merge_tol,
-        delta=args.delta, fp_tol=args.fp_tol, fp_max_iter=args.fp_max_iter,
-        k_max=k_max, seed=args.seed, floor=args.floor)
-
-
-def _add_anneal_flags(p):
+def _add_kmax_flag(p):
     p.add_argument("--kmax", type=int, default=None,
-                   help="largest model size (default min(n, 8))")
-    p.add_argument("--alpha", type=float, default=0.9)
-    p.add_argument("--t0-factor", dest="t0_factor", type=float, default=2.0)
-    p.add_argument("--tmin-factor", dest="tmin_factor", type=float,
-                   default=1e-8)
-    p.add_argument("--merge-tol", dest="merge_tol", type=float, default=1e-6)
-    p.add_argument("--delta", type=float, default=1e-4)
-    p.add_argument("--fp-tol", dest="fp_tol", type=float, default=1e-8)
-    p.add_argument("--fp-max-iter", dest="fp_max_iter", type=int, default=500)
+                   help="largest model size, at least 1 (default min(n, 8))")
 
 
 def _add_select_flags(p):
@@ -102,10 +85,9 @@ def _cmd_gen(args):
 def _cmd_aggregate(args):
     matrix = _load_matrix(args)
     rho = _resolve_rho(matrix, args.rho)
-    k_max = args.kmax if args.kmax else min(matrix.n, 8)
-    cfg = _anneal_cfg(args, k_max)
+    k_max = resolve_k_max(matrix.n, args.kmax)
     _print_config("aggregate", args, {"kmax_effective": k_max})
-    partitions, models, _ = aggregate_per_k(matrix.rows, rho, k_max, cfg)
+    partitions, models, _ = aggregate_per_k(matrix.rows, rho, k_max)
     write_partitions(partitions, args.out)
     if args.models:
         obj = {}
@@ -149,13 +131,11 @@ def _cmd_select(args):
 def _cmd_pipeline(args):
     matrix = _load_matrix(args)
     rho = _resolve_rho(matrix, args.rho)
-    k_max = args.kmax if args.kmax else min(matrix.n, 8)
-    cfg = _anneal_cfg(args, k_max)
+    k_max = resolve_k_max(matrix.n, args.kmax)
     options = SelectionOptions(mode=args.mode, membership=args.membership,
                                floor=args.floor)
     _print_config("pipeline", args, {"kmax_effective": k_max})
-    result = run_pipeline(matrix.rows, rho, k_max=k_max, cfg=cfg,
-                          options=options)
+    result = run_pipeline(matrix.rows, rho, k_max=k_max, options=options)
     print(f"k_t = {result.k_t}"
           + (" (exact fit)" if result.report.exact_fit else ""))
     if args.partitions_out:
@@ -203,11 +183,9 @@ def build_parser():
     a.add_argument("--models", help="also write centroids and psi here")
     a.add_argument("--rho", choices=["uniform", "stationary"],
                    default="uniform")
-    a.add_argument("--floor", type=float, default=1e-12)
-    a.add_argument("--seed", type=int, default=0)
     a.add_argument("--format", choices=["csv", "json"],
                    help="matrix format (default: by extension)")
-    _add_anneal_flags(a)
+    _add_kmax_flag(a)
     a.set_defaults(func=_cmd_aggregate)
 
     s = sub.add_parser("select", help="score partitions and pick k")
@@ -223,9 +201,8 @@ def build_parser():
     p.add_argument("--matrix", required=True)
     p.add_argument("--out", help="report path")
     p.add_argument("--partitions-out", dest="partitions_out")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=["csv", "json"])
-    _add_anneal_flags(p)
+    _add_kmax_flag(p)
     _add_select_flags(p)
     p.set_defaults(func=_cmd_pipeline)
 

@@ -9,7 +9,7 @@ a Lloyd pass and then a single-state move descent. The candidate with the
 lowest distortion wins. Selection then scores the chosen family.
 aggregate_fixed_k returns the partition and model at one k of that family.
 """
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .klgeom import _kl_rows, _self_entropy, build_model, hard_centroids
 from .selection import SelectionOptions, SelectionReport, select_k
 
 __all__ = ["PipelineResult", "aggregate_fixed_k", "aggregate_per_k",
-           "run_pipeline", "refine_per_k"]
+           "resolve_k_max", "run_pipeline", "refine_per_k"]
 
 
 @dataclass
@@ -244,21 +244,25 @@ def refine_per_k(pi, rho, sweep_parts, k_max):
     return chosen
 
 
-def aggregate_per_k(pi, rho=None, k_max=None, cfg=None):
+def resolve_k_max(n, k_max):
+    """The largest model size for an n-state chain: min(n, 8) when k_max is
+    None, else k_max capped at n. Raises DimensionMismatch when k_max < 1."""
+    if k_max is None:
+        return min(n, 8)
+    if k_max < 1:
+        raise DimensionMismatch(f"k_max = {k_max} is below 1")
+    return min(int(k_max), n)
+
+
+def aggregate_per_k(pi, rho=None, k_max=None):
     """Anneal, then refine: one partition and model per k in 1..k_max, and
-    the annealing trace, as (partitions, models, trace). k_max defaults to
-    cfg.k_max, else min(n, 8), and is capped at n."""
+    the annealing trace, as (partitions, models, trace). k_max is resolved
+    by resolve_k_max."""
     rows = as_rows(pi)
     n = rows.shape[0]
     rho = as_rho(rho, n)
-    if k_max is None:
-        k_max = cfg.k_max if cfg is not None and cfg.k_max else min(n, 8)
-    k_max = min(int(k_max), n)
-    if cfg is None:
-        cfg = AnnealConfig(k_max=k_max)
-    elif cfg.k_max != k_max:
-        cfg = replace(cfg, k_max=k_max)
-    result = anneal(rows, rho, cfg)
+    k_max = resolve_k_max(n, k_max)
+    result = anneal(rows, rho, AnnealConfig(k_max=k_max))
     sweep_parts = {part.k: part.assign for part in result.entries}
     chosen = refine_per_k(rows, rho, sweep_parts, k_max)
     partitions = {}
@@ -270,24 +274,23 @@ def aggregate_per_k(pi, rho=None, k_max=None, cfg=None):
     return partitions, models, result.trace
 
 
-def aggregate_fixed_k(pi, rho, k, cfg=AnnealConfig()):
+def aggregate_fixed_k(pi, rho, k):
     """The pipeline's partition and model at exactly k superstates, as
     (Partition, AggregatedModel). Raises DimensionMismatch unless
     1 <= k <= n."""
     n = as_rows(pi).shape[0]
     if not 1 <= k <= n:
         raise DimensionMismatch(f"k = {k} is outside 1..{n}")
-    partitions, models, _ = aggregate_per_k(pi, rho, k, cfg)
+    partitions, models, _ = aggregate_per_k(pi, rho, k)
     return partitions[k], models[k]
 
 
-def run_pipeline(pi, rho=None, k_max=None, cfg=None,
-                 options=SelectionOptions()):
+def run_pipeline(pi, rho=None, k_max=None, options=SelectionOptions()):
     """Aggregate then select. Returns PipelineResult with one partition and
     model per k in 1..k_max and the selection report."""
     rows = as_rows(pi)
     rho = as_rho(rho, rows.shape[0])
-    partitions, models, trace = aggregate_per_k(rows, rho, k_max, cfg)
+    partitions, models, trace = aggregate_per_k(rows, rho, k_max)
     report = select_k(rows, partitions, rho, options)
     return PipelineResult(partitions=partitions, models=models,
                           report=report, trace=trace)

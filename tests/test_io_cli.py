@@ -435,6 +435,26 @@ def test_cli_exit_codes(tmp_path):
     assert cli.main(["pipeline", "--matrix", str(sums), "--bogus"]) == 1
 
 
+@pytest.mark.parametrize("argv,rc", [
+    (["pipeline", "--kmax", "0"], 1),
+    (["pipeline", "--kmax", "-3"], 1),
+    (["aggregate", "--kmax", "0", "--out", "parts.json"], 1),
+    (["pipeline", "--fp-max-iter", "0"], 1),   # the annealer takes no flags
+    (["pipeline", "--kmax", "1"], 0),
+])
+def test_cli_kmax_is_validated(tmp_path, monkeypatch, capsys, argv, rc):
+    # the CLI resolves k_max as the library does: below 1 is a usage error,
+    # never a silent default
+    monkeypatch.chdir(tmp_path)
+    mpath = _gen_matrix(tmp_path)
+    assert cli.main(argv[:1] + ["--matrix", str(mpath)] + argv[1:]) == rc
+    out, err = capsys.readouterr()
+    if rc:
+        assert "error:" in err
+    else:
+        assert '"kmax_effective": 1' in out and "k_t = 1" in out
+
+
 def test_cli_select_wrong_length_partitions(tmp_path, capsys):
     mpath = _gen_matrix(tmp_path)                      # 9 states
     parts = tmp_path / "parts.json"
@@ -499,17 +519,56 @@ def test_cli_pipeline_reaches_module_hooks(tmp_path, monkeypatch):
     _assert_select_k_call(calls[2], 9)
 
 
+def _load_perfbench(name):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_benchmark_hook_names_resolve():
     # perfbench/tracing.py wraps each (module, attribute) it lists with a
     # getattr, so a name that is gone stops every traced benchmark run
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _load_perfbench("tracing")
     hooks = tracing.SPANS + tracing.COUNTS + tracing.CAPTURES
     missing = [(mod, attr) for mod, attr, _ in hooks
                if not hasattr(importlib.import_module(mod), attr)]
     assert missing == []
+
+
+def test_benchmark_reads_the_anneal_call(tmp_path):
+    # perfbench/run.py:anneal_stats reads cfg.k_max from the third argument
+    # of the traced anneal call and the AnnealResult fields on every traced
+    # op; a change to that call shape stops every traced benchmark run
+    thread_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                   "MKL_NUM_THREADS")
+    saved = {var: os.environ.get(var) for var in thread_vars}
+    try:
+        run = _load_perfbench("run")     # sets the three at import
+    finally:
+        for var, value in saved.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
+    tracer = _load_perfbench("tracing").Tracer(timed=True)
+    mpath = _gen_matrix(tmp_path)
+    rows = parse_matrix(mpath).rows
+    calls = [lambda: cli.main(["pipeline", "--matrix", str(mpath),
+                               "--kmax", "4"]),
+             lambda: pipeline.run_pipeline(rows, k_max=6)]
+    records = []
+    tracer.install()
+    try:
+        for op, call in enumerate(calls):
+            tracer.begin_op(op)
+            call()
+            run.anneal_stats(tracer, records)
+            assert len(records) == op + 1
+            assert 0 < records[-1]["k_yield"] <= 1
+    finally:
+        tracer.uninstall()
 
 
 def test_cli_deterministic_reports(tmp_path):

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 import mcagg.pipeline as pipeline
 from mcagg.anneal import AnnealConfig, _lloyd, anneal
 from mcagg.core import stationary_distribution
+from mcagg.errors import DimensionMismatch
 from mcagg.generators import gen_ncd
 from mcagg.io import parse_matrix
 from mcagg.klgeom import _self_entropy
@@ -415,6 +416,13 @@ def test_aggregate_fixed_k_is_the_pipeline_partition(k):
     want = run_pipeline(pi.rows, k_max=k).partitions[k]
     np.testing.assert_array_equal(part.assign, want.assign)
     np.testing.assert_array_equal(model.partition.assign, want.assign)
+
+
+@pytest.mark.parametrize("k_max", [0, -3])
+def test_run_pipeline_rejects_k_max_below_one(k_max):
+    pi, _ = gen_ncd(blocks=[3, 3, 3], eps=0.05, seed=1)
+    with pytest.raises(DimensionMismatch, match="below 1"):
+        run_pipeline(pi.rows, k_max=k_max)
 
 
 def test_pipeline_courtois_three_blocks():
