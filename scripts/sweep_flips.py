@@ -33,15 +33,28 @@ many flips a change with no intended effect already causes: ``t0`` and
 ``delta`` raise the annealer's constant ``_T0_FACTOR`` or ``_DELTA`` by one
 ulp, ``swap`` places each shadow pair in -/+ instead of +/- order. Each
 patches mcagg.anneal for the run and restores it afterwards.
+``--exact`` also records, for every chain of at most 10 states, the exact
+minimum distortion at each k, found by a dynamic program over the 2^n
+subsets of states. A partition's distortion is the sum of its groups' terms
+SE_g - S_g . log(S_g / M_g) (S_g the rho-weighted row sum, M_g the group
+mass, SE_g the weighted self-entropies; Banerjee et al., JMLR 2005), so the
+best split of a subset into k groups is the best first group, taken to hold
+the subset's lowest state, plus the best split of the rest into k - 1.
+
 ``--compare`` prints every k_t change and every partition flip with its
 distortion before and after, then totals: flips, ties among them
-(distortions equal within 1e-12 relative), flips at k <= the planted k_t
-that raise distortion by more than a tie, and the summed distortion change
-over the flips. It exits 1 when any chain's k_t changed, so it serves as
-the k_t gate alone.
+(distortions equal within 1e-12 relative or 1e-15 absolute, so two exact
+fits that differ by rounding tie), flips at k <= the planted k_t that raise
+distortion by more than a tie, and the summed distortion change over the
+flips. When both records hold exact minima it also prints every (chain, k)
+pair, k >= 2, that gains or loses the optimum (distortion within 1e-9
+relative plus 1e-12 absolute of the minimum) and the count at the optimum
+per chain set. It exits 1 when any chain's k_t changed, so it serves as the
+k_t gate alone.
 """
 import argparse
 import contextlib
+import functools
 import importlib
 import json
 import sys
@@ -53,12 +66,21 @@ import numpy as np
 import mcagg
 from mcagg import (SelectionOptions, gen_ncd, gen_replicated_rows,
                    run_pipeline)
+from mcagg.core import as_rho
 
 anneal_module = importlib.import_module("mcagg.anneal")
 
-# two distortions closer than this, relative, are a tie: different partitions
-# with the same cost up to rounding, such as swapped equal blocks
+# two distortions closer than TIE_REL relative, or TIE_ABS absolute, are a
+# tie: different partitions with the same cost up to rounding, such as
+# swapped equal blocks or two exact fits
 TIE_REL = 1e-12
+TIE_ABS = 1e-15
+
+# --exact covers the chains of at most EXACT_MAX_N states; a distortion at
+# most OPT_REL relative plus OPT_ABS above the exact minimum is at it
+EXACT_MAX_N = 10
+OPT_REL = 1e-9
+OPT_ABS = 1e-12
 
 
 def _chain_seeds(seed, tag, count):
@@ -131,6 +153,50 @@ def canonical(assign):
     return [first.setdefault(int(a), len(first)) for a in assign]
 
 
+@functools.lru_cache(maxsize=None)
+def _subset_pairs(n):
+    """(mask, sub, starts) over the nonempty subsets mask of n states: every
+    sub of mask that holds mask's lowest state, grouped by mask in
+    increasing order, with starts the first position of each mask."""
+    mask, sub, starts = [], [], []
+    for m in range(1, 1 << n):
+        low = m & -m
+        rest = m ^ low
+        starts.append(len(mask))
+        r = rest
+        while True:
+            mask.append(m)
+            sub.append(r | low)
+            if r == 0:
+                break
+            r = (r - 1) & rest
+    return np.array(mask), np.array(sub), np.array(starts)
+
+
+def exact_minima(rows, rho, k_max):
+    """The minimum distortion over the partitions into exactly k nonempty
+    groups, for k in 1..k_max. Computed apart from mcagg, so that a change
+    to the package cannot move it."""
+    n = rows.shape[0]
+    bits = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(float)
+    ent = np.where(rows > 0, rows * np.log(np.where(rows > 0, rows, 1.0)),
+                   0.0).sum(axis=1)
+    S, M, SE = bits @ (rho[:, None] * rows), bits @ rho, bits @ (rho * ent)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lz = np.log(np.maximum(S / M[:, None], 1e-300))
+        cost = np.where(M > 0, SE - (S * lz).sum(axis=1), 0.0)
+    mask, sub, starts = _subset_pairs(n)
+    best = cost.copy()          # best[m]: m split into k groups, here k = 1
+    best[0] = np.inf
+    out = {1: float(best[-1])}
+    for k in range(2, k_max + 1):
+        nxt = np.full(1 << n, np.inf)
+        nxt[1:] = np.minimum.reduceat(cost[sub] + best[mask ^ sub], starts)
+        best = nxt
+        out[k] = float(best[-1])
+    return out
+
+
 def _null_patch(null):
     """(name, value) to set on mcagg.anneal for a null run."""
     if null == "t0":
@@ -146,13 +212,13 @@ def _null_patch(null):
     return "_shadow_bank", swapped
 
 
-def record(with_ncd9, with_degenerate, null):
+def record(with_ncd9, with_degenerate, null, exact):
     with (mock.patch.object(anneal_module, *_null_patch(null)) if null
           else contextlib.nullcontext()):
-        return _record(with_ncd9, with_degenerate)
+        return _record(with_ncd9, with_degenerate, exact)
 
 
-def _record(with_ncd9, with_degenerate):
+def _record(with_ncd9, with_degenerate, exact):
     runs = [(*c, "plain") for c in chains(with_ncd9)]
     if with_degenerate:
         runs += degenerate_chains()
@@ -170,6 +236,10 @@ def _record(with_ncd9, with_degenerate):
             "distortion": {str(k): mcagg.distortion(rows, m, rho)
                            for k, m in res.models.items()},
         }
+        if exact and rows.shape[0] <= EXACT_MAX_N:
+            minima = exact_minima(rows, as_rho(rho, rows.shape[0]),
+                                  max(res.partitions))
+            out[name]["exact"] = {str(k): v for k, v in minima.items()}
     return out
 
 
@@ -180,6 +250,12 @@ def family(name):
     return name[:name.rindex("-s")]
 
 
+def at_optimum(chain, k):
+    """Whether the chain's partition at k reaches the exact minimum."""
+    d, opt = chain["distortion"][k], chain["exact"][k]
+    return d <= opt + OPT_REL * abs(opt) + OPT_ABS
+
+
 def compare(a, b):
     """Print every k_t change and partition flip from run a to run b, then
     the totals per chain set and overall; returns the overall totals."""
@@ -188,7 +264,8 @@ def compare(a, b):
         ca, cb = a[name], b[name]
         t = totals.setdefault(family(name), dict(
             chains=0, partitions=0, hits_a=0, hits_b=0, kt_changed=0,
-            flips=0, ties=0, raised_low=0, delta=0.0))
+            flips=0, ties=0, raised_low=0, delta=0.0, exact=0, opt_a=0,
+            opt_b=0))
         t["chains"] += 1
         t["partitions"] += len(ca["partitions"])
         t["hits_a"] += ca["k_t"] == ca["planted_k"]
@@ -201,7 +278,8 @@ def compare(a, b):
             if pa == cb["partitions"][k]:
                 continue
             da, db = ca["distortion"][k], cb["distortion"][k]
-            tie = abs(db - da) <= TIE_REL * max(abs(da), abs(db))
+            tie = abs(db - da) <= max(TIE_REL * max(abs(da), abs(db)),
+                                      TIE_ABS)
             low = (ca["planted_k"] is not None
                    and int(k) <= ca["planted_k"])
             t["flips"] += 1
@@ -211,6 +289,19 @@ def compare(a, b):
             print(f"FLIP {name} k={k}: distortion {da:.6g} -> {db:.6g} "
                   f"({db - da:+.3g}){' tie' if tie else ''}"
                   f"{' at k <= planted' if low else ''}")
+        if "exact" not in ca or "exact" not in cb:
+            continue
+        for k in ca["partitions"]:
+            if k == "1":
+                continue
+            oa, ob = at_optimum(ca, k), at_optimum(cb, k)
+            t["exact"] += 1
+            t["opt_a"] += oa
+            t["opt_b"] += ob
+            if oa != ob:
+                da, db = ca["distortion"][k], cb["distortion"][k]
+                print(f"OPT{'+' if ob else '-'} {name} k={k}: distortion "
+                      f"{da:.10g} -> {db:.10g}, optimum {cb['exact'][k]:.10g}")
     overall = {key: sum(t[key] for t in totals.values())
                for key in next(iter(totals.values()))}
     for fam, t in list(totals.items()) + [("all", overall)]:
@@ -220,6 +311,9 @@ def compare(a, b):
               f"({t['ties']} ties), {t['raised_low']} at k <= planted k_t "
               f"raise distortion beyond a tie; summed distortion change "
               f"over the flips {t['delta']:+.4g}")
+        if t["exact"]:
+            print(f"{fam}: exact optimum at {t['opt_a']} -> {t['opt_b']} of "
+                  f"{t['exact']} (chain, k >= 2) pairs")
     return overall
 
 
@@ -232,6 +326,9 @@ def main():
                     help="add the 1600 runs of 400 degenerate chains")
     ap.add_argument("--null", choices=("t0", "delta", "swap"),
                     help="record a null run (see the module docstring)")
+    ap.add_argument("--exact", action="store_true",
+                    help="also record the exact minimum distortion at each "
+                         f"k for chains of at most {EXACT_MAX_N} states")
     ap.add_argument("--compare", nargs=2, metavar=("A", "B"),
                     help="print the flips from record A to record B")
     args = ap.parse_args()
@@ -244,7 +341,8 @@ def main():
     if not args.out:
         ap.error("give --out FILE or --compare A B")
     t0 = time.time()
-    out = record(args.with_ncd9_eps0, args.with_degenerate, args.null)
+    out = record(args.with_ncd9_eps0, args.with_degenerate, args.null,
+                 args.exact)
     with open(args.out, "w") as fh:
         json.dump(out, fh)
     print(f"{len(out)} chains written to {args.out} "

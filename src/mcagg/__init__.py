@@ -6,7 +6,7 @@ from .anneal import (AnnealConfig, AnnealResult, CriticalReport, anneal,
 from .core import (AggregatedModel, Partition, StochasticMatrix,
                    make_partition, simplex_basis, stationary_distribution,
                    validate_stochastic)
-from .generators import GenSpec, gen_ncd, gen_replicated_rows, perturb
+from .generators import gen_ncd, gen_replicated_rows, perturb
 from .io import (ingest_bigrams, parse_matrix, parse_partitions, read_report,
                  write_matrix, write_partitions, write_report)
 from .klgeom import (SoftAssociation, aggregate_transitions, build_model,
@@ -21,8 +21,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AggregatedModel", "AnnealConfig", "AnnealResult", "CriticalReport",
-    "GenSpec", "Partition", "PipelineResult", "SelectionOptions",
-    "SelectionReport", "SoftAssociation", "StochasticMatrix",
+    "Partition", "PipelineResult", "SelectionOptions", "SelectionReport",
+    "SoftAssociation", "StochasticMatrix",
     "aggregate_fixed_k", "aggregate_transitions", "anneal", "build_model",
     "covariance_matrix", "critical_temperature", "distance_matrix",
     "distortion", "extract_hard_partition", "fixed_point", "free_energy",

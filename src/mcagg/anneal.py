@@ -14,7 +14,8 @@ from typing import Optional
 import numpy as np
 
 from .core import as_rho, as_rows, make_partition, simplex_basis
-from .errors import EmptySuperstate, InadmissiblePerturbation, NoConvergence
+from .errors import (DimensionMismatch, EmptySuperstate,
+                     InadmissiblePerturbation, NoConvergence)
 from .klgeom import (SoftAssociation, _free_energy, _kl_rows, _self_entropy,
                      _softmin, hard_centroids, posterior_and_centroids)
 from .selection import _top_deviation
@@ -334,12 +335,15 @@ def _converge(rows, self_ent, positive, rho, Z, T, warnings):
 
 def anneal(pi, rho=None, cfg=AnnealConfig()):
     """Full annealing sweep, by the module's fixed recipe, up to cfg.k_max
-    centroids (default and cap n). Returns AnnealResult whose entries hold
-    at most one Partition per k, in increasing k order."""
+    centroids (default and cap n; below 1 raises DimensionMismatch).
+    Returns AnnealResult whose entries hold at most one Partition per k, in
+    increasing k order."""
     rows = as_rows(pi)
     n = rows.shape[0]
     rho = as_rho(rho, n)
     k_max = cfg.k_max if cfg.k_max is not None else n
+    if k_max < 1:
+        raise DimensionMismatch(f"k_max = {k_max} is below 1")
     k_max = min(k_max, n)
     rng = np.random.default_rng(0)
 
@@ -398,16 +402,19 @@ def anneal(pi, rho=None, cfg=AnnealConfig()):
 
 
 def _lloyd(rows, rho, assign, self_ent, positive, max_iter=200):
-    """Zero-temperature polish: reassign to the nearest hard centroid until
-    stable. Keeps the group count by reseeding empty groups with the farthest
-    row from its current centroid. self_ent and positive are the rows'
-    self-entropies and support mask (see klgeom._kl_rows)."""
+    """Zero-temperature polish: reassign every state with rho > 0 to the
+    nearest hard centroid until stable. A state with rho = 0 adds nothing
+    to the distortion wherever it sits, so it keeps its group. Keeps the
+    group count by reseeding empty groups with the farthest row from its
+    current centroid. self_ent and positive are the rows' self-entropies
+    and support mask (see klgeom._kl_rows)."""
     assign = np.asarray(assign, dtype=int).copy()
     k = int(assign.max()) + 1
+    live = rho > 0
     for _ in range(max_iter):
         W = hard_centroids(rows, assign, rho)
         D = _kl_rows(rows, self_ent, positive, W)
-        new = np.argmin(D, axis=1)
+        new = np.where(live, np.argmin(D, axis=1), assign)
         # reseed empties deterministically
         for j in range(k):
             if not np.any(new == j):

@@ -5,26 +5,12 @@ plus a level-eps random stochastic matrix) and replicated-row chains (k_t
 prototype rows repeated with multiplicities, same perturbation). Everything
 is a pure function of the seed.
 """
-from dataclasses import dataclass
-from typing import Optional, Sequence
-
 import numpy as np
 
 from .core import StochasticMatrix, make_partition
 from .errors import BlockTooSmall, CountMismatch
 
-__all__ = ["GenSpec", "gen_ncd", "gen_replicated_rows", "perturb"]
-
-
-@dataclass(frozen=True)
-class GenSpec:
-    family: str                      # "ncd" | "replicated_rows"
-    blocks: Optional[Sequence[int]] = None   # ncd block sizes
-    n: Optional[int] = None                  # replicated_rows: state count
-    k_t: Optional[int] = None                # replicated_rows: true clusters
-    counts: Optional[Sequence[int]] = None   # replicated_rows multiplicities
-    eps: float = 0.0
-    seed: int = 0
+__all__ = ["gen_ncd", "gen_replicated_rows", "perturb"]
 
 
 def default_counts(n, k_t):
@@ -35,15 +21,7 @@ def default_counts(n, k_t):
     return tuple(int(c) for c in counts)
 
 
-def _coerce(spec_or_kwargs, **kwargs):
-    if isinstance(spec_or_kwargs, GenSpec):
-        return spec_or_kwargs
-    if isinstance(spec_or_kwargs, dict):
-        return GenSpec(**spec_or_kwargs)
-    return GenSpec(spec_or_kwargs, **kwargs)
-
-
-def gen_ncd(spec=None, blocks=None, eps=0.0, seed=0):
+def gen_ncd(blocks, eps=0.0, seed=0):
     """Nearly-completely-decomposable chain.
 
     Pi* is block-diagonal with independent flat-Dirichlet rows on each
@@ -51,9 +29,6 @@ def gen_ncd(spec=None, blocks=None, eps=0.0, seed=0):
     random stochastic matrix on all states. Returns (StochasticMatrix,
     truth Partition over blocks).
     """
-    if spec is not None:
-        spec = _coerce(spec)
-        blocks, eps, seed = spec.blocks, spec.eps, spec.seed
     blocks = [int(b) for b in blocks]
     if any(b < 1 for b in blocks):
         raise BlockTooSmall(f"block sizes must be >= 1, got {blocks}")
@@ -76,15 +51,10 @@ def gen_ncd(spec=None, blocks=None, eps=0.0, seed=0):
     return StochasticMatrix(rows=out), make_partition(truth, k=len(blocks))
 
 
-def gen_replicated_rows(spec=None, n=None, k_t=None, counts=None,
-                        eps=0.0, seed=0):
+def gen_replicated_rows(n, k_t=None, counts=None, eps=0.0, seed=0):
     """Chain whose rows are k_t flat-Dirichlet prototype vectors repeated
     with the given multiplicities, then perturbed. Returns
     (StochasticMatrix, truth Partition)."""
-    if spec is not None:
-        spec = _coerce(spec)
-        n, k_t, counts = spec.n, spec.k_t, spec.counts
-        eps, seed = spec.eps, spec.seed
     n = int(n)
     if counts is None:
         counts = default_counts(n, int(k_t))

@@ -4,8 +4,10 @@ The annealing sweep gives one partition per k it passes through. Refinement
 gives one partition for every k in 1..min(k_max, n), deterministically: at
 each k the candidates are the sweep partition, if the sweep reached k, and
 the chosen (k-1)-partition with the farthest state of one group split off,
-unpolished and polished, for each group of at least 2 states. Polishing is
-a Lloyd pass and then a single-state move descent. The candidate with the
+for each group of at least 2 states, each polished. Polishing is a Lloyd
+pass and then a single-state move descent. Lloyd reassigns, and the
+descent moves, only states of positive weight: a state of zero weight adds
+nothing to the distortion wherever it sits. The candidate with the
 lowest distortion wins. Selection then scores the chosen family.
 aggregate_fixed_k returns the partition and model at one k of that family.
 """
@@ -16,7 +18,8 @@ import numpy as np
 from .anneal import AnnealConfig, _lloyd, anneal
 from .core import as_rho, as_rows, make_partition
 from .errors import DimensionMismatch
-from .klgeom import _kl_rows, _self_entropy, build_model, hard_centroids
+from .klgeom import (_group_mean, _kl_rows, _self_entropy, build_model,
+                     hard_centroids)
 from .selection import SelectionOptions, SelectionReport, select_k
 
 __all__ = ["PipelineResult", "aggregate_fixed_k", "aggregate_per_k",
@@ -190,13 +193,7 @@ def _move_descent(rows, rho, assign, self_ent, memo=None, max_passes=50):
 def _farthest(rows, rho, self_ent, positive, idx):
     """Position within idx of the member farthest, in KL, from the
     rho-weighted mean of the rows in idx."""
-    # not klgeom._group_mean, whose last bits differ: in a group of
-    # duplicated rows every distance is rounding noise, and the argmax
-    # follows those bits
-    w = rho[idx]
-    if w.sum() == 0.0:
-        w = np.ones(len(idx))   # zero-weight states: their plain mean
-    z = (w / w.sum()) @ rows[idx]
+    z = _group_mean(rows[idx], rho[idx])
     d = _kl_rows(rows[idx], self_ent[idx], positive[idx], z[None, :])[:, 0]
     return int(np.argmax(d))
 
@@ -204,8 +201,8 @@ def _farthest(rows, rho, self_ent, positive, idx):
 def refine_per_k(pi, rho, sweep_parts, k_max):
     """Consecutive k -> assignment map for k in 1..min(k_max, n), each the
     lowest-distortion candidate among the polished sweep snapshot and the
-    farthest-state splits of the previous choice, unpolished and polished.
-    The first of equal scores wins."""
+    polished farthest-state splits of the previous choice. The first of
+    equal scores wins."""
     rows = as_rows(pi)
     n = rows.shape[0]
     rho = as_rho(rho, n)
@@ -233,7 +230,7 @@ def refine_per_k(pi, rho, sweep_parts, k_max):
                 continue
             a = prev.copy()
             a[idx[_farthest(rows, rho, ent, pos, idx)]] = k - 1
-            cands += [a, polish(a)]
+            cands.append(polish(a))
         # a repeat scores the same, so it can never be the first minimum
         unique = {}
         for a in cands:

@@ -728,3 +728,10 @@ def test_aggregate_fixed_k_rejects_k_outside_one_to_n(k):
     pi, _ = gen_ncd(blocks=[3, 3, 3], eps=0.05, seed=1)
     with pytest.raises(DimensionMismatch, match=f"k = {k} is outside 1..9"):
         aggregate_fixed_k(pi.rows, None, k)
+
+
+@pytest.mark.parametrize("k_max", [0, -3])
+def test_anneal_rejects_k_max_below_one(k_max):
+    pi, _ = gen_ncd(blocks=[3, 3, 3], eps=0.05, seed=1)
+    with pytest.raises(DimensionMismatch, match=f"k_max = {k_max} is below 1"):
+        anneal(pi.rows, cfg=AnnealConfig(k_max=k_max))

@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from mcagg.core import StochasticMatrix, validate_stochastic
 from mcagg.errors import BlockTooSmall, CountMismatch
-from mcagg.generators import (GenSpec, default_counts, gen_ncd,
-                              gen_replicated_rows, perturb)
+from mcagg.generators import (default_counts, gen_ncd, gen_replicated_rows,
+                              perturb)
 from mcagg.klgeom import build_model, distortion
 from mcagg.selection import heterogeneity
 
@@ -39,10 +39,19 @@ def test_ncd_block_too_small():
         gen_ncd(blocks=[1])
 
 
-def test_ncd_genspec_equivalent():
-    spec = GenSpec(family="ncd", blocks=(3, 3), eps=0.1, seed=9)
-    a, _ = gen_ncd(spec)
-    b, _ = gen_ncd(blocks=[3, 3], eps=0.1, seed=9)
+def test_generators_positional_call_equals_keyword_call():
+    want = gen_ncd(blocks=[3, 3, 3], eps=0.05, seed=1)
+    for got in (gen_ncd([3, 3, 3], eps=0.05, seed=1),
+                gen_ncd([3, 3, 3], 0.05, 1)):
+        assert np.array_equal(got[0].rows, want[0].rows)
+        assert np.array_equal(got[1].assign, want[1].assign)
+    want = gen_replicated_rows(n=10, counts=(4, 3, 3), eps=0.1, seed=2)
+    for got in (gen_replicated_rows(10, counts=(4, 3, 3), eps=0.1, seed=2),
+                gen_replicated_rows(10, None, (4, 3, 3), 0.1, 2)):
+        assert np.array_equal(got[0].rows, want[0].rows)
+        assert np.array_equal(got[1].assign, want[1].assign)
+    a, _ = gen_replicated_rows(10, 3, eps=0.1)
+    b, _ = gen_replicated_rows(n=10, k_t=3, eps=0.1)
     assert np.array_equal(a.rows, b.rows)
 
 

@@ -340,6 +340,10 @@ def test_refine_scores_each_candidate_once(monkeypatch):
     assert sorted({k for k, _ in scored}) == list(range(2, 7))
     for k in range(2, 7):
         assert int(chosen[k].max()) + 1 == k
+        # the polished snapshot and one polished split per group of the
+        # previous choice with at least 2 states
+        splittable = int((np.bincount(chosen[k - 1]) >= 2).sum())
+        assert sum(j == k for j, _ in scored) <= 1 + splittable
 
 
 # two closed 2-state classes and two transient states that lead into them;
@@ -389,6 +393,18 @@ def test_zero_weight_group_gets_plain_mean_centroid():
     assert pipeline._farthest(rows, rho, ent, pos, idx) == int(np.argmax(d))
 
 
+@pytest.mark.parametrize("start", [[0, 0, 1, 1, 1, 0], [0, 0, 1, 1, 0, 1],
+                                   [0, 1, 2, 2, 2, 1]])
+def test_lloyd_keeps_zero_weight_states(start):
+    # the transient states 4 and 5 weigh 0 and start in different groups;
+    # they add nothing to the distortion wherever they sit, so they stay
+    rows = ZERO_WEIGHT_ROWS
+    rho = stationary_distribution(rows)
+    start = np.array(start)
+    got = _lloyd(rows, rho, start, _self_entropy(rows), rows > 0)
+    np.testing.assert_array_equal(got[4:], start[4:])
+
+
 @pytest.mark.parametrize("seed", range(1, 11))
 def test_pipeline_absorbing_chain_under_stationary_rho(seed):
     # a (3,3,3) NCD chain whose state 0 is absorbing: all the weight sits on
@@ -401,10 +417,11 @@ def test_pipeline_absorbing_chain_under_stationary_rho(seed):
     res = run_pipeline(rows, rho, k_max=6)
     assert sorted(res.partitions) == list(range(1, 7))
     assert all(np.isfinite(t) and t >= 0 for t in res.report.t_bars.values())
-    # the steady state is a point mass on state 0, so every superstate is
-    # homogeneous at its one weighted member; refinement keeps the
-    # unpolished farthest-state splits, which hold the zero-weight states'
-    # ties in place, and without them t_bar reaches 8.5-11
+    # the steady state is a point mass on state 0, so every partition has
+    # distortion 0 and every superstate is homogeneous at its one weighted
+    # member; polishing must leave the zero-weight states in the groups the
+    # splits put them in: gathered into one group, which selection weighs
+    # uniformly, they would lift t_bar to 8.5-11
     assert res.report.exact_fit
     assert all(t == 0.0 for t in res.report.t_bars.values())
 
