@@ -33,7 +33,8 @@ many flips a change with no intended effect already causes: ``t0`` and
 ``delta`` raise the annealer's constant ``_T0_FACTOR`` or ``_DELTA`` by one
 ulp, ``swap`` places each shadow pair in -/+ instead of +/- order. Each
 patches mcagg.anneal for the run and restores it afterwards.
-``--exact`` also records, for every chain of at most 10 states, the exact
+
+For every chain of at most 10 states the record also holds the exact
 minimum distortion at each k, found by a dynamic program over the 2^n
 subsets of states. A partition's distortion is the sum of its groups' terms
 SE_g - S_g . log(S_g / M_g) (S_g the rho-weighted row sum, M_g the group
@@ -46,7 +47,7 @@ distortion before and after, then totals: flips, ties among them
 (distortions equal within 1e-12 relative or 1e-15 absolute, so two exact
 fits that differ by rounding tie), flips at k <= the planted k_t that raise
 distortion by more than a tie, and the summed distortion change over the
-flips. When both records hold exact minima it also prints every (chain, k)
+flips. For the chains of at most 10 states it also prints every (chain, k)
 pair, k >= 2, that gains or loses the optimum (distortion within 1e-9
 relative plus 1e-12 absolute of the minimum) and the count at the optimum
 per chain set. It exits 1 when any chain's k_t changed, so it serves as the
@@ -76,8 +77,8 @@ anneal_module = importlib.import_module("mcagg.anneal")
 TIE_REL = 1e-12
 TIE_ABS = 1e-15
 
-# --exact covers the chains of at most EXACT_MAX_N states; a distortion at
-# most OPT_REL relative plus OPT_ABS above the exact minimum is at it
+# exact minima are recorded for the chains of at most EXACT_MAX_N states; a
+# distortion at most OPT_REL relative plus OPT_ABS above the minimum is at it
 EXACT_MAX_N = 10
 OPT_REL = 1e-9
 OPT_ABS = 1e-12
@@ -212,13 +213,13 @@ def _null_patch(null):
     return "_shadow_bank", swapped
 
 
-def record(with_ncd9, with_degenerate, null, exact):
+def record(with_ncd9, with_degenerate, null):
     with (mock.patch.object(anneal_module, *_null_patch(null)) if null
           else contextlib.nullcontext()):
-        return _record(with_ncd9, with_degenerate, exact)
+        return _record(with_ncd9, with_degenerate)
 
 
-def _record(with_ncd9, with_degenerate, exact):
+def _record(with_ncd9, with_degenerate):
     runs = [(*c, "plain") for c in chains(with_ncd9)]
     if with_degenerate:
         runs += degenerate_chains()
@@ -236,7 +237,7 @@ def _record(with_ncd9, with_degenerate, exact):
             "distortion": {str(k): mcagg.distortion(rows, m, rho)
                            for k, m in res.models.items()},
         }
-        if exact and rows.shape[0] <= EXACT_MAX_N:
+        if rows.shape[0] <= EXACT_MAX_N:
             minima = exact_minima(rows, as_rho(rho, rows.shape[0]),
                                   max(res.partitions))
             out[name]["exact"] = {str(k): v for k, v in minima.items()}
@@ -289,7 +290,7 @@ def compare(a, b):
             print(f"FLIP {name} k={k}: distortion {da:.6g} -> {db:.6g} "
                   f"({db - da:+.3g}){' tie' if tie else ''}"
                   f"{' at k <= planted' if low else ''}")
-        if "exact" not in ca or "exact" not in cb:
+        if "exact" not in ca or "exact" not in cb:  # n > EXACT_MAX_N
             continue
         for k in ca["partitions"]:
             if k == "1":
@@ -326,9 +327,6 @@ def main():
                     help="add the 1600 runs of 400 degenerate chains")
     ap.add_argument("--null", choices=("t0", "delta", "swap"),
                     help="record a null run (see the module docstring)")
-    ap.add_argument("--exact", action="store_true",
-                    help="also record the exact minimum distortion at each "
-                         f"k for chains of at most {EXACT_MAX_N} states")
     ap.add_argument("--compare", nargs=2, metavar=("A", "B"),
                     help="print the flips from record A to record B")
     args = ap.parse_args()
@@ -341,8 +339,7 @@ def main():
     if not args.out:
         ap.error("give --out FILE or --compare A B")
     t0 = time.time()
-    out = record(args.with_ncd9_eps0, args.with_degenerate, args.null,
-                 args.exact)
+    out = record(args.with_ncd9_eps0, args.with_degenerate, args.null)
     with open(args.out, "w") as fh:
         json.dump(out, fh)
     print(f"{len(out)} chains written to {args.out} "

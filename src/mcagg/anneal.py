@@ -405,9 +405,9 @@ def _lloyd(rows, rho, assign, self_ent, positive, max_iter=200):
     """Zero-temperature polish: reassign every state with rho > 0 to the
     nearest hard centroid until stable. A state with rho = 0 adds nothing
     to the distortion wherever it sits, so it keeps its group. Keeps the
-    group count by reseeding empty groups with the farthest row from its
-    current centroid. self_ent and positive are the rows' self-entropies
-    and support mask (see klgeom._kl_rows)."""
+    group count by reseeding empty groups with the positive-weight row
+    farthest from its current centroid. self_ent and positive are the rows'
+    self-entropies and support mask (see klgeom._kl_rows)."""
     assign = np.asarray(assign, dtype=int).copy()
     k = int(assign.max()) + 1
     live = rho > 0
@@ -419,7 +419,8 @@ def _lloyd(rows, rho, assign, self_ent, positive, max_iter=200):
         for j in range(k):
             if not np.any(new == j):
                 cur = D[np.arange(len(new)), new]
-                donors = np.where(np.bincount(new, minlength=k)[new] > 1)[0]
+                donors = np.where(live
+                                  & (np.bincount(new, minlength=k)[new] > 1))[0]
                 if len(donors) == 0:
                     break
                 far = donors[np.argmax(cur[donors])]

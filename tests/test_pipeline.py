@@ -394,15 +394,18 @@ def test_zero_weight_group_gets_plain_mean_centroid():
 
 
 @pytest.mark.parametrize("start", [[0, 0, 1, 1, 1, 0], [0, 0, 1, 1, 0, 1],
-                                   [0, 1, 2, 2, 2, 1]])
+                                   [0, 1, 2, 2, 2, 1], [0, 1, 0, 2, 1, 2]])
 def test_lloyd_keeps_zero_weight_states(start):
     # the transient states 4 and 5 weigh 0 and start in different groups;
-    # they add nothing to the distortion wherever they sit, so they stay
+    # they add nothing to the distortion wherever they sit, so they stay.
+    # From the last start group 0 empties, and the reseed refills it with a
+    # positive-weight state, not with state 4 at infinite distance
     rows = ZERO_WEIGHT_ROWS
     rho = stationary_distribution(rows)
     start = np.array(start)
     got = _lloyd(rows, rho, start, _self_entropy(rows), rows > 0)
     np.testing.assert_array_equal(got[4:], start[4:])
+    assert sorted(set(got.tolist())) == sorted(set(start.tolist()))
 
 
 @pytest.mark.parametrize("seed", range(1, 11))
