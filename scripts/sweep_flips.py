@@ -49,8 +49,10 @@ fits that differ by rounding tie), flips at k <= the planted k_t that raise
 distortion by more than a tie, and the summed distortion change over the
 flips. For the chains of at most 10 states it also prints every (chain, k)
 pair, k >= 2, that gains or loses the optimum (distortion within 1e-9
-relative plus 1e-12 absolute of the minimum) and the count at the optimum
-per chain set. It exits 1 when any chain's k_t changed, so it serves as the
+relative plus 1e-12 absolute of the minimum) and, per chain set, the count
+at the optimum, and record B's misses: their number, the largest gap
+(d - opt) / opt (absolute where opt = 0) with its (chain, k), and the summed
+gap. It exits 1 when any chain's k_t changed, so it serves as the
 k_t gate alone.
 """
 import argparse
@@ -257,6 +259,13 @@ def at_optimum(chain, k):
     return d <= opt + OPT_REL * abs(opt) + OPT_ABS
 
 
+def gap(chain, k):
+    """The distortion at k above the exact minimum, relative to it, or
+    absolute where the minimum is 0."""
+    d, opt = chain["distortion"][k], chain["exact"][k]
+    return (d - opt) / abs(opt) if opt else d - opt
+
+
 def compare(a, b):
     """Print every k_t change and partition flip from run a to run b, then
     the totals per chain set and overall; returns the overall totals."""
@@ -266,7 +275,7 @@ def compare(a, b):
         t = totals.setdefault(family(name), dict(
             chains=0, partitions=0, hits_a=0, hits_b=0, kt_changed=0,
             flips=0, ties=0, raised_low=0, delta=0.0, exact=0, opt_a=0,
-            opt_b=0))
+            opt_b=0, gap_b=0.0, worst_b=None))
         t["chains"] += 1
         t["partitions"] += len(ca["partitions"])
         t["hits_a"] += ca["k_t"] == ca["planted_k"]
@@ -299,12 +308,20 @@ def compare(a, b):
             t["exact"] += 1
             t["opt_a"] += oa
             t["opt_b"] += ob
+            if not ob:
+                g = gap(cb, k)
+                t["gap_b"] += g
+                if t["worst_b"] is None or g > t["worst_b"][0]:
+                    t["worst_b"] = (g, name, k)
             if oa != ob:
                 da, db = ca["distortion"][k], cb["distortion"][k]
                 print(f"OPT{'+' if ob else '-'} {name} k={k}: distortion "
                       f"{da:.10g} -> {db:.10g}, optimum {cb['exact'][k]:.10g}")
     overall = {key: sum(t[key] for t in totals.values())
-               for key in next(iter(totals.values()))}
+               for key in next(iter(totals.values())) if key != "worst_b"}
+    overall["worst_b"] = max((t["worst_b"] for t in totals.values()
+                              if t["worst_b"]), key=lambda w: w[0],
+                             default=None)
     for fam, t in list(totals.items()) + [("all", overall)]:
         print(f"{fam}: {t['chains']} chains, {t['partitions']} (chain, k) "
               f"partitions; k_t hits {t['hits_a']} -> {t['hits_b']}, "
@@ -313,8 +330,14 @@ def compare(a, b):
               f"raise distortion beyond a tie; summed distortion change "
               f"over the flips {t['delta']:+.4g}")
         if t["exact"]:
+            misses = t["exact"] - t["opt_b"]
+            worst = ""
+            if t["worst_b"]:
+                g, name, k = t["worst_b"]
+                worst = f", largest gap {g:.4g} ({name} k={k})"
             print(f"{fam}: exact optimum at {t['opt_a']} -> {t['opt_b']} of "
-                  f"{t['exact']} (chain, k >= 2) pairs")
+                  f"{t['exact']} (chain, k >= 2) pairs; B misses {misses}"
+                  f"{worst}, summed gap {t['gap_b']:.4g}")
     return overall
 
 

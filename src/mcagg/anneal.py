@@ -7,7 +7,6 @@ the copies re-merge, below it they separate, which is how phase transitions
 are detected without explicit scheduling. Hard partitions are recorded each
 time the number of distinct centroids grows.
 """
-import logging
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -16,17 +15,13 @@ import numpy as np
 from .core import as_rho, as_rows, make_partition, simplex_basis
 from .errors import (DimensionMismatch, EmptySuperstate,
                      InadmissiblePerturbation, NoConvergence)
-from .klgeom import (SoftAssociation, _free_energy, _kl_rows, _self_entropy,
+from .klgeom import (_TINY, SoftAssociation, _gibbs, _kl_rows, _self_entropy,
                      _softmin, hard_centroids, posterior_and_centroids)
 from .selection import _top_deviation
 
-log = logging.getLogger(__name__)
-
-_TINY = 1e-300
-
-# The annealing recipe, one for every run (Rose, Proc. IEEE 1998). anneal and
-# _converge read these when called, not as default arguments, so a script may
-# patch them for a null run.
+# The annealing recipe, one for every run (Rose, Proc. IEEE 1998). anneal,
+# _converge and _critical_full read these when called, not as default
+# arguments, so a script may patch them for a null run.
 _ALPHA = 0.9            # cooling factor: T <- at most _ALPHA * T
 _T0_FACTOR = 2.0        # T0 = _T0_FACTOR * t_cr of the starting centroid
 _T_MIN_FACTOR = 1e-8    # stop once T < _T_MIN_FACTOR * T0
@@ -74,14 +69,10 @@ def _fp_iterate(rows, self_ent, positive, rho, Z0, T, tol, max_iter):
     evaluations. Returns (Z, assoc, converged). Dead bank rows raise
     EmptySuperstate.
     """
-    # a zero-weight state adds nothing, even where its log-sum-exp is -inf
-    live = rho > 0
-    rho_live = rho[live]
-
     def weights(Z, energy=True):
         """Gibbs weights at Z and, with energy=True, the free energy there."""
-        p, lse = _softmin(_kl_rows(rows, self_ent, positive, Z), T, energy)
-        return p, (-T * float(rho_live @ lse[live]) if energy else None)
+        D = _kl_rows(rows, self_ent, positive, Z)
+        return _gibbs(D, rho, T) if energy else _softmin(D, T, False)
 
     Z = np.atleast_2d(np.asarray(Z0, dtype=float)).copy()
     p, f_start = weights(Z)
@@ -151,61 +142,54 @@ def _posterior_from(rows, rho, assoc):
     return weighted / col
 
 
-def _critical_full(rows, rho, Z, assoc, floor, vectors=False):
-    """Per-centroid critical temperatures, and with vectors=True also the
-    split directions as (tcrs, dirs).
+def _critical_full(rows, rho, Z, assoc):
+    """Per-centroid critical temperatures and split directions, as
+    (tcrs, dirs).
 
     Centroid j's critical temperature is the top eigenvalue of its
     posterior-weighted deviation covariance, whitened by the curvature
     diag((p_j @ rows) / z^2) on the simplex tangent space (Rose 1998). That
     is selection._top_deviation with q = p_j, s = sqrt(p_j @ rows) and u
-    along z / s, on the coordinates where z clears the floor and p_j puts
+    along z / s, on the coordinates where z clears _FLOOR and p_j puts
     mass; the others are dropped, never raised over. Each centroid costs one
-    eigvalsh, plus one linear solve for its direction with vectors=True.
-    The split direction is x z / s for the top eigenvector x,
-    unit-normalized. A centroid with no mass, fewer than 2 kept coordinates
-    or a zero top eigenvalue gets t_cr 0 and a zero direction.
+    eigvalsh and one linear solve for its direction. The split direction is
+    x z / s for the top eigenvector x, unit-normalized. A centroid with no
+    mass, fewer than 2 kept coordinates or a zero top eigenvalue gets t_cr 0
+    and a zero direction.
     """
     k = Z.shape[0]
     posterior = _posterior_from(rows, rho, assoc)
     tcrs = np.zeros(k)
-    dirs = np.zeros((k, rows.shape[1])) if vectors else None
+    dirs = np.zeros((k, rows.shape[1]))
     for j in range(k):
         mass = float((rho * assoc.p[:, j]).sum())
         if mass < _TINY:
             continue
         q = posterior[:, j]
         s2 = q @ rows
-        keep = np.flatnonzero((Z[j] > floor) & (s2 > 0))
+        keep = np.flatnonzero((Z[j] > _FLOOR) & (s2 > 0))
         if len(keep) < 2:
             continue
         z, s = Z[j, keep], np.sqrt(s2[keep])
-        out = _top_deviation(rows[:, keep], z, q, s, z / s, vectors)
-        if not vectors:
-            tcrs[j] = out
-            continue
-        tcrs[j], x = out
+        tcrs[j], x = _top_deviation(rows[:, keep], z, q, s, z / s,
+                                    vectors=True)
         d = x * z / s
         nrm = np.linalg.norm(d)
         if nrm > 0:
             dirs[j, keep] = d / nrm
-    return (tcrs, dirs) if vectors else tcrs
+    return tcrs, dirs
 
 
-def critical_temperature(pi, rho, Z, assoc, floor=_FLOOR):
+def critical_temperature(pi, rho, Z, assoc):
     """Critical temperatures of the current bank: per superstate, the top
     eigenvalue of its posterior-weighted deviation covariance whitened by the
-    local KL curvature, on the coordinates where the centroid clears the
-    floor and carries posterior mass (see _critical_full); t_cr is the
-    largest."""
+    local KL curvature, on the coordinates where the centroid clears _FLOOR
+    and carries posterior mass (see _critical_full); t_cr is the largest."""
     rows = as_rows(pi)
     rho = as_rho(rho, rows.shape[0])
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    tcrs = _critical_full(rows, rho, Z, assoc, floor)
+    tcrs, _ = _critical_full(rows, rho, Z, assoc)
     return CriticalReport(per_superstate=tcrs, t_cr=float(tcrs.max()))
-
-
-_hessian_form_warned = False
 
 
 def hessian_quadratic_form(pi, rho, Z, assoc, T, perturbation):
@@ -213,8 +197,9 @@ def hessian_quadratic_form(pi, rho, Z, assoc, T, perturbation):
     perturbation of the distribution bank.
 
     The implemented closed form is the one that matches finite differences
-    of the free energy (the printed form with a leading T on the coupling
-    term does not; the mismatch is logged once for reference).
+    of the free energy: its coupling term is rho-weighted and scaled by 1/T.
+    The printed form, with a leading T on an unweighted coupling term, does
+    not match them.
     """
     rows = as_rows(pi)
     rho = as_rho(rho, rows.shape[0])
@@ -246,21 +231,7 @@ def hessian_quadratic_form(pi, rho, Z, assoc, T, perturbation):
     S = np.zeros(rows.shape[0])
     for j in range(k):
         S += assoc.p[:, j] * ((rows / zsafe[j]) @ psi[j])
-    coupling = float(rho @ S**2) / T
-    literal = T * float(np.sum(S**2))
-
-    global _hessian_form_warned
-    if not _hessian_form_warned:
-        lit_total = first + literal
-        cor_total = first + coupling
-        if not np.isclose(lit_total, cor_total,
-                          rtol=1e-6, atol=1e-12):
-            log.warning(
-                "quadratic-form coupling term uses the finite-difference-"
-                "consistent scaling (1/T, rho-weighted); the printed T-scaled "
-                "variant differs here (%.6g vs %.6g)", lit_total, cor_total)
-            _hessian_form_warned = True
-    return first + coupling
+    return first + float(rho @ S**2) / T
 
 
 def extract_hard_partition(assoc, merge_map=None):
@@ -355,13 +326,13 @@ def anneal(pi, rho=None, cfg=AnnealConfig()):
     z0 = (rho @ rows)[None, :]
     ones = SoftAssociation(p=np.ones((n, 1)),
                            posterior=(rho / rho.sum())[:, None])
-    tcrs, dirs = _critical_full(rows, rho, z0, ones, _FLOOR, vectors=True)
+    tcrs, dirs = _critical_full(rows, rho, z0, ones)
     t0 = _T0_FACTOR * max(tcrs[0], 1e-12)
     t_min = _T_MIN_FACTOR * t0
     T = t0
     Z = z0
-    trace.append((T, _free_energy(_kl_rows(rows, self_ent, positive, Z),
-                                  rho, T), 1))
+    _, f = _gibbs(_kl_rows(rows, self_ent, positive, Z), rho, T)
+    trace.append((T, f, 1))
 
     while T > t_min and Z.shape[0] < k_max:
         # shadow copies of the distinct bank along the directions solved at
@@ -382,14 +353,14 @@ def anneal(pi, rho=None, cfg=AnnealConfig()):
             part = extract_hard_partition(assoc, merge_map)
             entries.setdefault(part.k, part)
         Z = Zm
-        D = _kl_rows(rows, self_ent, positive, Z)
-        trace.append((T, _free_energy(D, rho, T), Z.shape[0]))
+        # the merged bank's Gibbs weights at T give the trace its free
+        # energy and, unless the bank is full, one solve gives the critical
+        # temperatures for cooling and the next directions
+        p, f = _gibbs(_kl_rows(rows, self_ent, positive, Z), rho, T)
+        trace.append((T, f, Z.shape[0]))
         if Z.shape[0] >= k_max:
             break
-        # one solve of the merged bank under its Gibbs weights at T gives
-        # the critical temperatures for cooling and the next directions
-        probe = SoftAssociation(p=_softmin(D, T, False)[0])
-        tcrs, dirs = _critical_full(rows, rho, Z, probe, _FLOOR, vectors=True)
+        tcrs, dirs = _critical_full(rows, rho, Z, SoftAssociation(p=p))
         tmax = float(tcrs.max()) if len(tcrs) else 0.0
         nxt = _ALPHA * T
         if tmax > 0 and tmax < T:

@@ -231,13 +231,7 @@ def main(argv=None):
         return 0 if e.code == 0 else 1
     try:
         return args.func(args)
-    except ValidationError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (InputError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except McaggError as e:

@@ -57,6 +57,8 @@ def gen_replicated_rows(n, k_t=None, counts=None, eps=0.0, seed=0):
     (StochasticMatrix, truth Partition)."""
     n = int(n)
     if counts is None:
+        if k_t is None:
+            raise CountMismatch("gen_replicated_rows needs k_t or counts")
         counts = default_counts(n, int(k_t))
     counts = [int(c) for c in counts]
     if k_t is None:

@@ -2,9 +2,10 @@
 centroid updates and aggregated transition construction.
 
 All logarithms are natural. Exponentials are computed with max-subtraction so
-small temperatures do not overflow. By default no floor is applied to the
-second KL argument: a zero coordinate against positive mass honestly yields
-+inf (smoothing at ingestion is the supported way to avoid that).
+small temperatures do not overflow. Only kl_divergence takes a floor for the
+second KL argument; everywhere else a zero coordinate against positive mass
+honestly yields +inf (smoothing at ingestion is the supported way to avoid
+that).
 """
 from dataclasses import dataclass
 
@@ -50,29 +51,27 @@ def _self_entropy(rows):
     return np.sum(np.where(rows > 0, rows * np.log(np.where(rows > 0, rows, 1.0)), 0.0), axis=1)
 
 
-def _kl_rows(rows, self_ent, positive, Z, floor=0.0):
+def _kl_rows(rows, self_ent, positive, Z):
     """The KL kernel behind distance_matrix: n x k distances from rows to the
     bank Z, given the rows' self-entropies and support mask (rows > 0), so a
     caller that evaluates many banks against one set of rows computes those
     two once."""
     if rows.shape[1] != Z.shape[1]:
         raise DimensionMismatch(f"{rows.shape} vs {Z.shape}")
-    logz = np.log(np.maximum(Z, floor if floor > 0 else _TINY))
-    D = self_ent[:, None] - rows @ logz.T
-    if floor <= 0:
-        zero = Z <= 0
-        if zero.any():
-            # honest +inf where a centroid has no mass on a used coordinate
-            viol = positive.astype(float) @ zero.T.astype(float)
-            D[viol > 0] = np.inf
+    D = self_ent[:, None] - rows @ np.log(np.maximum(Z, _TINY)).T
+    zero = Z <= 0
+    if zero.any():
+        # honest +inf where a centroid has no mass on a used coordinate
+        viol = positive.astype(float) @ zero.T.astype(float)
+        D[viol > 0] = np.inf
     return D
 
 
-def distance_matrix(pi, Z, floor=0.0):
+def distance_matrix(pi, Z):
     """n x k matrix of KL distances from every row of pi to every row of Z."""
     rows = as_rows(pi)
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    return _kl_rows(rows, _self_entropy(rows), rows > 0, Z, floor)
+    return _kl_rows(rows, _self_entropy(rows), rows > 0, Z)
 
 
 def distortion(pi, model, rho=None):
@@ -116,6 +115,15 @@ def _softmin(D, T, with_lse=True):
     return E / s, lse
 
 
+def _gibbs(D, rho, T):
+    """Gibbs weights of the n x k distances D at temperature T, and the free
+    energy -T sum_i rho_i lse_i there, from one _softmin. A state with
+    rho = 0 adds nothing, even where its log-sum-exp is -inf."""
+    p, lse = _softmin(D, T)
+    live = rho > 0
+    return p, -T * float(rho[live] @ lse[live])
+
+
 def gibbs_weights(distances, T):
     """Soft association weights exp(-d/T) normalized per row.
 
@@ -146,25 +154,11 @@ def posterior_and_centroids(pi, p, rho=None):
     return posterior, Z
 
 
-def free_energy(pi, Z, rho=None, T=1.0, floor=0.0):
+def free_energy(pi, Z, rho=None, T=1.0):
     """Annealed objective -T sum_i rho_i log sum_j exp(-KL_ij / T)."""
-    if T <= 0:
-        raise NonPositiveTemperature(f"T = {T}")
     rows = as_rows(pi)
     rho = as_rho(rho, rows.shape[0])
-    return _free_energy(distance_matrix(rows, Z, floor=floor), rho, T)
-
-
-def _free_energy(D, rho, T):
-    """free_energy from the n x k distances D (T > 0)."""
-    m = D.min(axis=1)
-    finite = np.isfinite(m)
-    vals = np.full(D.shape[0], np.inf)
-    if np.any(finite):
-        shifted = np.exp(-(D[finite] - m[finite][:, None]) / T)
-        vals[finite] = m[finite] - T * np.log(shifted.sum(axis=1))
-    used = rho > 0
-    return float(rho[used] @ vals[used])
+    return _gibbs(distance_matrix(rows, Z), rho, T)[1]
 
 
 def aggregate_transitions(Z, partition):

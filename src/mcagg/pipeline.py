@@ -18,8 +18,8 @@ import numpy as np
 from .anneal import AnnealConfig, _lloyd, anneal
 from .core import as_rho, as_rows, make_partition
 from .errors import DimensionMismatch
-from .klgeom import (_group_mean, _kl_rows, _self_entropy, build_model,
-                     hard_centroids)
+from .klgeom import (_TINY, _group_mean, _kl_rows, _self_entropy,
+                     build_model, hard_centroids)
 from .selection import SelectionOptions, SelectionReport, select_k
 
 __all__ = ["PipelineResult", "aggregate_fixed_k", "aggregate_per_k",
@@ -50,7 +50,7 @@ def _group_terms(Sg, Mg, SEg):
     """Per-group distortion terms SE_g - S_g . log(S_g / M_g), one per row
     of Sg; an empty group (M_g <= 0) contributes 0."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        lz = np.log(np.maximum(Sg / Mg[:, None], 1e-300))
+        lz = np.log(np.maximum(Sg / Mg[:, None], _TINY))
         return np.where(Mg > 0.0, SEg - np.einsum("ij,ij->i", Sg, lz), 0.0)
 
 

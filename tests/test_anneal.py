@@ -1,5 +1,4 @@
 import importlib
-import logging
 import warnings
 
 import numpy as np
@@ -101,14 +100,13 @@ def test_critical_full_matches_whitened_reference(n, k, seed):
     posterior = rho[:, None] * p
     posterior /= posterior.sum(axis=0)
     assoc = SoftAssociation(p=p, posterior=posterior)
-    tcrs, dirs = anneal_module._critical_full(rows, rho, Z, assoc, 1e-12,
-                                              vectors=True)
-    t_only = anneal_module._critical_full(rows, rho, Z, assoc, 1e-12)
+    tcrs, dirs = anneal_module._critical_full(rows, rho, Z, assoc)
+    t_only = critical_temperature(rows, rho, Z, assoc).per_superstate
     for j in range(k):
         t_ref, d_ref, vals = _whiten_eigs(rows, rho, Z[j], posterior[:, j],
                                           1e-12)
         assert tcrs[j] == pytest.approx(t_ref, rel=1e-10)
-        assert t_only[j] == pytest.approx(tcrs[j], rel=1e-13)
+        assert t_only[j] == tcrs[j]
         assert np.linalg.norm(dirs[j]) == pytest.approx(1.0, abs=1e-12)
         assert abs(dirs[j].sum()) < 1e-12
         if len(vals) < 2 or vals[-1] - vals[-2] > 1e-6 * vals[-1]:
@@ -128,8 +126,7 @@ def test_critical_full_two_members_closed_form_near_floor():
     exact = float(np.sum((a - b)[keep] ** 2 / (2 * (a + b)[keep])))
     ones = SoftAssociation(p=np.ones((2, 1)), posterior=np.full((2, 1), 0.5))
     tcrs, dirs = anneal_module._critical_full(rows, np.full(2, 0.5),
-                                              z[None, :], ones, 1e-12,
-                                              vectors=True)
+                                              z[None, :], ones)
     assert tcrs[0] == pytest.approx(exact, rel=1e-12)
     rep = critical_temperature(rows, None, z[None, :], ones)
     assert rep.t_cr == pytest.approx(exact, rel=1e-12)
@@ -155,7 +152,7 @@ def test_critical_full_zero_posterior_mass_coordinates():
                             posterior=np.array([[0.5], [0.5], [0.0], [0.0]]))
     with np.errstate(all="raise"):
         tcrs, dirs = anneal_module._critical_full(rows, np.full(4, 0.25), Z,
-                                                  assoc, 1e-12, vectors=True)
+                                                  assoc)
     assert np.isfinite(tcrs[0]) and tcrs[0] >= 0.0
     assert np.isfinite(dirs[0]).all()
     assert np.linalg.norm(dirs[0]) == pytest.approx(1.0, abs=1e-12)
@@ -173,8 +170,7 @@ def test_critical_full_identical_rows_zero_direction():
     rows = np.tile([0.3, 0.7], (3, 1))
     assoc = SoftAssociation(p=np.ones((3, 1)), posterior=np.full((3, 1), 1 / 3))
     tcrs, dirs = anneal_module._critical_full(rows, np.full(3, 1 / 3),
-                                              rows[:1], assoc, 1e-12,
-                                              vectors=True)
+                                              rows[:1], assoc)
     assert tcrs[0] == 0.0 and not dirs.any()
 
 
@@ -189,10 +185,8 @@ def test_critical_full_multiple_top_eigenvalue_deterministic():
     z = rho @ rows
     ones = SoftAssociation(p=np.ones((12, 1)), posterior=rho[:, None])
     with np.errstate(all="raise"):
-        t1, d1 = anneal_module._critical_full(rows, rho, z[None, :], ones,
-                                              1e-12, vectors=True)
-        t2, d2 = anneal_module._critical_full(rows, rho, z[None, :], ones,
-                                              1e-12, vectors=True)
+        t1, d1 = anneal_module._critical_full(rows, rho, z[None, :], ones)
+        t2, d2 = anneal_module._critical_full(rows, rho, z[None, :], ones)
     _, _, vals = _whiten_eigs(rows, rho, z, rho, 1e-12)
     assert vals[-2] == pytest.approx(vals[-1], rel=1e-12)
     assert np.array_equal(t1, t2) and np.array_equal(d1, d2)
@@ -372,7 +366,7 @@ def test_anneal_zero_weight_states_free_energy_finite(monkeypatch):
     rho = stationary_distribution(ZERO_WEIGHT_ROWS)
     assert np.array_equal(rho[4:], [0.0, 0.0])
     caught = []
-    for name in ("_fp_iterate", "_free_energy"):
+    for name in ("_fp_iterate", "_gibbs"):
         monkeypatch.setattr(anneal_module, name, _no_runtime_warnings(
             getattr(anneal_module, name), caught))
     res = anneal(ZERO_WEIGHT_ROWS, rho, AnnealConfig(k_max=5))
@@ -486,18 +480,6 @@ def test_hessian_sign_flip_around_critical():
     psi = 0.01 * np.stack([d, -d])
     assert hessian_quadratic_form(PI2, None, Zd, _dup_assoc(),
                                   0.60, psi) <= 0.0
-
-
-def test_hessian_coupling_mismatch_logged_once(caplog):
-    anneal_module._hessian_form_warned = False
-    args = (PI2, None, np.array([[0.5, 0.5]]),
-            SoftAssociation(p=np.ones((2, 1))), 1.0,
-            np.array([[0.01, -0.01]]))
-    with caplog.at_level(logging.WARNING, logger="mcagg.anneal"):
-        hessian_quadratic_form(*args)
-        hessian_quadratic_form(*args)
-    hits = [r for r in caplog.records if "coupling" in r.getMessage()]
-    assert len(hits) == 1
 
 
 # --- extract_hard_partition ---
@@ -675,24 +657,23 @@ def test_anneal_bit_identical_twice_in_one_process(blocks, eps, rho_mode):
 def test_anneal_one_solve_per_temperature(monkeypatch):
     # The starting centroid is solved once, with its direction. Then each
     # temperature makes one fixed point and, unless the bank has reached
-    # k_max, one solve of the merged bank with directions, at that
-    # temperature.
+    # k_max, one solve of the merged bank, at that temperature.
     pi, _ = gen_ncd(blocks=[3, 3, 3], eps=0.05, seed=2)
     events = []
     plain_full = anneal_module._critical_full
     plain_converge = anneal_module._converge
     plain_top = anneal_module._top_deviation
 
-    def spying_full(rows, rho, Z, assoc, floor, vectors=False):
-        events.append(["solve", Z.shape[0], vectors, 0])
-        return plain_full(rows, rho, Z, assoc, floor, vectors)
+    def spying_full(rows, rho, Z, assoc):
+        events.append(["solve", Z.shape[0], 0])
+        return plain_full(rows, rho, Z, assoc)
 
     def spying_converge(rows, self_ent, positive, rho, Z, T, *args):
         events.append(["fp", T])
         return plain_converge(rows, self_ent, positive, rho, Z, T, *args)
 
     def counting_top(*args, **kwargs):
-        events[-1][3] += 1
+        events[-1][2] += 1
         return plain_top(*args, **kwargs)
 
     with monkeypatch.context() as m:
@@ -702,13 +683,13 @@ def test_anneal_one_solve_per_temperature(monkeypatch):
         res = anneal(pi.rows, cfg=AnnealConfig(k_max=6))
     temps = [t for t, _, _ in res.trace[1:]]
     ks = [k for _, _, k in res.trace[1:]]
-    assert events[0] == ["solve", 1, True, 1]
+    assert events[0] == ["solve", 1, 1]
     expected = []
     for t, k in zip(temps, ks):
         expected.append(["fp", t])
         if k < 6:
-            expected.append(["solve", k, True])
-    assert [e[:3] for e in events[1:]] == expected
+            expected.append(["solve", k])
+    assert [e[:2] for e in events[1:]] == expected
     assert len(temps) > 5 and ks[-1] == 6
 
 

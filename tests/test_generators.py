@@ -81,6 +81,11 @@ def test_rows_count_mismatch():
         gen_replicated_rows(n=10, k_t=3, counts=[10, 0, 0])
 
 
+def test_rows_without_k_t_or_counts_is_typed():
+    with pytest.raises(CountMismatch, match="needs k_t or counts"):
+        gen_replicated_rows(10)
+
+
 def test_perturb_eps0_identity():
     pi, _ = gen_ncd(blocks=[2, 2], eps=0.0, seed=3)
     out = perturb(pi, 0.0, seed=99)

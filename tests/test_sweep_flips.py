@@ -54,3 +54,29 @@ def test_exact_minima_match_brute_force(seed, rho_mode):
     assert sorted(got) == list(range(1, 8))
     for k in range(1, 8):
         assert got[k] == pytest.approx(best[k], rel=1e-12, abs=1e-14)
+
+
+def _chain_record(distortion, exact):
+    """A hand-built sweep record of one chain with k_t 2, its partitions at
+    k = 1..3 and the given distortions and exact minima per k."""
+    return {"k_t": 2, "planted_k": 2,
+            "partitions": {"1": [0, 0, 0], "2": [0, 0, 1], "3": [0, 1, 2]},
+            "distortion": {str(k): d for k, d in enumerate(distortion, 1)},
+            "exact": {str(k): e for k, e in enumerate(exact, 1)}}
+
+
+def test_compare_prints_gaps_of_b_misses(capsys):
+    a = {"crit1-s0": _chain_record([2.0, 1.0, 0.2], [2.0, 1.0, 0.2]),
+         "crit1-s1": _chain_record([2.0, 0.5, 0.0], [2.0, 0.5, 0.0])}
+    b = {"crit1-s0": _chain_record([2.0, 1.5, 0.25], [2.0, 1.0, 0.2]),
+         "crit1-s1": _chain_record([2.0, 0.5, 0.01], [2.0, 0.5, 0.0])}
+    totals = sweep_flips.compare(a, b)
+    out = capsys.readouterr().out
+    # gaps 0.5 and 0.25 relative, 0.01 absolute over a zero minimum
+    assert ("acceptance: exact optimum at 4 -> 1 of 4 (chain, k >= 2) pairs; "
+            "B misses 3, largest gap 0.5 (crit1-s0 k=2), summed gap 0.76"
+            in out)
+    assert "all: exact optimum at 4 -> 1 of 4" in out
+    assert totals["worst_b"] == (0.5, "crit1-s0", "2")
+    assert totals["gap_b"] == pytest.approx(0.76)
+    assert totals["kt_changed"] == 0 and totals["flips"] == 0
