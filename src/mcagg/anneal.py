@@ -152,10 +152,12 @@ def _critical_full(rows, rho, Z, assoc):
     is selection._top_deviation with q = p_j, s = sqrt(p_j @ rows) and u
     along z / s, on the coordinates where z clears _FLOOR and p_j puts
     mass; the others are dropped, never raised over. Each centroid costs one
-    eigvalsh and one linear solve for its direction. The split direction is
-    x z / s for the top eigenvector x, unit-normalized. A centroid with no
-    mass, fewer than 2 kept coordinates or a zero top eigenvalue gets t_cr 0
-    and a zero direction.
+    eigensolve with its direction: eigvalsh and one linear solve when the
+    smaller side of its n x d factor is at most selection._DENSE_MAX, and
+    Lanczos on the factor above that. The split direction is x z / s for
+    the top eigenvector x, unit-normalized. A centroid with no mass, fewer
+    than 2 kept coordinates or a zero top eigenvalue gets t_cr 0 and a zero
+    direction.
     """
     k = Z.shape[0]
     posterior = _posterior_from(rows, rho, assoc)

@@ -18,6 +18,9 @@ __all__ = ["SelectionOptions", "SelectionReport", "hard_membership",
            "select_k"]
 
 _EXACT_FIT = 1e-14   # t_bar below this is reported as an exact fit
+_DENSE_MAX = 128     # _top_deviation runs Lanczos above this Gram size
+_RITZ_TOL = 1e-13    # Lanczos stops once the top Ritz residual is below
+                     # this fraction of the Ritz value
 
 
 @dataclass(frozen=True)
@@ -105,12 +108,60 @@ def covariance_matrix(members, w, q, mode="plain", floor=1e-12, j=0):
 @lru_cache(maxsize=128)
 def _start_vector(m):
     """Fixed start vector of length m for _top_deviation's inverse
-    iteration, drawn from its own generator so that no caller's random
-    stream moves. Read-only, because it is shared between calls; a vector
-    the cache dropped is drawn again, bit for bit."""
+    iteration and Lanczos runs, drawn from its own generator so that no
+    caller's random stream moves. Read-only, because it is shared between
+    calls; a vector the cache dropped is drawn again, bit for bit."""
     b = np.random.default_rng(0).standard_normal(m)
     b.flags.writeable = False
     return b
+
+
+def _lanczos_top(A, wide):
+    """Top eigenpair (t, y) of the Gram G = A A^T (wide) or A^T A, by
+    Lanczos with full reorthogonalisation (Golub & Van Loan, sec. 10.1) on
+    products with A and A^T; G is never formed. A is first divided by its
+    largest entry, so no product can under- or overflow, and t is scaled
+    back. The first Lanczos vector is G b for the fixed start vector b, so
+    every vector lies in range(G).
+
+    The run stops at the first check where the top Ritz pair (theta, Q s)
+    of the tridiagonal T has residual beta_j |s_j| <= _RITZ_TOL theta, and
+    in any case at step r = size of G, where the Krylov space is all of it
+    and the pair is exact; there is no other limit. Each check is a dense
+    eigh of T, so checks come at steps 8, 10, 12, 15, ..., each a quarter
+    past the last, and at any step whose beta_j alone meets the bound (an
+    invariant subspace). y is the unit Ritz vector, or zero when A is zero
+    (t = 0).
+    """
+    r = min(A.shape)
+    scale = np.abs(A).max(initial=0.0)
+    if not scale > 0:
+        return 0.0, np.zeros(r)
+    A = A / scale
+    gram = (lambda v: A @ (v @ A)) if wide else (lambda v: (A @ v) @ A)
+    basis = np.empty((r, r))
+    T = np.zeros((r, r))   # tridiagonal, kept in its lower triangle
+    v = gram(_start_vector(r))
+    v /= np.linalg.norm(v)
+    top, check = 0.0, 8    # top: largest alpha, a lower bound on theta
+    for j in range(r):
+        basis[j] = v
+        g = gram(v)
+        T[j, j] = alpha = v @ g
+        top = max(top, alpha)
+        V = basis[:j + 1]
+        g -= (V @ g) @ V
+        g -= (V @ g) @ V
+        beta = np.linalg.norm(g)
+        last = j == r - 1 or beta <= _RITZ_TOL * top
+        if last or j + 1 == check:
+            theta, S = np.linalg.eigh(T[:j + 1, :j + 1])
+            if last or beta * abs(S[-1, -1]) <= _RITZ_TOL * theta[-1]:
+                break
+            check += check // 4
+        T[j + 1, j] = beta
+        v = g / beta
+    return float(theta[-1]) * scale * scale, S[:, -1] @ V
 
 
 def _top_deviation(members, w, q, s, u, vectors=False):
@@ -118,32 +169,39 @@ def _top_deviation(members, w, q, s, u, vectors=False):
     A = sqrt(q) (U - (U u) u^T), with U = (members - w) / s and u scaled to
     unit length.
 
-    The eigensolve runs on the smaller Gram G, A A^T or A^T A, and t is the
-    top eigenvalue from eigvalsh (0 when G has none above 0). With
-    vectors=True it returns (t, x), x the unit top eigenvector of A^T A
-    (A^T y normalized on the A A^T side), or zeros when t is 0. The
-    eigenvector comes from one step of inverse iteration at the known t
-    (Golub & Van Loan, sec. 8.2): solve (G / t - (1 + 2^-36) I) y = G b / t
-    for a fixed start vector b. The matrix is negative definite, so the
-    solve never meets a singular matrix and y stays near 2^36 in size; the
-    right-hand side lies in range(G), so x stays orthogonal to u. On a
-    multiple top eigenvalue x is the projection of A^T b (or b) onto that
-    eigenspace, the same on every call.
+    The eigensolve runs on the smaller Gram G, A A^T or A^T A, of size
+    r = min(m, d). Up to r = _DENSE_MAX, t is the top eigenvalue from
+    eigvalsh (0 when G has none above 0); above it, t and its vector come
+    from _lanczos_top, which never forms G. With vectors=True it returns
+    (t, x), x the unit top eigenvector of A^T A (A^T y normalized on the
+    A A^T side), or zeros when t is 0. On the dense path the eigenvector
+    comes from one step of inverse iteration at the known t (Golub & Van
+    Loan, sec. 8.2): solve (G / t - (1 + 2^-36) I) y = G b / t for a fixed
+    start vector b. The matrix is negative definite, so the solve never
+    meets a singular matrix and y stays near 2^36 in size. On both paths y
+    lies in range(G), so x stays orthogonal to u, and on a multiple top
+    eigenvalue x is the projection of A^T b (or b) onto that eigenspace,
+    the same on every call.
     """
     U = (members - w) / s
     u = u / np.linalg.norm(u)
     A = np.sqrt(q)[:, None] * (U - np.outer(U @ u, u))
     wide = A.shape[0] <= A.shape[1]
-    G = A @ A.T if wide else A.T @ A
-    t = np.linalg.eigvalsh(G).max(initial=0.0)
-    if not vectors:
-        return t
-    if not t > 0:
-        return 0.0, np.zeros(A.shape[1])
-    G = G / t
-    rhs = G @ _start_vector(G.shape[0])
-    G.flat[::G.shape[0] + 1] -= 1.0 + 2.0**-36   # the diagonal
-    y = np.linalg.solve(G, rhs)
+    if min(A.shape) > _DENSE_MAX:
+        t, y = _lanczos_top(A, wide)
+        if not vectors:
+            return t
+    else:
+        G = A @ A.T if wide else A.T @ A
+        t = np.linalg.eigvalsh(G).max(initial=0.0)
+        if not vectors:
+            return t
+        if not t > 0:
+            return 0.0, np.zeros(A.shape[1])
+        G = G / t
+        rhs = G @ _start_vector(G.shape[0])
+        G.flat[::G.shape[0] + 1] -= 1.0 + 2.0**-36   # the diagonal
+        y = np.linalg.solve(G, rhs)
     x = A.T @ y if wide else y
     nrm = np.linalg.norm(x)
     if not nrm > 0:
@@ -177,22 +235,21 @@ def heterogeneity_profile(pi, partition, rho=None,
 
 
 def _profile(rows, partition, rho, options, memo):
-    """heterogeneity_profile on validated rows and rho. memo maps the exact
-    inputs of one superstate's _top_eigenvalue call (member indices, q and
-    centroid bytes; mode and floor are fixed by the caller) to its result,
-    so a superstate that recurs across partitions is scored once. Q^T rows
-    may round a recurring centroid differently at another k; that is a
-    miss, never a stale hit."""
+    """heterogeneity_profile on validated rows and rho. Each superstate's
+    centroid is q @ rows[idx], a function of its members and their weights
+    alone, so memo maps those (member indices and q bytes; mode and floor
+    are fixed by the caller) to the _top_eigenvalue result, and a
+    superstate that recurs across partitions is scored once."""
     Q = hard_membership(partition, rho, options.membership)
-    W = Q.T @ rows
     out = np.zeros(partition.k)
     for jj in range(partition.k):
-        idx = np.where(partition.assign == jj)[0]
+        idx = np.flatnonzero(partition.assign == jj)
         q = Q[idx, jj]
-        key = (idx.tobytes(), q.tobytes(), W[jj].tobytes())
+        key = (idx.tobytes(), q.tobytes())
         if key not in memo:
-            memo[key] = _top_eigenvalue(rows[idx], W[jj], q, options.mode,
-                                        options.floor, jj)
+            members = rows[idx]
+            memo[key] = _top_eigenvalue(members, q @ members, q,
+                                        options.mode, options.floor, jj)
         out[jj] = memo[key]
     return out
 

@@ -266,21 +266,19 @@ def test_select_scores_each_distinct_superstate_once(monkeypatch):
         calls.append(len(members))
         return original(members, *args)
     monkeypatch.setattr(selection, "_top_eigenvalue", counting)
-    for rows, parts, rho in _memo_cases():
+    for case, (rows, parts, rho) in enumerate(_memo_cases()):
         calls.clear()
         select_k(rows, parts, rho)
-        # a superstate is its members with their weights and centroid; the
-        # centroid row of Q^T rows may round differently at another k
-        distinct = set()
-        for p in parts.values():
-            Q = hard_membership(p, rho)
-            W = Q.T @ rows
-            for j in range(p.k):
-                idx = np.where(p.assign == j)[0]
-                distinct.add((idx.tobytes(), Q[idx, j].tobytes(),
-                              W[j].tobytes()))
+        # a superstate's weights and centroid follow from its members, so
+        # each distinct member set is solved once, whatever k it recurs at
+        distinct = {np.flatnonzero(p.assign == j).tobytes()
+                    for p in parts.values() for j in range(p.k)}
         assert len(calls) == len(distinct)
         assert len(calls) < sum(p.k for p in parts.values())
+        if case == 0:
+            # the 400-state chain: 36 superstates over k = 1..8, 15 of them
+            # distinct, one of which Q^T rows used to round differently
+            assert len(calls) == 15
 
 
 # --- invariants ---
@@ -466,6 +464,9 @@ def test_membership_zero_weight_group_uniform():
 
 # --- _top_deviation split directions ---
 
+# factors whose smaller side is above the cutoff take the Lanczos path
+_BIG = selection._DENSE_MAX + 12
+
 def _factor(members, w, q, s, u):
     """The deviation factor A of _top_deviation, built directly."""
     U = (members - w) / s
@@ -518,7 +519,8 @@ def test_top_deviation_single_member():
                                                                  abs=1e-15)
 
 
-@pytest.mark.parametrize("m, d", [(5, 7), (9, 4)])
+@pytest.mark.parametrize("m, d", [(5, 7), (9, 4), (_BIG, _BIG + 11),
+                                  (_BIG + 11, _BIG)])
 def test_top_deviation_rank_one(m, d):
     # every member deviates from w along the same vector v, so A has rank 1
     # and its top eigenvector is v / s with the u component removed
@@ -537,11 +539,13 @@ def test_top_deviation_rank_one(m, d):
     assert abs(x @ e) / np.linalg.norm(e) == pytest.approx(1.0, abs=1e-14)
 
 
-@pytest.mark.parametrize("m, d", [(4, 6), (8, 3)])
+@pytest.mark.parametrize("m, d", [(4, 6), (8, 3), (_BIG, _BIG + 9),
+                                  (_BIG + 9, _BIG)])
 def test_top_deviation_tiny_deviations(m, d):
-    # deviations near 1e-150 give a Gram near 1e-300: the scaled solve
-    # neither overflows nor underflows, and the direction is that of the
-    # same deviations at unit scale
+    # deviations near 1e-150 give a Gram near 1e-300: the scaled solve (or
+    # the Lanczos run on A over its largest entry) neither overflows nor
+    # underflows, and the direction is that of the same deviations at unit
+    # scale
     rng = np.random.default_rng(5)
     w = rng.dirichlet(np.ones(d))
     dev = rng.uniform(0.5, 1.5, size=(m, d)) * rng.choice([-1.0, 1.0],
@@ -564,3 +568,93 @@ def test_top_deviation_identical_rows_zero_vector(m):
         t, x = selection._top_deviation(members, w, np.full(m, 1.0 / m),
                                         np.sqrt(w), np.sqrt(w), vectors=True)
     assert t == 0.0 and x.shape == (4,) and not x.any()
+
+
+# --- the Lanczos path: Grams whose smaller side is above _DENSE_MAX ---
+# (the rank-one and 1e-150 cases above take it too, at _BIG)
+
+def _top_gram_eigenvalue(A):
+    G = A @ A.T if A.shape[0] <= A.shape[1] else A.T @ A
+    return float(np.linalg.eigvalsh(G)[-1])
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(0, 80), st.booleans(), st.integers(0, 2**32 - 1))
+def test_top_deviation_lanczos_matches_eigvalsh(extra, tall, seed):
+    r = selection._DENSE_MAX + 1 + extra % 40
+    m, d = (r + 1 + extra, r) if tall else (r, r + extra)
+    rng = np.random.default_rng(seed)
+    members = rng.dirichlet(np.ones(d), size=m)
+    w = rng.dirichlet(np.ones(d))
+    q = rng.dirichlet(np.ones(m))
+    s = rng.uniform(0.1, 1.0, size=d)
+    u = rng.uniform(0.1, 1.0, size=d)
+    t, x, A = _check_direction(members, w, q, s, u)
+    assert t == pytest.approx(_top_gram_eigenvalue(A), rel=1e-12)
+
+
+@pytest.mark.parametrize("m, d", [(_BIG, _BIG + 7), (_BIG + 7, _BIG)])
+def test_top_deviation_lanczos_double_top_eigenvalue(m, d):
+    # members = sqrt(m) L diag(sv) R^T with R orthogonal to u, w = 0, s = 1
+    # and uniform q, so A has singular values sv: the top eigenvalue 4 is
+    # exactly double, and the direction is a vector of its 2-dimensional
+    # eigenspace, the same on every call
+    rng = np.random.default_rng(8)
+    u = rng.standard_normal(d)
+    u /= np.linalg.norm(u)
+    r = min(m, d) - 1
+    L, _ = np.linalg.qr(rng.standard_normal((m, r)))
+    R = rng.standard_normal((d, r))
+    R, _ = np.linalg.qr(R - np.outer(u, u @ R))
+    sv = np.concatenate([[2.0, 2.0], np.linspace(1.5, 0.1, r - 2)])
+    members = np.sqrt(m) * (L * sv) @ R.T
+    q = np.full(m, 1.0 / m)
+    w, s = np.zeros(d), np.ones(d)
+    t, x, _ = _check_direction(members, w, q, s, u)
+    t2, x2 = selection._top_deviation(members, w, q, s, u, vectors=True)
+    assert t == t2 and np.array_equal(x, x2)
+    assert t == pytest.approx(4.0, rel=1e-12)
+    assert np.linalg.norm(R[:, :2].T @ x) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("m, d", [(_BIG, _BIG + 5), (_BIG + 5, _BIG)])
+def test_top_deviation_lanczos_identical_rows_zero_vector(m, d):
+    w = np.random.default_rng(4).dirichlet(np.ones(d))
+    members = np.tile(w, (m, 1))
+    q = np.full(m, 1.0 / m)
+    with np.errstate(all="raise"):
+        t, x = selection._top_deviation(members, w, q, np.sqrt(w),
+                                        np.sqrt(w), vectors=True)
+        t_only = selection._top_deviation(members, w, q, np.sqrt(w),
+                                          np.sqrt(w))
+    assert t == 0.0 and t_only == 0.0
+    assert x.shape == (d,) and not x.any()
+
+
+@pytest.mark.parametrize("mode", ["plain", "whiten"])
+def test_heterogeneity_lanczos_on_400_state_superstates(mode):
+    # k = 1..3 of a select-400 style chain hold superstates of 400, 320 and
+    # 240 states, the sizes the old power iteration stopped short on; each
+    # scores the top eigenvalue of its Gram within 1e-12
+    pi, _ = gen_ncd(blocks=[80] * 5, eps=0.02, seed=11)
+    rows = pi.rows
+    parts = _planted_partitions([80] * 5, 8, seed=11)
+    opts = SelectionOptions(mode=mode)
+    large = 0
+    for k in (1, 2, 3):
+        prof = heterogeneity_profile(rows, parts[k], options=opts)
+        Q = hard_membership(parts[k])
+        for j in range(k):
+            idx = np.flatnonzero(parts[k].assign == j)
+            members, q = rows[idx], Q[idx, j]
+            w = q @ members
+            if mode == "plain":
+                s, u = w, np.ones(len(w))
+            else:
+                s = np.sqrt(q @ members)
+                u = w / s
+            A, _ = _factor(members, w, q, s, u)
+            assert prof[j] == pytest.approx(_top_gram_eigenvalue(A),
+                                            rel=1e-12)
+            large += len(idx) > selection._DENSE_MAX
+    assert large == 3
