@@ -67,8 +67,7 @@ from unittest import mock
 import numpy as np
 
 import mcagg
-from mcagg import (SelectionOptions, gen_ncd, gen_replicated_rows,
-                   run_pipeline)
+from mcagg import gen_ncd, gen_replicated_rows, run_pipeline
 from mcagg.core import as_rho
 
 anneal_module = importlib.import_module("mcagg.anneal")
@@ -229,8 +228,7 @@ def _record(with_ncd9, with_degenerate):
     for name, rows, rho_mode, k_max, planted, mode in runs:
         rho = (mcagg.stationary_distribution(rows) if rho_mode == "stationary"
                else None)
-        res = run_pipeline(rows, rho, k_max=k_max,
-                           options=SelectionOptions(mode=mode))
+        res = run_pipeline(rows, rho, k_max=k_max, mode=mode)
         out[name] = {
             "k_t": int(res.k_t),
             "planted_k": None if planted is None else int(planted),

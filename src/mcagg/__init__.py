@@ -13,15 +13,15 @@ from .klgeom import (SoftAssociation, aggregate_transitions, build_model,
                      distance_matrix, distortion, free_energy, gibbs_weights,
                      kl_divergence, posterior_and_centroids)
 from .pipeline import PipelineResult, aggregate_fixed_k, run_pipeline
-from .selection import (SelectionOptions, SelectionReport, covariance_matrix,
-                        hard_membership, heterogeneity, heterogeneity_profile,
-                        marginal_return, select_k)
+from .selection import (SelectionReport, covariance_matrix, hard_membership,
+                        heterogeneity, heterogeneity_profile, marginal_return,
+                        select_k)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AggregatedModel", "AnnealConfig", "AnnealResult", "CriticalReport",
-    "Partition", "PipelineResult", "SelectionOptions", "SelectionReport",
+    "Partition", "PipelineResult", "SelectionReport",
     "SoftAssociation", "StochasticMatrix",
     "aggregate_fixed_k", "aggregate_transitions", "anneal", "build_model",
     "covariance_matrix", "critical_temperature", "distance_matrix",

@@ -12,16 +12,17 @@ from typing import Optional
 
 import numpy as np
 
-from .core import as_rho, as_rows, make_partition, simplex_basis
-from .errors import (DimensionMismatch, EmptySuperstate,
-                     InadmissiblePerturbation, NoConvergence)
+from .core import (as_rho, as_rows, make_partition, resolve_k_max,
+                   simplex_basis)
+from .errors import EmptySuperstate, InadmissiblePerturbation, NoConvergence
 from .klgeom import (_TINY, SoftAssociation, _gibbs, _kl_rows, _self_entropy,
                      _softmin, hard_centroids, posterior_and_centroids)
-from .selection import _top_deviation
+from .selection import _FLOOR, _top_deviation
 
 # The annealing recipe, one for every run (Rose, Proc. IEEE 1998). anneal,
-# _converge and _critical_full read these when called, not as default
-# arguments, so a script may patch them for a null run.
+# _converge and _critical_full read these (and _FLOOR, selection's centroid
+# floor) when called, not as default arguments, so a script may patch them
+# for a null run.
 _ALPHA = 0.9            # cooling factor: T <- at most _ALPHA * T
 _T0_FACTOR = 2.0        # T0 = _T0_FACTOR * t_cr of the starting centroid
 _T_MIN_FACTOR = 1e-8    # stop once T < _T_MIN_FACTOR * T0
@@ -29,12 +30,11 @@ _MERGE_TOL = 1e-6       # inf-norm under which two centroids coincide
 _DELTA = 1e-4           # shadow offset amplitude
 _FP_TOL = 1e-8          # sup-norm step that ends a fixed point
 _FP_MAX_ITER = 500      # map evaluations per fixed point
-_FLOOR = 1e-12          # centroid coordinates at or below it leave t_cr
 
 
 @dataclass(frozen=True)
 class AnnealConfig:
-    k_max: Optional[int] = None   # defaults to n
+    k_max: Optional[int] = None   # resolved by core.resolve_k_max
 
 
 @dataclass(frozen=True)
@@ -308,16 +308,12 @@ def _converge(rows, self_ent, positive, rho, Z, T, warnings):
 
 def anneal(pi, rho=None, cfg=AnnealConfig()):
     """Full annealing sweep, by the module's fixed recipe, up to cfg.k_max
-    centroids (default and cap n; below 1 raises DimensionMismatch).
-    Returns AnnealResult whose entries hold at most one Partition per k, in
-    increasing k order."""
+    centroids, resolved by resolve_k_max. Returns AnnealResult whose entries
+    hold at most one Partition per k, in increasing k order."""
     rows = as_rows(pi)
     n = rows.shape[0]
     rho = as_rho(rho, n)
-    k_max = cfg.k_max if cfg.k_max is not None else n
-    if k_max < 1:
-        raise DimensionMismatch(f"k_max = {k_max} is below 1")
-    k_max = min(k_max, n)
+    k_max = resolve_k_max(n, cfg.k_max)
     rng = np.random.default_rng(0)
 
     self_ent, positive = _self_entropy(rows), rows > 0

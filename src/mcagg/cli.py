@@ -11,13 +11,13 @@ import sys
 
 import numpy as np
 
-from .core import stationary_distribution
+from .core import resolve_k_max, stationary_distribution
 from .errors import InputError, McaggError, ValidationError
 from .generators import default_counts, gen_ncd, gen_replicated_rows
 from .io import (file_sha256, ingest_bigrams, parse_matrix, parse_partitions,
-                 write_matrix, write_partitions, write_report)
-from .pipeline import aggregate_per_k, resolve_k_max, run_pipeline
-from .selection import SelectionOptions, select_k
+                 report_csv_rows, write_matrix, write_partitions, write_report)
+from .pipeline import aggregate_per_k, run_pipeline
+from .selection import select_k
 
 
 def _fmt_of(path, explicit):
@@ -53,11 +53,8 @@ def _add_kmax_flag(p):
 
 def _add_select_flags(p):
     p.add_argument("--mode", choices=["plain", "whiten"], default="plain")
-    p.add_argument("--membership", choices=["normalized", "raw"],
-                   default="normalized")
     p.add_argument("--rho", choices=["uniform", "stationary"],
                    default="uniform")
-    p.add_argument("--floor", type=float, default=1e-12)
 
 
 def _cmd_gen(args):
@@ -110,10 +107,8 @@ def _cmd_select(args):
     matrix = _load_matrix(args)
     rho = _resolve_rho(matrix, args.rho)
     partitions = parse_partitions(args.partitions, labels=matrix.labels)
-    options = SelectionOptions(mode=args.mode, membership=args.membership,
-                               floor=args.floor)
     _print_config("select", args)
-    report = select_k(matrix.rows, partitions, rho, options)
+    report = select_k(matrix.rows, partitions, rho, mode=args.mode)
     print(f"k_t = {report.k_t}" + (" (exact fit)" if report.exact_fit else ""))
     if args.out:
         write_report(report, args.out,
@@ -121,10 +116,8 @@ def _cmd_select(args):
                      input_hash=file_sha256(args.matrix))
         print(f"wrote report to {args.out}")
     else:
-        for k in sorted(report.t_bars):
-            nu = report.nus.get(k)
-            tail = "" if nu is None or not np.isfinite(nu) else f"{nu:.12f}"
-            print(f"{k},{report.t_bars[k]:.12f},{tail}")
+        for line in report_csv_rows(report):
+            print(line)
     return 0
 
 
@@ -132,10 +125,8 @@ def _cmd_pipeline(args):
     matrix = _load_matrix(args)
     rho = _resolve_rho(matrix, args.rho)
     k_max = resolve_k_max(matrix.n, args.kmax)
-    options = SelectionOptions(mode=args.mode, membership=args.membership,
-                               floor=args.floor)
     _print_config("pipeline", args, {"kmax_effective": k_max})
-    result = run_pipeline(matrix.rows, rho, k_max=k_max, options=options)
+    result = run_pipeline(matrix.rows, rho, k_max=k_max, mode=args.mode)
     print(f"k_t = {result.k_t}"
           + (" (exact fit)" if result.report.exact_fit else ""))
     if args.partitions_out:

@@ -1,6 +1,6 @@
 """Shared domain types: stochastic matrices, partitions and aggregated
-models; steady-state weights; and the deterministic zero-sum basis used by
-every spectral computation.
+models; steady-state weights; the model-size bound k_max; and the
+deterministic zero-sum basis used by every spectral computation.
 """
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -57,6 +57,16 @@ def as_rho(rho, n=None):
             raise DimensionMismatch("need n to build uniform weights")
         return np.full(n, 1.0 / n)
     return np.asarray(rho, dtype=float)
+
+
+def resolve_k_max(n, k_max):
+    """The largest model size for an n-state chain: min(n, 8) when k_max is
+    None, else k_max capped at n. Raises DimensionMismatch when k_max < 1."""
+    if k_max is None:
+        return min(n, 8)
+    if k_max < 1:
+        raise DimensionMismatch(f"k_max = {k_max} is below 1")
+    return min(int(k_max), n)
 
 
 def validate_stochastic(rows, tol=1e-9, labels=None):

@@ -9,11 +9,11 @@ import numpy as np
 from .core import StochasticMatrix, make_partition, validate_stochastic
 from .errors import (BadAssignment, BadBigram, DuplicateLabel, LabelMismatch,
                      NegativeCount, NonLetter, ParseError, RaggedRows)
-from .selection import SelectionOptions, SelectionReport
+from .selection import SelectionReport
 
 __all__ = ["parse_matrix", "write_matrix", "ingest_bigrams",
            "parse_partitions", "write_partitions", "write_report",
-           "read_report", "file_sha256"]
+           "read_report", "report_csv_rows", "file_sha256"]
 
 _LETTERS = string.ascii_lowercase
 
@@ -223,32 +223,32 @@ def write_partitions(partitions, path):
         fh.write("\n")
 
 
-def _fmt(x):
-    return f"{x:.12f}"
+def report_csv_rows(report):
+    """The report's k,t_bar,nu lines in increasing k, without newlines:
+    12 decimal places, nu blank where it is missing or not finite."""
+    for k in sorted(report.t_bars):
+        nu = report.nus.get(k)
+        cell = "" if nu is None or not np.isfinite(nu) else f"{nu:.12f}"
+        yield f"{k},{report.t_bars[k]:.12f},{cell}"
 
 
 def write_report(report, path, format="csv", input_hash=None):
-    """Emit a selection report. csv columns are k,t_bar,nu (nu blank for
-    the smallest k, 12 decimal places); json carries the same rows plus
-    per-superstate heterogeneity and the options echo."""
-    ks = sorted(report.t_bars)
-    opts = report.options
+    """Emit a selection report. csv columns are k,t_bar,nu (report_csv_rows);
+    json carries the same rows plus per-superstate heterogeneity and the
+    selection mode."""
     if format == "csv":
         with open(path, "w") as fh:
             fh.write(f"# input: {input_hash or '-'}\n")
-            fh.write(f"# options: mode={opts.mode},membership="
-                     f"{opts.membership},floor={opts.floor:g}\n")
+            fh.write(f"# options: mode={report.mode}\n")
             fh.write(f"# k_t: {report.k_t}\n")
             fh.write("k,t_bar,nu\n")
-            for k in ks:
-                nu = report.nus.get(k)
-                cell = "" if nu is None or not np.isfinite(nu) else _fmt(nu)
-                fh.write(f"{k},{_fmt(report.t_bars[k])},{cell}\n")
+            for line in report_csv_rows(report):
+                fh.write(line + "\n")
         return
     if format != "json":
         raise ValueError(f"unknown report format {format!r}")
     rows = []
-    for k in ks:
+    for k in sorted(report.t_bars):
         nu = report.nus.get(k)
         rows.append({
             "k": k,
@@ -261,8 +261,7 @@ def write_report(report, path, format="csv", input_hash=None):
         "k_t": report.k_t,
         "exact_fit": bool(report.exact_fit),
         "input": input_hash,
-        "options": {"mode": opts.mode, "membership": opts.membership,
-                    "floor": opts.floor},
+        "options": {"mode": report.mode},
         "rows": rows,
     }
     with open(path, "w") as fh:
@@ -271,7 +270,8 @@ def write_report(report, path, format="csv", input_hash=None):
 
 
 def read_report(path):
-    """Inverse of write_report(format=json)."""
+    """Inverse of write_report(format=json). Keys of "options" other than
+    "mode" (older reports also echo "membership" and "floor") are ignored."""
     with open(path) as fh:
         obj = json.load(fh)
     t_bars = {r["k"]: r["t_bar"] for r in obj["rows"]}
@@ -281,12 +281,9 @@ def read_report(path):
             nus[r["k"]] = r["nu"]
         elif obj.get("exact_fit") and r["k"] > min(t_bars):
             nus[r["k"]] = float("inf")
-    o = obj.get("options", {})
     per = {r["k"]: r.get("per_superstate", []) for r in obj["rows"]}
     return SelectionReport(
         k_t=obj["k_t"], t_bars=t_bars, nus=nus,
-        options=SelectionOptions(mode=o.get("mode", "plain"),
-                                 membership=o.get("membership", "normalized"),
-                                 floor=o.get("floor", 1e-12)),
+        mode=obj.get("options", {}).get("mode", "plain"),
         exact_fit=bool(obj.get("exact_fit", False)),
         per_superstate={k: v for k, v in per.items() if v})

@@ -16,14 +16,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .anneal import AnnealConfig, _lloyd, anneal
-from .core import as_rho, as_rows, make_partition
+from .core import as_rho, as_rows, make_partition, resolve_k_max
 from .errors import DimensionMismatch
 from .klgeom import (_TINY, _group_mean, _kl_rows, _self_entropy,
                      build_model, hard_centroids)
-from .selection import SelectionOptions, SelectionReport, select_k
+from .selection import SelectionReport, select_k
 
 __all__ = ["PipelineResult", "aggregate_fixed_k", "aggregate_per_k",
-           "resolve_k_max", "run_pipeline", "refine_per_k"]
+           "run_pipeline", "refine_per_k"]
 
 
 @dataclass
@@ -241,16 +241,6 @@ def refine_per_k(pi, rho, sweep_parts, k_max):
     return chosen
 
 
-def resolve_k_max(n, k_max):
-    """The largest model size for an n-state chain: min(n, 8) when k_max is
-    None, else k_max capped at n. Raises DimensionMismatch when k_max < 1."""
-    if k_max is None:
-        return min(n, 8)
-    if k_max < 1:
-        raise DimensionMismatch(f"k_max = {k_max} is below 1")
-    return min(int(k_max), n)
-
-
 def aggregate_per_k(pi, rho=None, k_max=None):
     """Anneal, then refine: one partition and model per k in 1..k_max, and
     the annealing trace, as (partitions, models, trace). k_max is resolved
@@ -282,12 +272,13 @@ def aggregate_fixed_k(pi, rho, k):
     return partitions[k], models[k]
 
 
-def run_pipeline(pi, rho=None, k_max=None, options=SelectionOptions()):
-    """Aggregate then select. Returns PipelineResult with one partition and
-    model per k in 1..k_max and the selection report."""
+def run_pipeline(pi, rho=None, k_max=None, mode="plain"):
+    """Aggregate then select, scoring in the given selection mode. Returns
+    PipelineResult with one partition and model per k in 1..k_max and the
+    selection report."""
     rows = as_rows(pi)
     rho = as_rho(rho, rows.shape[0])
     partitions, models, trace = aggregate_per_k(rows, rho, k_max)
-    report = select_k(rows, partitions, rho, options)
+    report = select_k(rows, partitions, rho, mode)
     return PipelineResult(partitions=partitions, models=models,
                           report=report, trace=trace)

@@ -13,21 +13,15 @@ import numpy as np
 from .core import as_rho, as_rows, simplex_basis
 from .errors import DimensionMismatch, FloorViolation, NonConsecutiveK
 
-__all__ = ["SelectionOptions", "SelectionReport", "hard_membership",
-           "covariance_matrix", "heterogeneity", "marginal_return",
-           "select_k"]
+__all__ = ["SelectionReport", "hard_membership", "covariance_matrix",
+           "heterogeneity", "marginal_return", "select_k"]
 
+_FLOOR = 1e-12       # centroid coordinates below it leave t_bar; anneal.py
+                     # drops those at or below it from t_cr
 _EXACT_FIT = 1e-14   # t_bar below this is reported as an exact fit
 _DENSE_MAX = 128     # _top_deviation runs Lanczos above this Gram size
 _RITZ_TOL = 1e-13    # Lanczos stops once the top Ritz residual is below
                      # this fraction of the Ritz value
-
-
-@dataclass(frozen=True)
-class SelectionOptions:
-    mode: str = "plain"            # "plain" | "whiten"
-    membership: str = "normalized"  # "normalized" | "raw"
-    floor: float = 1e-12
 
 
 @dataclass
@@ -35,23 +29,19 @@ class SelectionReport:
     k_t: int
     t_bars: dict
     nus: dict
-    options: SelectionOptions = field(default_factory=SelectionOptions)
+    mode: str = "plain"   # "plain" | "whiten"
     exact_fit: bool = False
     per_superstate: dict = field(default_factory=dict)  # k -> [lambda_max]
 
 
-def hard_membership(partition, rho=None, mode="normalized"):
-    """Membership matrix Q (n x k). Normalized columns hold the weight each
-    state contributes to its cluster centroid (so W = Q^T Pi has stochastic
+def hard_membership(partition, rho=None):
+    """Membership matrix Q (n x k). Column j holds the weight each state
+    contributes to cluster j's centroid (so W = Q^T Pi has stochastic
     rows), and a cluster whose states all have zero weight weighs them
-    equally; raw columns are plain 0/1 indicators."""
-    if mode not in ("normalized", "raw"):
-        raise ValueError(f"unknown membership mode {mode!r}")
+    equally."""
     n, k = partition.n, partition.k
     Q = np.zeros((n, k))
     Q[np.arange(n), partition.assign] = 1.0
-    if mode == "raw":
-        return Q
     rho = as_rho(rho, n)
     R = Q * rho[:, None]
     R += Q * (R.sum(axis=0) == 0.0)
@@ -74,14 +64,14 @@ def _guard_floor(j, members, w, floor, q):
     return w[keep], keep
 
 
-def covariance_matrix(members, w, q, mode="plain", floor=1e-12, j=0):
+def covariance_matrix(members, w, q, mode="plain", floor=_FLOOR, j=0):
     """Deviation covariance of one superstate in the simplex tangent basis.
 
-    members: rows of the cluster (m x n); w: its aggregated row; q: weights
-    (need not be normalized in raw mode). Plain mode measures relative
-    deviations (pi(i) - w) ./ w directly; whiten mode rescales them by the
-    local curvature (Cholesky of the Theta^T Lambda Theta form) so the
-    output eigenvalues are comparable to annealing temperatures.
+    members: rows of the cluster (m x n); w: its aggregated row; q: weights.
+    Plain mode measures relative deviations (pi(i) - w) ./ w directly;
+    whiten mode rescales them by the local curvature (Cholesky of the
+    Theta^T Lambda Theta form) so the output eigenvalues are comparable to
+    annealing temperatures.
     """
     members = np.atleast_2d(np.asarray(members, dtype=float))
     w = np.asarray(w, dtype=float)
@@ -209,12 +199,12 @@ def _top_deviation(members, w, q, s, u, vectors=False):
     return float(t), x / nrm
 
 
-def _top_eigenvalue(members, w, q, mode, floor, j):
-    """Largest eigenvalue of covariance_matrix(members, w, q, mode, floor, j)
+def _top_eigenvalue(members, w, q, mode, j):
+    """Largest eigenvalue of covariance_matrix(members, w, q, mode, j=j)
     (0 below 2 kept coordinates), by _top_deviation: s = w and u along 1 in
     plain mode; q normalized, s = sqrt(q @ members) and u along w / s in
     whiten mode."""
-    wsafe, keep = _guard_floor(j, members, w, floor, q)
+    wsafe, keep = _guard_floor(j, members, w, _FLOOR, q)
     sub = members[:, keep]
     if mode == "plain":
         s, u = wsafe, np.ones(len(wsafe))
@@ -227,20 +217,19 @@ def _top_eigenvalue(members, w, q, mode, floor, j):
     return _top_deviation(sub, wsafe, q, s, u)
 
 
-def heterogeneity_profile(pi, partition, rho=None,
-                          options=SelectionOptions()):
+def heterogeneity_profile(pi, partition, rho=None, mode="plain"):
     """Per-superstate largest deviation eigenvalues (length k)."""
     rows = as_rows(pi)
-    return _profile(rows, partition, as_rho(rho, rows.shape[0]), options, {})
+    return _profile(rows, partition, as_rho(rho, rows.shape[0]), mode, {})
 
 
-def _profile(rows, partition, rho, options, memo):
+def _profile(rows, partition, rho, mode, memo):
     """heterogeneity_profile on validated rows and rho. Each superstate's
     centroid is q @ rows[idx], a function of its members and their weights
-    alone, so memo maps those (member indices and q bytes; mode and floor
-    are fixed by the caller) to the _top_eigenvalue result, and a
-    superstate that recurs across partitions is scored once."""
-    Q = hard_membership(partition, rho, options.membership)
+    alone, so memo maps those (member indices and q bytes; the mode is
+    fixed by the caller) to the _top_eigenvalue result, and a superstate
+    that recurs across partitions is scored once."""
+    Q = hard_membership(partition, rho)
     out = np.zeros(partition.k)
     for jj in range(partition.k):
         idx = np.flatnonzero(partition.assign == jj)
@@ -248,16 +237,15 @@ def _profile(rows, partition, rho, options, memo):
         key = (idx.tobytes(), q.tobytes())
         if key not in memo:
             members = rows[idx]
-            memo[key] = _top_eigenvalue(members, q @ members, q,
-                                        options.mode, options.floor, jj)
+            memo[key] = _top_eigenvalue(members, q @ members, q, mode, jj)
         out[jj] = memo[key]
     return out
 
 
-def heterogeneity(pi, partition, rho=None, options=SelectionOptions()):
+def heterogeneity(pi, partition, rho=None, mode="plain"):
     """t_bar: the largest per-superstate deviation eigenvalue under the
     given partition."""
-    prof = heterogeneity_profile(pi, partition, rho, options)
+    prof = heterogeneity_profile(pi, partition, rho, mode)
     return float(prof.max(initial=0.0))
 
 
@@ -279,7 +267,7 @@ def marginal_return(t_bars):
     return nus
 
 
-def select_k(pi, partitions, rho=None, options=SelectionOptions()):
+def select_k(pi, partitions, rho=None, mode="plain"):
     """Score a consecutive family of partitions and pick k_t = argmax nu
     (ties to the smallest k). Exact fits short-circuit: the smallest k with
     t_bar = 0 wins. Every partition must cover the matrix's n states. A
@@ -298,7 +286,7 @@ def select_k(pi, partitions, rho=None, options=SelectionOptions()):
                                 f"({', '.join(wrong)}); the matrix has {n} "
                                 "states")
     memo = {}
-    profiles = {k: _profile(rows, partitions[k], rho, options, memo)
+    profiles = {k: _profile(rows, partitions[k], rho, mode, memo)
                 for k in ks}
     t_bars = {k: float(p.max(initial=0.0)) for k, p in profiles.items()}
     nus = marginal_return(t_bars)
@@ -311,5 +299,5 @@ def select_k(pi, partitions, rho=None, options=SelectionOptions()):
         k_t = min(k for k, v in nus.items() if v == best)
     else:
         k_t = ks[0]
-    return SelectionReport(k_t=k_t, t_bars=t_bars, nus=nus, options=options,
+    return SelectionReport(k_t=k_t, t_bars=t_bars, nus=nus, mode=mode,
                            exact_fit=bool(exact), per_superstate=per)

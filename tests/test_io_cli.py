@@ -20,7 +20,7 @@ from mcagg.io import (file_sha256, ingest_bigrams, parse_matrix,
                       parse_partitions, read_report, write_matrix,
                       write_partitions, write_report)
 from mcagg.klgeom import build_model
-from mcagg.selection import SelectionOptions, SelectionReport
+from mcagg.selection import SelectionReport
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 
@@ -325,7 +325,7 @@ def test_report_csv_formatting(tmp_path):
 def test_report_json_round_trip(tmp_path):
     rep = SelectionReport(
         k_t=3, t_bars={1: 4.0, 2: 2.0, 3: 0.5}, nus={2: 0.69, 3: 1.386},
-        options=SelectionOptions(mode="whiten", membership="raw"),
+        mode="whiten",
         per_superstate={1: [4.0], 2: [2.0, 1.0], 3: [0.5, 0.2, 0.1]})
     p = tmp_path / "r.json"
     write_report(rep, p, format="json", input_hash="cafe")
@@ -333,9 +333,32 @@ def test_report_json_round_trip(tmp_path):
     assert back.k_t == rep.k_t
     assert back.t_bars == rep.t_bars
     assert back.nus == rep.nus
-    assert back.options == rep.options
+    assert back.mode == rep.mode == "whiten"
     assert back.per_superstate == rep.per_superstate
     assert json.loads(p.read_text())["input"] == "cafe"
+
+
+def test_read_report_accepts_older_options_echo(tmp_path):
+    # reports once echoed membership and floor next to mode; they still
+    # parse, and those keys are ignored
+    p = tmp_path / "old.json"
+    p.write_text(json.dumps({
+        "exact_fit": False, "input": None, "k_t": 2,
+        "options": {"floor": 1e-12, "membership": "normalized",
+                    "mode": "whiten"},
+        "rows": [
+            {"k": 1, "nu": None, "per_superstate": [0.5], "t_bar": 0.5},
+            {"k": 2, "nu": 1.25, "per_superstate": [0.1, 0.125],
+             "t_bar": 0.125},
+            {"k": 3, "nu": 0.5, "per_superstate": [0.1, 0.05, 0.0],
+             "t_bar": 0.1}]}))
+    back = read_report(p)
+    assert back.k_t == 2 and not back.exact_fit
+    assert back.t_bars == {1: 0.5, 2: 0.125, 3: 0.1}
+    assert back.nus == {2: 1.25, 3: 0.5}
+    assert back.mode == "whiten"
+    assert back.per_superstate == {1: [0.5], 2: [0.1, 0.125],
+                                   3: [0.1, 0.05, 0.0]}
 
 
 def test_report_exact_fit_round_trip(tmp_path):
@@ -433,6 +456,37 @@ def test_cli_exit_codes(tmp_path):
     sums.write_text("0.5,0.6\n0.5,0.5\n")
     assert cli.main(["pipeline", "--matrix", str(sums)]) == 1
     assert cli.main(["pipeline", "--matrix", str(sums), "--bogus"]) == 1
+
+
+@pytest.mark.parametrize("command", ["select", "pipeline"])
+@pytest.mark.parametrize("flag", [["--floor", "0"], ["--floor", "nan"],
+                                  ["--membership", "raw"]])
+def test_cli_selection_takes_no_floor_or_membership(tmp_path, capsys,
+                                                    command, flag):
+    # selection is set by --mode alone; the floor and membership flags
+    # are usage errors. On this eps = 0 chain a zero floor used to escape
+    # main as LinAlgError, from select on its planted k = 1..3 partitions
+    # and from pipeline
+    mpath = tmp_path / "pi.csv"
+    assert cli.main(["gen", "ncd", "--blocks", "3,3,3", "--eps", "0",
+                     "--seed", "1", "--out", str(mpath)]) == 0
+    parts = tmp_path / "parts.json"
+    parts.write_text(json.dumps({"1": [0] * 9, "2": [0] * 3 + [1] * 6,
+                                 "3": [0] * 3 + [1] * 3 + [2] * 3}))
+    argv = [command, "--matrix", str(mpath)]
+    if command == "select":
+        argv += ["--partitions", str(parts)]
+    assert cli.main(argv + flag) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert cli.main(argv) == 0
+
+
+@pytest.mark.parametrize("command", ["select", "pipeline"])
+def test_cli_selection_help_lists_mode_alone(capsys, command):
+    assert cli.main([command, "--help"]) == 0
+    out = capsys.readouterr().out
+    assert "--mode" in out
+    assert "--membership" not in out and "--floor" not in out
 
 
 @pytest.mark.parametrize("argv,rc", [

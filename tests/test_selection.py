@@ -7,10 +7,9 @@ from mcagg.core import make_partition
 from mcagg.errors import DimensionMismatch, FloorViolation, NonConsecutiveK
 from mcagg.generators import gen_ncd
 from mcagg.pipeline import run_pipeline
-from mcagg.selection import (SelectionOptions, covariance_matrix,
-                             hard_membership, heterogeneity,
-                             heterogeneity_profile, marginal_return,
-                             select_k)
+from mcagg.selection import (covariance_matrix, hard_membership,
+                             heterogeneity, heterogeneity_profile,
+                             marginal_return, select_k)
 
 PI2 = np.array([[0.9, 0.1], [0.1, 0.9]])
 
@@ -32,12 +31,6 @@ def test_membership_normalized_columns():
     assert np.allclose(Q[:, 1], [0.0, 0.0, 1.0], atol=1e-15)
 
 
-def test_membership_raw_indicator():
-    part = make_partition([0, 0, 1])
-    Q = hard_membership(part, mode="raw")
-    assert np.array_equal(Q, [[1, 0], [1, 0], [0, 1]])
-
-
 def test_membership_singletons_identity():
     Q = hard_membership(make_partition([0, 1]))
     assert np.allclose(Q, np.eye(2), atol=1e-15)
@@ -48,11 +41,6 @@ def test_membership_gives_stochastic_w():
     Q = hard_membership(part)
     W = Q.T @ rows
     assert np.abs(W.sum(axis=1) - 1.0).max() < 1e-12
-
-
-def test_membership_unknown_mode():
-    with pytest.raises(ValueError):
-        hard_membership(make_partition([0, 1]), mode="soft")
 
 
 # --- covariance_matrix ---
@@ -105,7 +93,7 @@ def test_covariance_ignores_zero_weight_member_on_floored_coordinate(mode):
     C2 = covariance_matrix(members[:2], w, q[:2], mode=mode)
     assert np.array_equal(C, C2)
     t = heterogeneity_profile(members, make_partition([0, 0, 0]), q,
-                              SelectionOptions(mode=mode))[0]
+                              mode=mode)[0]
     assert t == pytest.approx(np.linalg.eigvalsh(C).max(), rel=1e-12)
 
 
@@ -117,8 +105,7 @@ def test_heterogeneity_two_state_k1():
 
 
 def test_heterogeneity_two_state_whiten():
-    t = heterogeneity(PI2, make_partition([0, 0]),
-                      options=SelectionOptions(mode="whiten"))
+    t = heterogeneity(PI2, make_partition([0, 0]), mode="whiten")
     assert t == pytest.approx(0.64, rel=1e-12)
 
 
@@ -242,10 +229,9 @@ def _memo_cases():
 
 @pytest.mark.parametrize("mode", ["plain", "whiten"])
 def test_select_memo_bit_identical_to_profile_loop(mode):
-    opts = SelectionOptions(mode=mode)
     for rows, parts, rho in _memo_cases():
-        rep = select_k(rows, parts, rho, opts)
-        profiles = {k: heterogeneity_profile(rows, p, rho, opts)
+        rep = select_k(rows, parts, rho, mode)
+        profiles = {k: heterogeneity_profile(rows, p, rho, mode)
                     for k, p in parts.items()}
         t_bars = {k: float(p.max(initial=0.0)) for k, p in profiles.items()}
         nus = marginal_return(t_bars)
@@ -323,17 +309,16 @@ def test_telescoping_sum():
                                   abs=1e-12)
 
 
-def _reference_profile(rows, part, rho, options):
+def _reference_profile(rows, part, rho, mode):
     """Top eigenvalue of every superstate's covariance_matrix, with a
     superstate of fewer than 2 kept coordinates scoring 0."""
-    Q = hard_membership(part, rho, options.membership)
+    Q = hard_membership(part, rho)
     W = Q.T @ rows
     out = np.zeros(part.k)
     for j in range(part.k):
         idx = np.where(part.assign == j)[0]
         try:
-            C = covariance_matrix(rows[idx], W[j], Q[idx, j],
-                                  mode=options.mode, floor=options.floor,
+            C = covariance_matrix(rows[idx], W[j], Q[idx, j], mode=mode,
                                   j=j)
         except DimensionMismatch:
             continue
@@ -362,23 +347,21 @@ def test_profile_large_superstate_near_degenerate_top_pair(mode):
     # eigensolver converges slowly; the profile must be exact
     rows = _near_degenerate_chain(240, seed=9)
     part = make_partition(np.zeros(240, dtype=int))
-    opts = SelectionOptions(mode=mode)
     ev = np.linalg.eigvalsh(covariance_matrix(rows, rows.mean(axis=0),
                                               np.full(240, 1 / 240),
                                               mode=mode))
     assert len(ev) > 200
     assert (ev[-1] - ev[-2]) / ev[-1] < 1e-6
-    prof = heterogeneity_profile(rows, part, options=opts)
+    prof = heterogeneity_profile(rows, part, mode=mode)
     assert prof[0] == pytest.approx(ev[-1], rel=1e-12)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(2, 30), st.integers(1, 6), st.integers(0, 2**32 - 1),
        st.sampled_from([0.0, 0.5, 0.8]),
-       st.sampled_from(["normalized", "raw"]),
        st.sampled_from(["uniform", "dirichlet", "zeros"]))
 def test_profile_matches_covariance_eigvalsh(n, k, seed, zero_frac,
-                                             membership, rho_kind):
+                                             rho_kind):
     k = min(k, n)
     rng = np.random.default_rng(seed)
     rows = rng.dirichlet(np.ones(n), size=n)
@@ -400,15 +383,14 @@ def test_profile_matches_covariance_eigvalsh(n, k, seed, zero_frac,
     # reference loses digits when w has a coordinate near the floor (see
     # the closed-form test below)
     for mode, tol in (("plain", 1e-12), ("whiten", 1e-6)):
-        opts = SelectionOptions(mode=mode, membership=membership)
         try:
-            ref = _reference_profile(rows, part, rho, opts)
+            ref = _reference_profile(rows, part, rho, mode)
         except FloorViolation as e:
             with pytest.raises(FloorViolation) as got:
-                heterogeneity_profile(rows, part, rho, opts)
+                heterogeneity_profile(rows, part, rho, mode)
             assert (got.value.j, got.value.coord) == (e.j, e.coord)
             continue
-        prof = heterogeneity_profile(rows, part, rho, opts)
+        prof = heterogeneity_profile(rows, part, rho, mode)
         scale = max(float(ref.max()), 1e-300)
         err = np.abs(prof - ref) / np.maximum(ref, 1e-12 * scale)
         assert err.max() <= tol, (mode, prof, ref)
@@ -426,8 +408,7 @@ def test_whiten_two_members_closed_form_ill_conditioned():
     part = make_partition([0, 0, 1])
     keep = (a + b) > 0
     exact = float(np.sum((a - b)[keep] ** 2 / (2 * (a + b)[keep])))
-    prof = heterogeneity_profile(rows, part,
-                                 options=SelectionOptions(mode="whiten"))
+    prof = heterogeneity_profile(rows, part, mode="whiten")
     assert prof[0] == pytest.approx(exact, rel=1e-12)
     assert prof[1] == 0.0
 
@@ -440,8 +421,7 @@ def test_heterogeneity_point_mass_singleton_is_zero():
     with pytest.raises(DimensionMismatch):
         covariance_matrix(rows[:1], rows[0], np.array([1.0]))
     for mode in ("plain", "whiten"):
-        prof = heterogeneity_profile(rows, part,
-                                     options=SelectionOptions(mode=mode))
+        prof = heterogeneity_profile(rows, part, mode=mode)
         assert prof[0] == 0.0
         assert prof[1] > 0.0
 
@@ -639,10 +619,9 @@ def test_heterogeneity_lanczos_on_400_state_superstates(mode):
     pi, _ = gen_ncd(blocks=[80] * 5, eps=0.02, seed=11)
     rows = pi.rows
     parts = _planted_partitions([80] * 5, 8, seed=11)
-    opts = SelectionOptions(mode=mode)
     large = 0
     for k in (1, 2, 3):
-        prof = heterogeneity_profile(rows, parts[k], options=opts)
+        prof = heterogeneity_profile(rows, parts[k], mode=mode)
         Q = hard_membership(parts[k])
         for j in range(k):
             idx = np.flatnonzero(parts[k].assign == j)
