@@ -12,17 +12,16 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (as_rho, as_rows, make_partition, resolve_k_max,
-                   simplex_basis)
+from .core import as_rho, as_rows, make_partition, resolve_k_max
 from .errors import EmptySuperstate, InadmissiblePerturbation, NoConvergence
 from .klgeom import (_TINY, SoftAssociation, _gibbs, _kl_rows, _self_entropy,
                      _softmin, hard_centroids, posterior_and_centroids)
-from .selection import _FLOOR, _top_deviation
+from .selection import _EXACT_FIT, _FLOOR, _top_deviation
 
 # The annealing recipe, one for every run (Rose, Proc. IEEE 1998). anneal,
-# _converge and _critical_full read these (and _FLOOR, selection's centroid
-# floor) when called, not as default arguments, so a script may patch them
-# for a null run.
+# _converge and _critical_full read these (and selection's centroid floor
+# _FLOOR and exact-fit threshold _EXACT_FIT) when called, not as default
+# arguments, so a script may patch them for a null run.
 _ALPHA = 0.9            # cooling factor: T <- at most _ALPHA * T
 _T0_FACTOR = 2.0        # T0 = _T0_FACTOR * t_cr of the starting centroid
 _T_MIN_FACTOR = 1e-8    # stop once T < _T_MIN_FACTOR * T0
@@ -308,13 +307,15 @@ def _converge(rows, self_ent, positive, rho, Z, T, warnings):
 
 def anneal(pi, rho=None, cfg=AnnealConfig()):
     """Full annealing sweep, by the module's fixed recipe, up to cfg.k_max
-    centroids, resolved by resolve_k_max. Returns AnnealResult whose entries
-    hold at most one Partition per k, in increasing k order."""
+    centroids, resolved by resolve_k_max. The sweep stops, too, once the
+    largest critical temperature is below _EXACT_FIT: then no centroid can
+    split (a starting centroid that cannot returns k = 1 with no trace).
+    Returns AnnealResult whose entries hold at most one Partition per k, in
+    increasing k order."""
     rows = as_rows(pi)
     n = rows.shape[0]
     rho = as_rho(rho, n)
     k_max = resolve_k_max(n, cfg.k_max)
-    rng = np.random.default_rng(0)
 
     self_ent, positive = _self_entropy(rows), rows > 0
     entries = {1: make_partition(np.zeros(n, dtype=int), k=1)}
@@ -325,7 +326,11 @@ def anneal(pi, rho=None, cfg=AnnealConfig()):
     ones = SoftAssociation(p=np.ones((n, 1)),
                            posterior=(rho / rho.sum())[:, None])
     tcrs, dirs = _critical_full(rows, rho, z0, ones)
-    t0 = _T0_FACTOR * max(tcrs[0], 1e-12)
+    if tcrs[0] < _EXACT_FIT:
+        # a one-centroid bank's posterior is rho at every T, so its t_cr
+        # does not depend on T: it never splits
+        return AnnealResult(entries=[entries[1]])
+    t0 = _T0_FACTOR * tcrs[0]
     t_min = _T_MIN_FACTOR * t0
     T = t0
     Z = z0
@@ -335,11 +340,8 @@ def anneal(pi, rho=None, cfg=AnnealConfig()):
     while T > t_min and Z.shape[0] < k_max:
         # shadow copies of the distinct bank along the directions solved at
         # the previous temperature (or for the starting centroid), settled
-        # once at T
-        for j in range(Z.shape[0]):
-            if not dirs[j].any():
-                d = simplex_basis(n) @ rng.standard_normal(n - 1)
-                dirs[j] = d / np.linalg.norm(d)
+        # once at T. A centroid with a zero direction gets two coincident
+        # copies, which merge back
         bank = _shadow_bank(Z, dirs, _DELTA)
         bank, assoc = _converge(rows, self_ent, positive, rho, bank, T,
                                 warnings)
@@ -359,9 +361,12 @@ def anneal(pi, rho=None, cfg=AnnealConfig()):
         if Z.shape[0] >= k_max:
             break
         tcrs, dirs = _critical_full(rows, rho, Z, SoftAssociation(p=p))
-        tmax = float(tcrs.max()) if len(tcrs) else 0.0
+        tmax = float(tcrs.max())
+        if tmax < _EXACT_FIT:
+            # every centroid sits on its members' rows: cooling splits none
+            break
         nxt = _ALPHA * T
-        if tmax > 0 and tmax < T:
+        if tmax < T:
             nxt = min(nxt, 0.95 * tmax)
         T = nxt
 

@@ -2,7 +2,8 @@
 
 Subcommands: gen, aggregate, select, pipeline, ingest-bigrams. Exit code 0
 on success, 1 on validation/usage errors, 2 on unreadable or malformed
-input files. Every run prints its effective configuration first so results
+input files. A file's format follows its name: JSON for a .json path,
+CSV otherwise. Every run prints its effective configuration first so results
 can be reproduced from the log alone.
 """
 import argparse
@@ -20,9 +21,7 @@ from .pipeline import aggregate_per_k, run_pipeline
 from .selection import select_k
 
 
-def _fmt_of(path, explicit):
-    if explicit:
-        return explicit
+def _fmt_of(path):
     return "json" if str(path).endswith(".json") else "csv"
 
 
@@ -36,8 +35,7 @@ def _print_config(cmd, args, extra=None):
 
 
 def _load_matrix(args):
-    fmt = _fmt_of(args.matrix, args.format)
-    return parse_matrix(args.matrix, format=fmt)
+    return parse_matrix(args.matrix, format=_fmt_of(args.matrix))
 
 
 def _resolve_rho(matrix, choice):
@@ -72,7 +70,7 @@ def _cmd_gen(args):
         matrix, truth = gen_replicated_rows(n=args.n, k_t=args.kt,
                                             counts=counts, eps=args.eps,
                                             seed=args.seed)
-    write_matrix(matrix, args.out, format=_fmt_of(args.out, args.format))
+    write_matrix(matrix, args.out, format=_fmt_of(args.out))
     if args.truth:
         write_partitions({truth.k: truth}, args.truth)
     print(f"wrote {matrix.n}x{matrix.n} matrix to {args.out}")
@@ -112,7 +110,7 @@ def _cmd_select(args):
     print(f"k_t = {report.k_t}" + (" (exact fit)" if report.exact_fit else ""))
     if args.out:
         write_report(report, args.out,
-                     format=_fmt_of(args.out, args.format),
+                     format=_fmt_of(args.out),
                      input_hash=file_sha256(args.matrix))
         print(f"wrote report to {args.out}")
     else:
@@ -133,7 +131,7 @@ def _cmd_pipeline(args):
         write_partitions(result.partitions, args.partitions_out)
     if args.out:
         write_report(result.report, args.out,
-                     format=_fmt_of(args.out, args.format),
+                     format=_fmt_of(args.out),
                      input_hash=file_sha256(args.matrix))
         print(f"wrote report to {args.out}")
     return 0
@@ -142,7 +140,7 @@ def _cmd_pipeline(args):
 def _cmd_ingest(args):
     _print_config("ingest-bigrams", args)
     matrix = ingest_bigrams(args.counts, smoothing=args.eta)
-    write_matrix(matrix, args.out, format=_fmt_of(args.out, args.format))
+    write_matrix(matrix, args.out, format=_fmt_of(args.out))
     print(f"wrote 26x26 bigram chain to {args.out}")
     return 0
 
@@ -164,7 +162,6 @@ def build_parser():
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
     g.add_argument("--truth", help="also write the truth partition here")
-    g.add_argument("--format", choices=["csv", "json"])
     g.set_defaults(func=_cmd_gen)
 
     a = sub.add_parser("aggregate",
@@ -174,8 +171,6 @@ def build_parser():
     a.add_argument("--models", help="also write centroids and psi here")
     a.add_argument("--rho", choices=["uniform", "stationary"],
                    default="uniform")
-    a.add_argument("--format", choices=["csv", "json"],
-                   help="matrix format (default: by extension)")
     _add_kmax_flag(a)
     a.set_defaults(func=_cmd_aggregate)
 
@@ -183,8 +178,6 @@ def build_parser():
     s.add_argument("--matrix", required=True)
     s.add_argument("--partitions", required=True)
     s.add_argument("--out")
-    s.add_argument("--format", choices=["csv", "json"],
-                   help="report format (default: by --out extension)")
     _add_select_flags(s)
     s.set_defaults(func=_cmd_select)
 
@@ -192,7 +185,6 @@ def build_parser():
     p.add_argument("--matrix", required=True)
     p.add_argument("--out", help="report path")
     p.add_argument("--partitions-out", dest="partitions_out")
-    p.add_argument("--format", choices=["csv", "json"])
     _add_kmax_flag(p)
     _add_select_flags(p)
     p.set_defaults(func=_cmd_pipeline)
@@ -202,7 +194,6 @@ def build_parser():
     b.add_argument("--eta", type=float, default=1.0,
                    help="add-eta smoothing (default 1)")
     b.add_argument("--out", required=True)
-    b.add_argument("--format", choices=["csv", "json"])
     b.set_defaults(func=_cmd_ingest)
     return parser
 

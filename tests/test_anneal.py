@@ -165,8 +165,8 @@ def test_critical_full_zero_posterior_mass_coordinates():
 
 
 def test_critical_full_identical_rows_zero_direction():
-    # a zero top eigenvalue leaves the direction to the annealer's random
-    # tangent draw
+    # a zero top eigenvalue gives a zero direction; a centroid with one
+    # gets two coincident shadow copies, which merge back
     rows = np.tile([0.3, 0.7], (3, 1))
     assoc = SoftAssociation(p=np.ones((3, 1)), posterior=np.full((3, 1), 1 / 3))
     tcrs, dirs = anneal_module._critical_full(rows, np.full(3, 1 / 3),
@@ -691,6 +691,71 @@ def test_anneal_one_solve_per_temperature(monkeypatch):
             expected.append(["solve", k])
     assert [e[:2] for e in events[1:]] == expected
     assert len(temps) > 5 and ks[-1] == 6
+
+
+def _spy_fp(monkeypatch):
+    """Record the bank size of every _fp_iterate call."""
+    calls = []
+    plain = anneal_module._fp_iterate
+
+    def spying(rows, self_ent, positive, rho, Z, *args):
+        calls.append(np.atleast_2d(Z).shape[0])
+        return plain(rows, self_ent, positive, rho, Z, *args)
+    monkeypatch.setattr(anneal_module, "_fp_iterate", spying)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["absorbing", "identical-rows"])
+def test_anneal_returns_k1_when_the_start_cannot_split(monkeypatch, case):
+    # a starting centroid whose t_cr is below selection's exact-fit
+    # threshold never splits: its posterior is rho at every T. The
+    # absorbing chain's steady state is a point mass on state 0, and three
+    # identical rows leave a t_cr of rounding noise (about 5e-33)
+    if case == "absorbing":
+        rows = gen_ncd(blocks=[3, 3, 3], eps=0.05, seed=1)[0].rows.copy()
+        rows[0] = np.eye(9)[0]
+        rho, k_max = stationary_distribution(rows), 6
+    else:
+        rows, rho, k_max = np.tile([0.604, 0.0, 0.396], (3, 1)), None, 3
+    calls = _spy_fp(monkeypatch)
+    res = anneal(rows, rho, AnnealConfig(k_max=k_max))
+    assert calls == []
+    assert [p.k for p in res.entries] == [1]
+    assert not res.entries[0].assign.any()
+
+
+def test_anneal_stops_once_no_centroid_can_split(monkeypatch):
+    # two absorbing states, each the row of two states: once the bank
+    # splits into them, both centroids have a single coordinate and t_cr 0,
+    # and the sweep stops short of k_max, with one fixed point per
+    # temperature and no dead shadow to drop
+    rows = np.repeat(np.eye(4)[:2], 2, axis=0)
+    calls = _spy_fp(monkeypatch)
+    res = anneal(rows, cfg=AnnealConfig(k_max=4))
+    assert [p.k for p in res.entries] == [1, 2]
+    assert res.trace[-1][2] == 2
+    assert calls == [2 * k for _, _, k in res.trace[:-1]]
+    assert len(calls) < 20
+
+
+def test_converge_drops_a_dead_bank_row():
+    # row 1 lacks coordinate 0, which every state has, so every state is at
+    # +inf from it and _fp_iterate raises EmptySuperstate; _converge drops
+    # the row and settles the rest
+    rows = gen_ncd(blocks=[3, 3, 3], eps=0.05, seed=1)[0].rows
+    assert (rows[:, 0] > 0).all()
+    rho = np.full(9, 1 / 9)
+    z = rho @ rows
+    dead = z.copy()
+    dead[0] = 0.0
+    dead /= dead.sum()
+    warnings = []
+    Z, assoc = anneal_module._converge(rows, _self_entropy(rows), rows > 0,
+                                       rho, np.stack([z, dead]), 0.5,
+                                       warnings)
+    assert Z.shape == (1, 9) and assoc.p.shape == (9, 1)
+    np.testing.assert_allclose(Z[0], z, rtol=0, atol=1e-15)
+    assert warnings == []
 
 
 # --- aggregate_fixed_k ---

@@ -509,6 +509,33 @@ def test_cli_kmax_is_validated(tmp_path, monkeypatch, capsys, argv, rc):
         assert '"kmax_effective": 1' in out and "k_t = 1" in out
 
 
+def test_cli_takes_no_format_flag(tmp_path, monkeypatch, capsys):
+    # every file's format follows its name: one flag would set both the
+    # matrix and the report format, so a CSV matrix with a JSON report
+    # could not be named
+    monkeypatch.chdir(tmp_path)
+    runs = [
+        ["gen", "ncd", "--blocks", "3,3,3", "--eps", "0.05", "--out",
+         "m.json"],
+        ["aggregate", "--matrix", "m.json", "--kmax", "4", "--out",
+         "parts.json"],
+        ["select", "--matrix", "m.json", "--partitions", "parts.json",
+         "--out", "r.csv"],
+        ["pipeline", "--matrix", "m.json", "--kmax", "4", "--out", "r.json"],
+        ["ingest-bigrams", "--counts", str(DATA / "bigrams_sample.txt"),
+         "--out", "b.json"],
+    ]
+    for argv in runs:
+        for fmt in ("csv", "json"):
+            assert cli.main(argv + ["--format", fmt]) == 1
+            assert "unrecognized arguments" in capsys.readouterr().err
+        assert cli.main(argv) == 0
+    assert json.loads((tmp_path / "m.json").read_text())
+    assert json.loads((tmp_path / "r.json").read_text())["k_t"] >= 1
+    assert (tmp_path / "r.csv").read_text().startswith("# input: ")
+    assert parse_matrix(tmp_path / "b.json", format="json").n == 26
+
+
 def test_cli_select_wrong_length_partitions(tmp_path, capsys):
     mpath = _gen_matrix(tmp_path)                      # 9 states
     parts = tmp_path / "parts.json"
