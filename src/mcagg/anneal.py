@@ -14,8 +14,8 @@ import numpy as np
 
 from .core import as_rho, as_rows, make_partition, resolve_k_max
 from .errors import EmptySuperstate, InadmissiblePerturbation, NoConvergence
-from .klgeom import (_TINY, SoftAssociation, _gibbs, _kl_rows, _self_entropy,
-                     _softmin, hard_centroids, posterior_and_centroids)
+from .klgeom import (_TINY, SoftAssociation, _check_bank, _Gibbs, _kl_rows,
+                     _self_entropy, hard_centroids, posterior_and_centroids)
 from .selection import _EXACT_FIT, _FLOOR, _top_deviation
 
 # The annealing recipe, one for every run (Rose, Proc. IEEE 1998). anneal,
@@ -46,7 +46,10 @@ class CriticalReport:
 class AnnealResult:
     """The sweep's partitions, one per k it reached, in increasing k (each
     Partition carries its k), plus the (T, free_energy, effective_count)
-    trace and any convergence warnings."""
+    trace and any convergence warnings. trace[0] is the starting centroid
+    at T0, where no fixed point runs, and each later entry is one cooled
+    temperature; a starting centroid that cannot split returns k = 1 with
+    an empty trace."""
     entries: list
     trace: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
@@ -56,7 +59,8 @@ def _fp_iterate(rows, self_ent, positive, rho, Z0, T, tol, max_iter):
     """Settle the bank at temperature T by the Gibbs-weight / centroid map,
     accelerated by SQUAREM-S3 (Varadhan & Roland 2008). self_ent and
     positive are the rows' self-entropies and support mask (see
-    klgeom._kl_rows).
+    klgeom._kl_rows); one klgeom._Gibbs evaluator, built here, gives every
+    Gibbs weight and free energy of the fixed point.
 
     Each cycle makes two plain steps Z -> Z1 -> Z2 and extrapolates to
     Z - 2a r + a^2 v, with r = Z1 - Z, v = Z2 - Z1 - r and
@@ -68,11 +72,7 @@ def _fp_iterate(rows, self_ent, positive, rho, Z0, T, tol, max_iter):
     evaluations. Returns (Z, assoc, converged). Dead bank rows raise
     EmptySuperstate.
     """
-    def weights(Z, energy=True):
-        """Gibbs weights at Z and, with energy=True, the free energy there."""
-        D = _kl_rows(rows, self_ent, positive, Z)
-        return _gibbs(D, rho, T) if energy else _softmin(D, T, False)
-
+    weights = _Gibbs(rows, self_ent, positive, rho, T)
     Z = np.atleast_2d(np.asarray(Z0, dtype=float)).copy()
     p, f_start = weights(Z)
     cycle = [Z]
@@ -89,8 +89,9 @@ def _fp_iterate(rows, self_ent, positive, rho, Z0, T, tol, max_iter):
             continue
         Zx = _squarem(*cycle)
         cycle = [Z]
-        if Zx is not None and not ((Zx < 0).any()
-                                   or ((Zx == 0) & (Z > 0)).any()):
+        # one min-reduce clears a jump inside the simplex's interior
+        if Zx is not None and (np.minimum.reduce(Zx, axis=None) > 0 or not (
+                (Zx < 0).any() or ((Zx == 0) & (Z > 0)).any())):
             px, fx = weights(Zx)
             if fx <= f_start:
                 Z, p, f_start, cycle = Zx, px, fx, [Zx]
@@ -123,6 +124,8 @@ def fixed_point(pi, rho, Z0, T, tol=_FP_TOL, max_iter=_FP_MAX_ITER):
     """
     rows = as_rows(pi)
     rho = as_rho(rho, rows.shape[0])
+    Z0 = np.atleast_2d(np.asarray(Z0, dtype=float))
+    _check_bank(rows, Z0)
     Z, assoc, ok = _fp_iterate(rows, _self_entropy(rows), rows > 0, rho, Z0,
                                T, tol, max_iter)
     if not ok:
@@ -269,11 +272,14 @@ def _merge_bank(Z, tol):
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
-    roots = sorted({find(a) for a in range(k)})
+    root = [find(a) for a in range(k)]
+    members = {}
+    for a, r in enumerate(root):
+        members.setdefault(r, []).append(a)
+    roots = sorted(members)
     index = {r: i for i, r in enumerate(roots)}
-    merge_map = {a: index[find(a)] for a in range(k)}
-    Zm = np.stack([Z[[a for a in range(k) if find(a) == r]].mean(axis=0)
-                   for r in roots])
+    merge_map = {a: index[r] for a, r in enumerate(root)}
+    Zm = np.stack([Z[members[r]].mean(axis=0) for r in roots])
     return Zm, merge_map
 
 
@@ -334,7 +340,7 @@ def anneal(pi, rho=None, cfg=AnnealConfig()):
     t_min = _T_MIN_FACTOR * t0
     T = t0
     Z = z0
-    _, f = _gibbs(_kl_rows(rows, self_ent, positive, Z), rho, T)
+    _, f = _Gibbs(rows, self_ent, positive, rho, T)(Z)
     trace.append((T, f, 1))
 
     while T > t_min and Z.shape[0] < k_max:
@@ -356,7 +362,7 @@ def anneal(pi, rho=None, cfg=AnnealConfig()):
         # the merged bank's Gibbs weights at T give the trace its free
         # energy and, unless the bank is full, one solve gives the critical
         # temperatures for cooling and the next directions
-        p, f = _gibbs(_kl_rows(rows, self_ent, positive, Z), rho, T)
+        p, f = _Gibbs(rows, self_ent, positive, rho, T)(Z)
         trace.append((T, f, Z.shape[0]))
         if Z.shape[0] >= k_max:
             break

@@ -51,13 +51,17 @@ def _self_entropy(rows):
     return np.sum(np.where(rows > 0, rows * np.log(np.where(rows > 0, rows, 1.0)), 0.0), axis=1)
 
 
+def _check_bank(rows, Z):
+    if rows.shape[1] != Z.shape[1]:
+        raise DimensionMismatch(f"{rows.shape} vs {Z.shape}")
+
+
 def _kl_rows(rows, self_ent, positive, Z):
     """The KL kernel behind distance_matrix: n x k distances from rows to the
     bank Z, given the rows' self-entropies and support mask (rows > 0), so a
     caller that evaluates many banks against one set of rows computes those
     two once."""
-    if rows.shape[1] != Z.shape[1]:
-        raise DimensionMismatch(f"{rows.shape} vs {Z.shape}")
+    _check_bank(rows, Z)
     D = self_ent[:, None] - rows @ np.log(np.maximum(Z, _TINY)).T
     zero = Z <= 0
     if zero.any():
@@ -115,13 +119,48 @@ def _softmin(D, T, with_lse=True):
     return E / s, lse
 
 
-def _gibbs(D, rho, T):
-    """Gibbs weights of the n x k distances D at temperature T, and the free
-    energy -T sum_i rho_i lse_i there, from one _softmin. A state with
-    rho = 0 adds nothing, even where its log-sum-exp is -inf."""
-    p, lse = _softmin(D, T)
-    live = rho > 0
-    return p, -T * float(rho[live] @ lse[live])
+class _Gibbs:
+    """Gibbs weights of banks against fixed rows, rho and T, and the free
+    energy -T sum_i rho_i lse_i there: the map evaluation of the annealer's
+    fixed point and the one free-energy kernel. Built once per (rows, rho,
+    T), so the temperature check and the rho > 0 mask run once; self_ent
+    and positive are the rows' self-entropies and support mask (see
+    _kl_rows). A state with rho = 0 adds nothing to the free energy, even
+    where its log-sum-exp is -inf.
+
+    A bank whose entries all exceed _TINY (at T > _TINY) takes a fast path:
+    its distances, and their quotients by T, are finite, so the clamp, the
+    +inf scan and the dead-row fix-up cannot fire and are skipped. Any other
+    bank goes through _kl_rows and _softmin. Both paths give the same bits.
+    """
+
+    def __init__(self, rows, self_ent, positive, rho, T):
+        if T <= 0:
+            raise NonPositiveTemperature(f"T = {T}")
+        self.rows, self.self_ent, self.positive = rows, self_ent, positive
+        self.T = T
+        self.live = rho > 0
+        self.rho_live = rho[self.live]
+        # a bank above _TINY has D <= -log(_TINY) < 700, so D / T stays
+        # finite for T > _TINY
+        self.fast = T > _TINY
+
+    def __call__(self, Z, energy=True):
+        """Gibbs weights at the bank Z and, with energy=True, the free
+        energy there (None otherwise)."""
+        if self.fast and np.minimum.reduce(Z, axis=None) > _TINY:
+            A = (self.self_ent[:, None] - self.rows @ np.log(Z).T) / -self.T
+            m = np.maximum.reduce(A, axis=1, keepdims=True)
+            E = np.exp(A - m)
+            s = np.add.reduce(E, axis=1, keepdims=True)
+            p = E / s
+            lse = m[:, 0] + np.log(s[:, 0]) if energy else None
+        else:
+            D = _kl_rows(self.rows, self.self_ent, self.positive, Z)
+            p, lse = _softmin(D, self.T, energy)
+        if not energy:
+            return p, None
+        return p, -self.T * float(self.rho_live @ lse[self.live])
 
 
 def gibbs_weights(distances, T):
@@ -158,7 +197,9 @@ def free_energy(pi, Z, rho=None, T=1.0):
     """Annealed objective -T sum_i rho_i log sum_j exp(-KL_ij / T)."""
     rows = as_rows(pi)
     rho = as_rho(rho, rows.shape[0])
-    return _gibbs(distance_matrix(rows, Z), rho, T)[1]
+    Z = np.atleast_2d(np.asarray(Z, dtype=float))
+    _check_bank(rows, Z)
+    return _Gibbs(rows, _self_entropy(rows), rows > 0, rho, T)(Z)[1]
 
 
 def aggregate_transitions(Z, partition):

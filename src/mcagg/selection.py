@@ -71,7 +71,9 @@ def covariance_matrix(members, w, q, mode="plain", floor=_FLOOR, j=0):
     Plain mode measures relative deviations (pi(i) - w) ./ w directly;
     whiten mode rescales them by the local curvature (Cholesky of the
     Theta^T Lambda Theta form) so the output eigenvalues are comparable to
-    annealing temperatures.
+    annealing temperatures. That Cholesky is ill-conditioned when a kept
+    coordinate of w sits just above the floor (Lambda = diag(1/w)): with w
+    near 1e-12, whiten mode is accurate only to about 1e-5 relative.
     """
     members = np.atleast_2d(np.asarray(members, dtype=float))
     w = np.asarray(w, dtype=float)

@@ -10,13 +10,15 @@ from mcagg.anneal import (AnnealConfig, anneal, critical_temperature,
                           hessian_quadratic_form)
 from mcagg.core import simplex_basis, stationary_distribution
 from mcagg.errors import (DimensionMismatch, InadmissiblePerturbation,
-                          NoConvergence)
+                          NoConvergence, NonPositiveTemperature)
 from mcagg.generators import gen_ncd
-from mcagg.klgeom import (SoftAssociation, _self_entropy, distance_matrix,
+from mcagg.klgeom import (_TINY, SoftAssociation, _Gibbs, _kl_rows,
+                          _self_entropy, _softmin, distance_matrix,
                           free_energy, gibbs_weights, posterior_and_centroids)
 from mcagg.pipeline import aggregate_fixed_k
 
 anneal_module = importlib.import_module("mcagg.anneal")
+klgeom_module = importlib.import_module("mcagg.klgeom")
 
 PI2 = np.array([[0.9, 0.1], [0.1, 0.9]])
 
@@ -221,6 +223,15 @@ def test_fixed_point_splits_below_critical():
     assert np.allclose(np.sort(Z[:, 0]), [0.1, 0.9], atol=1e-3)
 
 
+@pytest.mark.parametrize("T", [0.0, -1.0])
+def test_fixed_point_rejects_non_positive_temperature(T):
+    Z0 = np.array([[0.501, 0.499], [0.499, 0.501]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonPositiveTemperature):
+            fixed_point(PI2, None, Z0, T=T)
+
+
 def test_fixed_point_free_energy_monotone():
     rng = np.random.default_rng(3)
     rows = rng.dirichlet(np.ones(5), size=5)
@@ -366,9 +377,10 @@ def test_anneal_zero_weight_states_free_energy_finite(monkeypatch):
     rho = stationary_distribution(ZERO_WEIGHT_ROWS)
     assert np.array_equal(rho[4:], [0.0, 0.0])
     caught = []
-    for name in ("_fp_iterate", "_gibbs"):
-        monkeypatch.setattr(anneal_module, name, _no_runtime_warnings(
-            getattr(anneal_module, name), caught))
+    monkeypatch.setattr(anneal_module, "_fp_iterate", _no_runtime_warnings(
+        anneal_module._fp_iterate, caught))
+    monkeypatch.setattr(_Gibbs, "__call__", _no_runtime_warnings(
+        _Gibbs.__call__, caught))
     res = anneal(ZERO_WEIGHT_ROWS, rho, AnnealConfig(k_max=5))
     assert not caught, [str(w.message) for w in caught]
     assert all(np.isfinite(f) for _, f, _ in res.trace)
@@ -381,12 +393,17 @@ ZERO_WEIGHT_Z0 = np.array([[0.4, 0.4, 0.2, 0, 0, 0],
                            [0, 0, 0.5, 0.5, 0, 0]])
 
 
-def _jump_run(monkeypatch, rho, T, jump):
+def _jump_run(monkeypatch, rho, T, jump, banks=None):
     """_fp_iterate from ZERO_WEIGHT_Z0 with the first SQUAREM extrapolation
-    replaced by jump. Returns the Gibbs weights of every map evaluation."""
+    replaced by jump. Returns the Gibbs weights of every map evaluation;
+    a banks list, if given, receives every bank the Gibbs evaluator sees."""
     seen, jumps = [], [jump]
     monkeypatch.setattr(anneal_module, "_squarem",
                         lambda *cycle: jumps.pop() if jumps else None)
+    if banks is not None:
+        call = _Gibbs.__call__
+        monkeypatch.setattr(_Gibbs, "__call__", lambda self, Z, energy=True:
+                            banks.append(Z.copy()) or call(self, Z, energy))
     monkeypatch.setattr(anneal_module, "posterior_and_centroids",
                         lambda r, p, w: seen.append(p) or
                         posterior_and_centroids(r, p, w))
@@ -419,6 +436,107 @@ def test_fixed_point_jump_accept_and_reject_with_zero_weight_states(
     p_bad = gibbs_weights(distance_matrix(rows, Zbad), T).p
     seen = _jump_run(monkeypatch, rho, T, Zbad)
     assert not any(np.allclose(p, p_bad) for p in seen)
+
+
+@pytest.mark.parametrize("where", ["negative entry", "zero where Z2 > 0"])
+def test_fixed_point_drops_a_jump_off_the_simplex(monkeypatch, where):
+    rows = ZERO_WEIGHT_ROWS
+    rho = stationary_distribution(rows)
+    T = 0.05
+    jump = _plain_fixed_point(rows, rho, ZERO_WEIGHT_Z0, T)
+    if where == "negative entry":
+        jump[0, 0] += jump[0, 1] + 0.01
+        jump[0, 1] = -0.01
+    else:
+        jump[0, 1] += jump[0, 0]
+        jump[0, 0] = 0.0
+    banks = []
+    seen = _jump_run(monkeypatch, rho, T, jump, banks)
+    # the evaluator's calls: the start, the middle plain step, then Z2,
+    # where the cycle goes on in place of the jump
+    assert banks[2][0, 0] > 0
+    assert not any(np.array_equal(Z, jump) for Z in banks)
+    if where != "negative entry":
+        p_jump = gibbs_weights(distance_matrix(rows, jump), T).p
+        assert not any(np.allclose(p, p_jump) for p in seen)
+
+
+class _GeneralPathGibbs:
+    """klgeom._Gibbs without its fast path: every bank goes through
+    _kl_rows and _softmin, and the free energy sums over rho > 0."""
+
+    def __init__(self, rows, self_ent, positive, rho, T):
+        self.kernel_args = rows, self_ent, positive
+        self.rho, self.T = rho, T
+
+    def __call__(self, Z, energy=True):
+        p, lse = _softmin(_kl_rows(*self.kernel_args, Z), self.T, energy)
+        if not energy:
+            return p, None
+        live = self.rho > 0
+        return p, -self.T * float(self.rho[live] @ lse[live])
+
+
+def _gibbs_cases():
+    """(rows, rho, bank, T, fast): a bank strictly above _TINY, a bank with
+    an exact zero coordinate, and a rho with zero-weight states under each
+    kind of bank."""
+    rng = np.random.default_rng(8)
+    rows = rng.dirichlet(np.ones(5), size=7)
+    rho = rng.dirichlet(np.ones(7))
+    Z = rng.dirichlet(np.ones(5), size=3)
+    Zzero = Z.copy()
+    Zzero[1, 1] += Zzero[1, 2]
+    Zzero[1, 2] = 0.0
+    zw_rho = stationary_distribution(ZERO_WEIGHT_ROWS)
+    Zpos = rng.dirichlet(np.ones(6), size=3)
+    return {"positive": (rows, rho, Z, 0.3, True),
+            "zero coordinate": (rows, rho, Zzero, 0.3, False),
+            "zero weight, positive bank": (ZERO_WEIGHT_ROWS, zw_rho, Zpos,
+                                           0.05, True),
+            "zero weight, zero coordinates": (ZERO_WEIGHT_ROWS, zw_rho,
+                                              ZERO_WEIGHT_Z0, 0.05, False)}
+
+
+@pytest.mark.parametrize("case", list(_gibbs_cases()))
+def test_gibbs_fast_path_matches_general_path(monkeypatch, case):
+    rows, rho, Z, T, fast = _gibbs_cases()[case]
+    assert (Z.min() > _TINY) == fast
+    kernel = (rows, _self_entropy(rows), rows > 0, rho, T)
+    want = _GeneralPathGibbs(*kernel)
+    calls = []
+    monkeypatch.setattr(klgeom_module, "_kl_rows",
+                        lambda *a: calls.append(1) or _kl_rows(*a))
+    gibbs = _Gibbs(*kernel)
+    p, f = gibbs(Z)
+    q, _ = gibbs(Z, energy=False)
+    assert len(calls) == (0 if fast else 2)
+    p_want, f_want = want(Z)
+    assert np.array_equal(p, p_want) and np.array_equal(q, p_want)
+    assert f == f_want
+    assert free_energy(rows, Z, rho, T) == f_want
+
+
+@pytest.mark.parametrize("case", ["positive", "zero weight, positive bank",
+                                  "zero weight, zero coordinates"])
+def test_fixed_point_fast_path_matches_general_path(monkeypatch, case):
+    rows, rho, Z0, T, _ = _gibbs_cases()[case]
+    Z, assoc = fixed_point(rows, rho, Z0, T)
+    monkeypatch.setattr(anneal_module, "_Gibbs", _GeneralPathGibbs)
+    Z_want, assoc_want = fixed_point(rows, rho, Z0, T)
+    assert np.array_equal(Z, Z_want)
+    assert np.array_equal(assoc.p, assoc_want.p)
+    assert np.array_equal(assoc.posterior, assoc_want.posterior)
+
+
+def test_anneal_fast_path_matches_general_path(monkeypatch):
+    pi, _ = gen_ncd(blocks=[3, 3, 3], eps=0.05, seed=4)
+    res = anneal(pi.rows, cfg=AnnealConfig(k_max=6))
+    monkeypatch.setattr(anneal_module, "_Gibbs", _GeneralPathGibbs)
+    want = anneal(pi.rows, cfg=AnnealConfig(k_max=6))
+    assert res.trace == want.trace
+    assert [e.assign.tolist() for e in res.entries] == \
+        [e.assign.tolist() for e in want.entries]
 
 
 @pytest.mark.parametrize("max_iter", [1, 2, 3, 7])
