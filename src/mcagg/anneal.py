@@ -46,10 +46,10 @@ class CriticalReport:
 class AnnealResult:
     """The sweep's partitions, one per k it reached, in increasing k (each
     Partition carries its k), plus the (T, free_energy, effective_count)
-    trace and any convergence warnings. trace[0] is the starting centroid
-    at T0, where no fixed point runs, and each later entry is one cooled
-    temperature; a starting centroid that cannot split returns k = 1 with
-    an empty trace."""
+    trace and any convergence warnings. The trace holds one entry per
+    temperature swept, one fixed point each, with the merged bank's free
+    energy and size there; a starting centroid that cannot split returns
+    k = 1 with an empty trace."""
     entries: list
     trace: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
@@ -340,8 +340,6 @@ def anneal(pi, rho=None, cfg=AnnealConfig()):
     t_min = _T_MIN_FACTOR * t0
     T = t0
     Z = z0
-    _, f = _Gibbs(rows, self_ent, positive, rho, T)(Z)
-    trace.append((T, f, 1))
 
     while T > t_min and Z.shape[0] < k_max:
         # shadow copies of the distinct bank along the directions solved at

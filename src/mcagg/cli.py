@@ -2,9 +2,10 @@
 
 Subcommands: gen, aggregate, select, pipeline, ingest-bigrams. Exit code 0
 on success, 1 on validation/usage errors, 2 on unreadable or malformed
-input files. A file's format follows its name: JSON for a .json path,
-CSV otherwise. Every run prints its effective configuration first so results
-can be reproduced from the log alone.
+input files. A file's format follows its name, JSON for a .json path and
+CSV otherwise; io applies that rule, and the CLI passes paths only. Every
+run prints its effective configuration first so results can be reproduced
+from the log alone.
 """
 import argparse
 import json
@@ -21,10 +22,6 @@ from .pipeline import aggregate_per_k, run_pipeline
 from .selection import select_k
 
 
-def _fmt_of(path):
-    return "json" if str(path).endswith(".json") else "csv"
-
-
 def _print_config(cmd, args, extra=None):
     cfg = {k: v for k, v in vars(args).items()
            if k != "func" and v is not None}
@@ -35,7 +32,7 @@ def _print_config(cmd, args, extra=None):
 
 
 def _load_matrix(args):
-    return parse_matrix(args.matrix, format=_fmt_of(args.matrix))
+    return parse_matrix(args.matrix)
 
 
 def _resolve_rho(matrix, choice):
@@ -70,7 +67,7 @@ def _cmd_gen(args):
         matrix, truth = gen_replicated_rows(n=args.n, k_t=args.kt,
                                             counts=counts, eps=args.eps,
                                             seed=args.seed)
-    write_matrix(matrix, args.out, format=_fmt_of(args.out))
+    write_matrix(matrix, args.out)
     if args.truth:
         write_partitions({truth.k: truth}, args.truth)
     print(f"wrote {matrix.n}x{matrix.n} matrix to {args.out}")
@@ -109,9 +106,7 @@ def _cmd_select(args):
     report = select_k(matrix.rows, partitions, rho, mode=args.mode)
     print(f"k_t = {report.k_t}" + (" (exact fit)" if report.exact_fit else ""))
     if args.out:
-        write_report(report, args.out,
-                     format=_fmt_of(args.out),
-                     input_hash=file_sha256(args.matrix))
+        write_report(report, args.out, input_hash=file_sha256(args.matrix))
         print(f"wrote report to {args.out}")
     else:
         for line in report_csv_rows(report):
@@ -131,7 +126,6 @@ def _cmd_pipeline(args):
         write_partitions(result.partitions, args.partitions_out)
     if args.out:
         write_report(result.report, args.out,
-                     format=_fmt_of(args.out),
                      input_hash=file_sha256(args.matrix))
         print(f"wrote report to {args.out}")
     return 0
@@ -140,7 +134,7 @@ def _cmd_pipeline(args):
 def _cmd_ingest(args):
     _print_config("ingest-bigrams", args)
     matrix = ingest_bigrams(args.counts, smoothing=args.eta)
-    write_matrix(matrix, args.out, format=_fmt_of(args.out))
+    write_matrix(matrix, args.out)
     print(f"wrote 26x26 bigram chain to {args.out}")
     return 0
 

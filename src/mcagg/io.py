@@ -34,11 +34,16 @@ def _try_float(tok):
         return None
 
 
-def parse_matrix(path, format="csv"):
+def _is_json(path):
+    """The one format rule: a path ending in .json is JSON, any other CSV."""
+    return str(path).endswith(".json")
+
+
+def parse_matrix(path):
     """Load a stochastic matrix. csv rows are comma-separated reals with an
     optional leading label header; json is {"labels"?: [...], "matrix":
     [[...]]}. Rows may be off by 1e-6 and are renormalized exactly."""
-    if format == "json":
+    if _is_json(path):
         with open(path) as fh:
             try:
                 obj = json.load(fh)
@@ -53,8 +58,6 @@ def parse_matrix(path, format="csv"):
             raise RaggedRows(f"row lengths {sorted(widths)}")
         return validate_stochastic(np.asarray(rows, dtype=float), tol=1e-6,
                                    labels=tuple(labels) if labels else None)
-    if format != "csv":
-        raise ValueError(f"unknown matrix format {format!r}")
     with open(path) as fh:
         lines = [ln for ln in map(str.strip, fh.read().split("\n")) if ln]
     if not lines:
@@ -97,11 +100,11 @@ def _raise_fault(body, first_no, err):
     raise ParseError(str(err))
 
 
-def write_matrix(matrix, path, format="csv"):
+def write_matrix(matrix, path):
     """Full-precision dump; parse_matrix(write_matrix(m)) reproduces m."""
     rows = matrix.rows if isinstance(matrix, StochasticMatrix) else np.asarray(matrix, float)
     labels = matrix.labels if isinstance(matrix, StochasticMatrix) else None
-    if format == "json":
+    if _is_json(path):
         obj = {"matrix": [[float(v) for v in r] for r in rows]}
         if labels:
             obj["labels"] = list(labels)
@@ -109,8 +112,6 @@ def write_matrix(matrix, path, format="csv"):
             json.dump(obj, fh, sort_keys=True)
             fh.write("\n")
         return
-    if format != "csv":
-        raise ValueError(f"unknown matrix format {format!r}")
     with open(path, "w") as fh:
         if labels:
             fh.write(",".join(labels) + "\n")
@@ -232,11 +233,11 @@ def report_csv_rows(report):
         yield f"{k},{report.t_bars[k]:.12f},{cell}"
 
 
-def write_report(report, path, format="csv", input_hash=None):
+def write_report(report, path, input_hash=None):
     """Emit a selection report. csv columns are k,t_bar,nu (report_csv_rows);
     json carries the same rows plus per-superstate heterogeneity and the
     selection mode."""
-    if format == "csv":
+    if not _is_json(path):
         with open(path, "w") as fh:
             fh.write(f"# input: {input_hash or '-'}\n")
             fh.write(f"# options: mode={report.mode}\n")
@@ -245,8 +246,6 @@ def write_report(report, path, format="csv", input_hash=None):
             for line in report_csv_rows(report):
                 fh.write(line + "\n")
         return
-    if format != "json":
-        raise ValueError(f"unknown report format {format!r}")
     rows = []
     for k in sorted(report.t_bars):
         nu = report.nus.get(k)
@@ -270,10 +269,17 @@ def write_report(report, path, format="csv", input_hash=None):
 
 
 def read_report(path):
-    """Inverse of write_report(format=json). Keys of "options" other than
-    "mode" (older reports also echo "membership" and "floor") are ignored."""
+    """Inverse of write_report for a JSON report. Keys of "options" other
+    than "mode" (older reports also echo "membership" and "floor") are
+    ignored. A file that is not JSON, or has no "k_t" or "rows", raises
+    ParseError."""
     with open(path) as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise ParseError(str(e), line=e.lineno, column=e.colno)
+    if not isinstance(obj, dict) or "k_t" not in obj or "rows" not in obj:
+        raise ParseError('expected an object with "k_t" and "rows" keys')
     t_bars = {r["k"]: r["t_bar"] for r in obj["rows"]}
     nus = {}
     for r in obj["rows"]:

@@ -2,10 +2,9 @@
 centroid updates and aggregated transition construction.
 
 All logarithms are natural. Exponentials are computed with max-subtraction so
-small temperatures do not overflow. Only kl_divergence takes a floor for the
-second KL argument; everywhere else a zero coordinate against positive mass
-honestly yields +inf (smoothing at ingestion is the supported way to avoid
-that).
+small temperatures do not overflow. No KL computation takes a floor: a zero
+coordinate against positive mass honestly yields +inf (smoothing at
+ingestion is the supported way to avoid that).
 """
 from dataclasses import dataclass
 
@@ -26,24 +25,17 @@ class SoftAssociation:
     posterior: np.ndarray = None
 
 
-def kl_divergence(p, q, floor=0.0):
-    """Relative entropy sum(p log(p/q)) in nats, with 0 log 0 = 0.
-
-    With floor > 0 the second argument is clipped from below; with floor = 0
-    a coordinate where p > 0 but q = 0 gives +inf.
-    """
+def kl_divergence(p, q):
+    """Relative entropy sum(p log(p/q)) in nats, with 0 log 0 = 0; a
+    coordinate where p > 0 but q = 0 gives +inf."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape:
         raise DimensionMismatch(f"{p.shape} vs {q.shape}")
     mask = p > 0
-    if floor > 0:
-        qq = np.maximum(q, floor)
-    else:
-        if np.any(mask & (q <= 0)):
-            return float("inf")
-        qq = np.where(mask, q, 1.0)
-    return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(qq[mask]))))
+    if np.any(mask & (q <= 0)):
+        return float("inf")
+    return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(q[mask]))))
 
 
 def _self_entropy(rows):
@@ -79,15 +71,12 @@ def distance_matrix(pi, Z):
 
 
 def distortion(pi, model, rho=None):
-    """rho-weighted cumulative KL distance of each state to its superstate."""
+    """rho-weighted cumulative KL distance of each state to its superstate's
+    distribution in model, an AggregatedModel."""
     rows = as_rows(pi)
     rho = as_rho(rho, rows.shape[0])
-    if isinstance(model, AggregatedModel):
-        assign = model.partition.assign
-        W = model.distributions
-    else:
-        assign, W = model  # (assign, bank) for internal callers
-    d = distance_matrix(rows, W)[np.arange(rows.shape[0]), assign]
+    d = distance_matrix(rows, model.distributions)[
+        np.arange(rows.shape[0]), model.partition.assign]
     # a zero-weight state adds nothing, even at an infinite distance
     used = rho > 0
     return float(rho[used] @ d[used])

@@ -48,37 +48,40 @@ def hard_membership(partition, rho=None):
     return R / R.sum(axis=0, keepdims=True)
 
 
-def _guard_floor(j, members, w, floor, q):
-    """Coordinates where the centroid sits below the floor are dropped when
+def _guard_floor(j, members, w, q):
+    """Coordinates where the centroid sits below _FLOOR are dropped when
     no member row with weight q > 0 deviates there (a member with q = 0 adds
     nothing to the covariance); a real deviation over a floored coordinate
     is unrecoverable."""
-    low = w < floor
+    low = w < _FLOOR
     if not low.any():
-        return np.maximum(w, floor), slice(None)
+        return np.maximum(w, _FLOOR), slice(None)
     dev = np.abs(members[q > 0] - w).max(axis=0, initial=0.0)
-    bad = low & (dev > floor)
+    bad = low & (dev > _FLOOR)
     if bad.any():
         raise FloorViolation(j, int(np.where(bad)[0][0]))
     keep = ~low
     return w[keep], keep
 
 
-def covariance_matrix(members, w, q, mode="plain", floor=_FLOOR, j=0):
-    """Deviation covariance of one superstate in the simplex tangent basis.
+def covariance_matrix(members, w, q, mode="plain", j=0):
+    """Deviation covariance of one superstate in the simplex tangent basis,
+    formed in full: the oracle for _top_eigenvalue, which never forms it.
 
-    members: rows of the cluster (m x n); w: its aggregated row; q: weights.
-    Plain mode measures relative deviations (pi(i) - w) ./ w directly;
-    whiten mode rescales them by the local curvature (Cholesky of the
-    Theta^T Lambda Theta form) so the output eigenvalues are comparable to
-    annealing temperatures. That Cholesky is ill-conditioned when a kept
-    coordinate of w sits just above the floor (Lambda = diag(1/w)): with w
-    near 1e-12, whiten mode is accurate only to about 1e-5 relative.
+    members: rows of the cluster (m x n); w: its aggregated row; q: weights;
+    j: the superstate a FloorViolation names. Coordinates of w below _FLOOR
+    go as _guard_floor says. Plain mode measures relative
+    deviations (pi(i) - w) ./ w directly; whiten mode rescales them by the
+    local curvature (Cholesky of the Theta^T Lambda Theta form) so the
+    output eigenvalues are comparable to annealing temperatures. That
+    Cholesky is ill-conditioned when a kept coordinate of w sits just above
+    _FLOOR (Lambda = diag(1/w)): with w near 1e-12, whiten mode is accurate
+    only to about 1e-5 relative.
     """
     members = np.atleast_2d(np.asarray(members, dtype=float))
     w = np.asarray(w, dtype=float)
     q = np.asarray(q, dtype=float)
-    wsafe, keep = _guard_floor(j, members, w, floor, q)
+    wsafe, keep = _guard_floor(j, members, w, q)
     sub = members[:, keep] if not isinstance(keep, slice) else members
     theta = simplex_basis(wsafe.shape[0])
     V = (sub - wsafe) / wsafe
@@ -206,7 +209,7 @@ def _top_eigenvalue(members, w, q, mode, j):
     (0 below 2 kept coordinates), by _top_deviation: s = w and u along 1 in
     plain mode; q normalized, s = sqrt(q @ members) and u along w / s in
     whiten mode."""
-    wsafe, keep = _guard_floor(j, members, w, _FLOOR, q)
+    wsafe, keep = _guard_floor(j, members, w, q)
     sub = members[:, keep]
     if mode == "plain":
         s, u = wsafe, np.ones(len(wsafe))

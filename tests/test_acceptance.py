@@ -22,7 +22,7 @@ from mcagg.cli import main as cli_main
 from mcagg.generators import gen_ncd, gen_replicated_rows, perturb
 from mcagg.io import ingest_bigrams, parse_partitions
 from mcagg.klgeom import (SoftAssociation, build_model, distance_matrix,
-                          distortion, hard_centroids, kl_divergence)
+                          distortion, kl_divergence)
 from mcagg.selection import covariance_matrix, hard_membership, heterogeneity
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "data"
@@ -274,7 +274,7 @@ def _partitions_exactly_k(n, k):
 
 
 def _dscore(rows, rho, assign):
-    return distortion(rows, (assign, hard_centroids(rows, assign, rho)), rho)
+    return distortion(rows, build_model(rows, assign, rho), rho)
 
 
 def _brute_min_distortion(rows, rho, k):

@@ -799,8 +799,8 @@ def test_anneal_one_solve_per_temperature(monkeypatch):
         m.setattr(anneal_module, "_converge", spying_converge)
         m.setattr(anneal_module, "_top_deviation", counting_top)
         res = anneal(pi.rows, cfg=AnnealConfig(k_max=6))
-    temps = [t for t, _, _ in res.trace[1:]]
-    ks = [k for _, _, k in res.trace[1:]]
+    temps = [t for t, _, _ in res.trace]
+    ks = [k for _, _, k in res.trace]
     assert events[0] == ["solve", 1, 1]
     expected = []
     for t, k in zip(temps, ks):
@@ -852,7 +852,7 @@ def test_anneal_stops_once_no_centroid_can_split(monkeypatch):
     res = anneal(rows, cfg=AnnealConfig(k_max=4))
     assert [p.k for p in res.entries] == [1, 2]
     assert res.trace[-1][2] == 2
-    assert calls == [2 * k for _, _, k in res.trace[:-1]]
+    assert calls == [2] + [2 * k for _, _, k in res.trace[:-1]]
     assert len(calls) < 20
 
 

@@ -76,13 +76,13 @@ def test_parse_json_variant(tmp_path):
     p = tmp_path / "m.json"
     p.write_text(json.dumps({"labels": ["x", "y"],
                              "matrix": [[0.5, 0.5], [0.1, 0.9]]}))
-    m = parse_matrix(p, format="json")
+    m = parse_matrix(p)
     assert m.labels == ("x", "y")
     assert np.allclose(m.rows, [[0.5, 0.5], [0.1, 0.9]], atol=1e-15)
     p2 = tmp_path / "bad.json"
     p2.write_text(json.dumps({"rows": []}))
     with pytest.raises(ParseError):
-        parse_matrix(p2, format="json")
+        parse_matrix(p2)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -92,8 +92,10 @@ def test_matrix_round_trip(tmp_path, fmt):
     m = StochasticMatrix(rows=rng.dirichlet(np.ones(5), size=5),
                          labels=tuple("abcde"))
     p = tmp_path / f"m.{fmt}"
-    write_matrix(m, p, format=fmt)
-    back = parse_matrix(p, format=fmt)
+    write_matrix(m, p)
+    if fmt == "json":
+        assert json.loads(p.read_text())["labels"] == list("abcde")
+    back = parse_matrix(p)
     assert np.abs(back.rows - m.rows).max() < 1e-12
     assert back.labels == m.labels
 
@@ -328,7 +330,7 @@ def test_report_json_round_trip(tmp_path):
         mode="whiten",
         per_superstate={1: [4.0], 2: [2.0, 1.0], 3: [0.5, 0.2, 0.1]})
     p = tmp_path / "r.json"
-    write_report(rep, p, format="json", input_hash="cafe")
+    write_report(rep, p, input_hash="cafe")
     back = read_report(p)
     assert back.k_t == rep.k_t
     assert back.t_bars == rep.t_bars
@@ -365,10 +367,25 @@ def test_report_exact_fit_round_trip(tmp_path):
     rep = SelectionReport(k_t=2, t_bars={1: 1.0, 2: 0.0},
                           nus={2: np.inf}, exact_fit=True)
     p = tmp_path / "r.json"
-    write_report(rep, p, format="json")
+    write_report(rep, p)
     back = read_report(p)
     assert back.exact_fit
     assert back.nus[2] == np.inf
+
+
+def test_read_report_rejects_csv_and_incomplete_json(tmp_path):
+    # a .csv path gets the csv report, which is not JSON; a JSON object
+    # without "rows" is not a report either
+    rep = SelectionReport(k_t=2, t_bars={1: 1.0, 2: 0.5}, nus={2: 0.69})
+    p = tmp_path / "r.csv"
+    write_report(rep, p)
+    with pytest.raises(ParseError) as exc:
+        read_report(p)
+    assert exc.value.line == 1
+    p2 = tmp_path / "r.json"
+    p2.write_text(json.dumps({"k_t": 2, "exact_fit": False}))
+    with pytest.raises(ParseError):
+        read_report(p2)
 
 
 # --- CLI ---
@@ -533,7 +550,7 @@ def test_cli_takes_no_format_flag(tmp_path, monkeypatch, capsys):
     assert json.loads((tmp_path / "m.json").read_text())
     assert json.loads((tmp_path / "r.json").read_text())["k_t"] >= 1
     assert (tmp_path / "r.csv").read_text().startswith("# input: ")
-    assert parse_matrix(tmp_path / "b.json", format="json").n == 26
+    assert parse_matrix(tmp_path / "b.json").n == 26
 
 
 def test_cli_select_wrong_length_partitions(tmp_path, capsys):

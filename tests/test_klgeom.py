@@ -36,7 +36,6 @@ def test_kl_quarter():
 
 def test_kl_infinite_without_floor():
     assert kl_divergence([0.5, 0.5], [1.0, 0.0]) == np.inf
-    assert np.isfinite(kl_divergence([0.5, 0.5], [1.0, 0.0], floor=1e-9))
 
 
 def test_kl_dimension_mismatch():
@@ -100,10 +99,9 @@ def test_distortion_skips_zero_weight_state_at_infinite_distance():
     # state 1 has no mass under rho and puts mass where its centroid has
     # none: its infinite distance must not turn the total into NaN
     rows = np.array([[1.0, 0.0], [0.0, 1.0]])
-    assign = np.array([0, 0])
-    bank = hard_centroids(rows, assign, np.array([1.0, 0.0]))
-    assert np.array_equal(bank, [[1.0, 0.0]])
-    assert distortion(rows, (assign, bank), np.array([1.0, 0.0])) == 0.0
+    model = build_model(rows, np.array([0, 0]), np.array([1.0, 0.0]))
+    assert np.array_equal(model.distributions, [[1.0, 0.0]])
+    assert distortion(rows, model, np.array([1.0, 0.0])) == 0.0
 
 
 def test_hard_centroids_zero_weight_group_plain_mean():

@@ -6,8 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mcagg import distortion, stationary_distribution
-from mcagg.klgeom import hard_centroids
+from mcagg import build_model, distortion, stationary_distribution
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "sweep_flips.py"
 _spec = importlib.util.spec_from_file_location("sweep_flips", SCRIPT)
@@ -48,7 +47,7 @@ def test_exact_minima_match_brute_force(seed, rho_mode):
         assert (rho[:4] > 0).all() and np.array_equal(rho[4:], [0.0] * 3)
     best = {}
     for assign, k in set_partitions(7):
-        d = distortion(rows, (assign, hard_centroids(rows, assign, rho)), rho)
+        d = distortion(rows, build_model(rows, assign, rho), rho)
         best[k] = min(best.get(k, np.inf), d)
     got = sweep_flips.exact_minima(rows, rho, 7)
     assert sorted(got) == list(range(1, 8))
