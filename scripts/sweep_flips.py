@@ -207,8 +207,8 @@ def _null_patch(null):
         return "_DELTA", float(np.nextafter(anneal_module._DELTA, 1.0))
     plain = anneal_module._shadow_bank
 
-    def swapped(Z, dirs, delta):
-        bank = plain(Z, dirs, delta)
+    def swapped(Z, dirs, offsets):
+        bank = plain(Z, dirs, offsets)
         return bank[np.arange(len(bank)).reshape(-1, 2)[:, ::-1].ravel()]
 
     return "_shadow_bank", swapped

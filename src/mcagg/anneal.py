@@ -1,12 +1,15 @@
 """Deterministic-annealing aggregation.
 
 The annealer keeps a bank of superstate distribution vectors. At every
-temperature each distinct centroid carries a shadow copy offset by a small
-perturbation along its most unstable direction; above the critical temperature
-the copies re-merge, below it they separate, which is how phase transitions
-are detected without explicit scheduling. Hard partitions are recorded each
-time the number of distinct centroids grows.
+temperature each distinct centroid carries a shadow copy offset along its most
+unstable direction; above the critical temperature the copies re-merge, below
+it they separate, which is how phase transitions are detected without explicit
+scheduling. A centroid that is stable at the new temperature is offset by the
+small _DELTA; an unstable one starts at the mean-field amplitude of its split,
+so its fixed point does not have to grow the split from _DELTA. Hard
+partitions are recorded each time the number of distinct centroids grows.
 """
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -26,7 +29,7 @@ _ALPHA = 0.9            # cooling factor: T <- at most _ALPHA * T
 _T0_FACTOR = 2.0        # T0 = _T0_FACTOR * t_cr of the starting centroid
 _T_MIN_FACTOR = 1e-8    # stop once T < _T_MIN_FACTOR * T0
 _MERGE_TOL = 1e-6       # inf-norm under which two centroids coincide
-_DELTA = 1e-4           # shadow offset amplitude
+_DELTA = 1e-4           # least shadow offset amplitude
 _FP_TOL = 1e-8          # sup-norm step that ends a fixed point
 _FP_MAX_ITER = 500      # map evaluations per fixed point
 
@@ -145,8 +148,8 @@ def _posterior_from(rows, rho, assoc):
 
 
 def _critical_full(rows, rho, Z, assoc):
-    """Per-centroid critical temperatures and split directions, as
-    (tcrs, dirs).
+    """Per-centroid critical temperatures, split directions and spreads, as
+    (tcrs, dirs, sigmas).
 
     Centroid j's critical temperature is the top eigenvalue of its
     posterior-weighted deviation covariance, whitened by the curvature
@@ -157,14 +160,18 @@ def _critical_full(rows, rho, Z, assoc):
     eigensolve with its direction: eigvalsh and one linear solve when the
     smaller side of its n x d factor is at most selection._DENSE_MAX, and
     Lanczos on the factor above that. The split direction is x z / s for
-    the top eigenvector x, unit-normalized. A centroid with no mass, fewer
-    than 2 kept coordinates or a zero top eigenvalue gets t_cr 0 and a zero
-    direction.
+    the top eigenvector x, unit-normalized. The spread is the
+    posterior-weighted RMS sqrt(sum_i q_i ((rows_i - z) . d)^2) of the
+    members along that direction d; it scales the split's shadow offset
+    (_shadow_offsets). A centroid with no mass, fewer than 2 kept
+    coordinates or a zero top eigenvalue gets t_cr 0, a zero direction and
+    spread 0.
     """
     k = Z.shape[0]
     posterior = _posterior_from(rows, rho, assoc)
     tcrs = np.zeros(k)
     dirs = np.zeros((k, rows.shape[1]))
+    sigmas = np.zeros(k)
     for j in range(k):
         mass = float((rho * assoc.p[:, j]).sum())
         if mass < _TINY:
@@ -180,8 +187,10 @@ def _critical_full(rows, rho, Z, assoc):
         d = x * z / s
         nrm = np.linalg.norm(d)
         if nrm > 0:
-            dirs[j, keep] = d / nrm
-    return tcrs, dirs
+            d = d / nrm
+            dirs[j, keep] = d
+            sigmas[j] = math.sqrt(q @ ((rows[:, keep] - z) @ d) ** 2)
+    return tcrs, dirs, sigmas
 
 
 def critical_temperature(pi, rho, Z, assoc):
@@ -192,7 +201,7 @@ def critical_temperature(pi, rho, Z, assoc):
     rows = as_rows(pi)
     rho = as_rho(rho, rows.shape[0])
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    tcrs, _ = _critical_full(rows, rho, Z, assoc)
+    tcrs, _, _ = _critical_full(rows, rho, Z, assoc)
     return CriticalReport(per_superstate=tcrs, t_cr=float(tcrs.max()))
 
 
@@ -283,14 +292,39 @@ def _merge_bank(Z, tol):
     return Zm, merge_map
 
 
-def _shadow_bank(Z, dirs, delta):
-    """Two copies per distinct centroid, offset +/- delta along its most
-    unstable direction, clipped positive and renormalized."""
+def _split_amplitude(beta):
+    """The positive root m of m = tanh(beta m): the mean-field magnetisation
+    of a symmetric two-point split at beta = t_cr / T (Rose 1998, Sec. III).
+    It is 0 for beta <= 1, where the split is stable. m - tanh(beta m) is
+    convex on m > 0, so Newton from m = 1 falls monotonically onto the root;
+    it stops at the first step that does not fall."""
+    if not beta > 1.0:
+        return 0.0
+    m = 1.0
+    while True:
+        t = math.tanh(beta * m)
+        nxt = m - (m - t) / (1.0 - beta * (1.0 - t * t))
+        if not 0.0 < nxt < m:
+            return m
+        m = nxt
+
+
+def _shadow_offsets(tcrs, sigmas, T):
+    """Per-centroid shadow offsets at T: max(_DELTA, sigma m), with m the
+    split amplitude at beta = t_cr / T. A centroid with t_cr <= T gets
+    exactly _DELTA."""
+    return np.array([max(_DELTA, s * _split_amplitude(t / T))
+                     for t, s in zip(tcrs, sigmas)])
+
+
+def _shadow_bank(Z, dirs, offsets):
+    """Two copies per distinct centroid j, offset +/- offsets[j] along its
+    most unstable direction, clipped positive and renormalized."""
     out = []
     for j in range(Z.shape[0]):
         d = dirs[j]
         for s in (+1.0, -1.0):
-            z = Z[j] + s * delta * d
+            z = Z[j] + s * offsets[j] * d
             z = np.maximum(z, 1e-15)
             out.append(z / z.sum())
     return np.stack(out)
@@ -331,7 +365,7 @@ def anneal(pi, rho=None, cfg=AnnealConfig()):
     z0 = (rho @ rows)[None, :]
     ones = SoftAssociation(p=np.ones((n, 1)),
                            posterior=(rho / rho.sum())[:, None])
-    tcrs, dirs = _critical_full(rows, rho, z0, ones)
+    tcrs, dirs, sigmas = _critical_full(rows, rho, z0, ones)
     if tcrs[0] < _EXACT_FIT:
         # a one-centroid bank's posterior is rho at every T, so its t_cr
         # does not depend on T: it never splits
@@ -343,10 +377,11 @@ def anneal(pi, rho=None, cfg=AnnealConfig()):
 
     while T > t_min and Z.shape[0] < k_max:
         # shadow copies of the distinct bank along the directions solved at
-        # the previous temperature (or for the starting centroid), settled
-        # once at T. A centroid with a zero direction gets two coincident
-        # copies, which merge back
-        bank = _shadow_bank(Z, dirs, _DELTA)
+        # the previous temperature (or for the starting centroid), offset by
+        # the split amplitudes that their t_cr give at T, settled once at T.
+        # A centroid with a zero direction gets two coincident copies, which
+        # merge back
+        bank = _shadow_bank(Z, dirs, _shadow_offsets(tcrs, sigmas, T))
         bank, assoc = _converge(rows, self_ent, positive, rho, bank, T,
                                 warnings)
         Zm, merge_map = _merge_bank(bank, _MERGE_TOL)
@@ -364,7 +399,8 @@ def anneal(pi, rho=None, cfg=AnnealConfig()):
         trace.append((T, f, Z.shape[0]))
         if Z.shape[0] >= k_max:
             break
-        tcrs, dirs = _critical_full(rows, rho, Z, SoftAssociation(p=p))
+        tcrs, dirs, sigmas = _critical_full(rows, rho, Z,
+                                            SoftAssociation(p=p))
         tmax = float(tcrs.max())
         if tmax < _EXACT_FIT:
             # every centroid sits on its members' rows: cooling splits none

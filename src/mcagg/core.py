@@ -85,7 +85,8 @@ def validate_stochastic(rows, tol=1e-9, labels=None):
         raise NegativeEntry(int(i), int(j), float(rows[i, j]))
     rows[rows < 0] = 0.0
     sums = rows.sum(axis=1)
-    bad = np.argwhere(np.abs(sums - 1.0) > tol)
+    # written so that a NaN sum is a violation too
+    bad = np.argwhere(~(np.abs(sums - 1.0) <= tol))
     if len(bad):
         i = int(bad[0][0])
         raise RowSumViolation(i, float(sums[i]))

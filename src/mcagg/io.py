@@ -53,10 +53,20 @@ def parse_matrix(path):
             raise ParseError('expected an object with a "matrix" key')
         rows = obj["matrix"]
         labels = obj.get("labels")
+        if not (isinstance(rows, list)
+                and all(isinstance(r, list) for r in rows)):
+            raise ParseError('"matrix" must be a list of rows')
+        if labels is not None and not isinstance(labels, list):
+            raise ParseError('"labels" must be a list')
         widths = {len(r) for r in rows}
         if len(widths) > 1:
             raise RaggedRows(f"row lengths {sorted(widths)}")
-        return validate_stochastic(np.asarray(rows, dtype=float), tol=1e-6,
+        try:
+            rows = np.asarray(rows, dtype=float)
+        except (TypeError, ValueError) as e:
+            raise ParseError(f'"matrix" holds an entry that is not a '
+                             f'number: {e}')
+        return validate_stochastic(rows, tol=1e-6,
                                    labels=tuple(labels) if labels else None)
     with open(path) as fh:
         lines = [ln for ln in map(str.strip, fh.read().split("\n")) if ln]
@@ -271,7 +281,8 @@ def write_report(report, path, input_hash=None):
 def read_report(path):
     """Inverse of write_report for a JSON report. Keys of "options" other
     than "mode" (older reports also echo "membership" and "floor") are
-    ignored. A file that is not JSON, or has no "k_t" or "rows", raises
+    ignored. A file that is not JSON, has no "k_t" or "rows", or whose
+    "rows" is not a list of objects with "k", "t_bar" and "nu", raises
     ParseError."""
     with open(path) as fh:
         try:
@@ -280,6 +291,11 @@ def read_report(path):
             raise ParseError(str(e), line=e.lineno, column=e.colno)
     if not isinstance(obj, dict) or "k_t" not in obj or "rows" not in obj:
         raise ParseError('expected an object with "k_t" and "rows" keys')
+    if not (isinstance(obj["rows"], list) and all(
+            isinstance(r, dict) and {"k", "t_bar", "nu"} <= r.keys()
+            for r in obj["rows"])):
+        raise ParseError('"rows" must be a list of objects with "k", '
+                         '"t_bar" and "nu" keys')
     t_bars = {r["k"]: r["t_bar"] for r in obj["rows"]}
     nus = {}
     for r in obj["rows"]:

@@ -102,13 +102,16 @@ def test_critical_full_matches_whitened_reference(n, k, seed):
     posterior = rho[:, None] * p
     posterior /= posterior.sum(axis=0)
     assoc = SoftAssociation(p=p, posterior=posterior)
-    tcrs, dirs = anneal_module._critical_full(rows, rho, Z, assoc)
+    tcrs, dirs, sigmas = anneal_module._critical_full(rows, rho, Z, assoc)
     t_only = critical_temperature(rows, rho, Z, assoc).per_superstate
     for j in range(k):
         t_ref, d_ref, vals = _whiten_eigs(rows, rho, Z[j], posterior[:, j],
                                           1e-12)
         assert tcrs[j] == pytest.approx(t_ref, rel=1e-10)
         assert t_only[j] == tcrs[j]
+        # the spread is the members' posterior-weighted RMS along dirs[j]
+        spread = np.sqrt(posterior[:, j] @ ((rows - Z[j]) @ dirs[j]) ** 2)
+        assert sigmas[j] == pytest.approx(spread, rel=1e-12)
         assert np.linalg.norm(dirs[j]) == pytest.approx(1.0, abs=1e-12)
         assert abs(dirs[j].sum()) < 1e-12
         if len(vals) < 2 or vals[-1] - vals[-2] > 1e-6 * vals[-1]:
@@ -127,8 +130,8 @@ def test_critical_full_two_members_closed_form_near_floor():
     keep = z > 0
     exact = float(np.sum((a - b)[keep] ** 2 / (2 * (a + b)[keep])))
     ones = SoftAssociation(p=np.ones((2, 1)), posterior=np.full((2, 1), 0.5))
-    tcrs, dirs = anneal_module._critical_full(rows, np.full(2, 0.5),
-                                              z[None, :], ones)
+    tcrs, dirs, sigmas = anneal_module._critical_full(
+        rows, np.full(2, 0.5), z[None, :], ones)
     assert tcrs[0] == pytest.approx(exact, rel=1e-12)
     rep = critical_temperature(rows, None, z[None, :], ones)
     assert rep.t_cr == pytest.approx(exact, rel=1e-12)
@@ -137,6 +140,9 @@ def test_critical_full_two_members_closed_form_near_floor():
     assert abs(dirs[0][keep] @ d) / np.linalg.norm(d) == pytest.approx(
         1.0, abs=1e-9)
     assert dirs[0][~keep] == 0.0
+    # the members sit at z +/- (a - b) / 2, so their spread along the
+    # direction is half the distance between them
+    assert sigmas[0] == pytest.approx(abs((a - b) @ dirs[0]) / 2, rel=1e-12)
 
 
 def test_critical_full_zero_posterior_mass_coordinates():
@@ -153,8 +159,8 @@ def test_critical_full_zero_posterior_mass_coordinates():
     assoc = SoftAssociation(p=np.ones((4, 1)),
                             posterior=np.array([[0.5], [0.5], [0.0], [0.0]]))
     with np.errstate(all="raise"):
-        tcrs, dirs = anneal_module._critical_full(rows, np.full(4, 0.25), Z,
-                                                  assoc)
+        tcrs, dirs, _ = anneal_module._critical_full(rows, np.full(4, 0.25),
+                                                     Z, assoc)
     assert np.isfinite(tcrs[0]) and tcrs[0] >= 0.0
     assert np.isfinite(dirs[0]).all()
     assert np.linalg.norm(dirs[0]) == pytest.approx(1.0, abs=1e-12)
@@ -167,13 +173,13 @@ def test_critical_full_zero_posterior_mass_coordinates():
 
 
 def test_critical_full_identical_rows_zero_direction():
-    # a zero top eigenvalue gives a zero direction; a centroid with one
-    # gets two coincident shadow copies, which merge back
+    # a zero top eigenvalue gives a zero direction and spread; a centroid
+    # with one gets two coincident shadow copies, which merge back
     rows = np.tile([0.3, 0.7], (3, 1))
     assoc = SoftAssociation(p=np.ones((3, 1)), posterior=np.full((3, 1), 1 / 3))
-    tcrs, dirs = anneal_module._critical_full(rows, np.full(3, 1 / 3),
-                                              rows[:1], assoc)
-    assert tcrs[0] == 0.0 and not dirs.any()
+    tcrs, dirs, sigmas = anneal_module._critical_full(rows, np.full(3, 1 / 3),
+                                                      rows[:1], assoc)
+    assert tcrs[0] == 0.0 and not dirs.any() and sigmas[0] == 0.0
 
 
 def test_critical_full_multiple_top_eigenvalue_deterministic():
@@ -187,8 +193,8 @@ def test_critical_full_multiple_top_eigenvalue_deterministic():
     z = rho @ rows
     ones = SoftAssociation(p=np.ones((12, 1)), posterior=rho[:, None])
     with np.errstate(all="raise"):
-        t1, d1 = anneal_module._critical_full(rows, rho, z[None, :], ones)
-        t2, d2 = anneal_module._critical_full(rows, rho, z[None, :], ones)
+        t1, d1, _ = anneal_module._critical_full(rows, rho, z[None, :], ones)
+        t2, d2, _ = anneal_module._critical_full(rows, rho, z[None, :], ones)
     _, _, vals = _whiten_eigs(rows, rho, z, rho, 1e-12)
     assert vals[-2] == pytest.approx(vals[-1], rel=1e-12)
     assert np.array_equal(t1, t2) and np.array_equal(d1, d2)
@@ -874,6 +880,99 @@ def test_converge_drops_a_dead_bank_row():
     assert Z.shape == (1, 9) and assoc.p.shape == (9, 1)
     np.testing.assert_allclose(Z[0], z, rtol=0, atol=1e-15)
     assert warnings == []
+
+
+# --- shadow offsets ---
+
+def test_stable_centroid_keeps_delta_offsets_bit_for_bit():
+    # centroids with t_cr <= T (the last one has t_cr 0 and no direction)
+    # get exactly +/- _DELTA, so their shadow rows are those of a
+    # constant-offset bank; only the unstable centroid's rows move, by an
+    # offset sigma m in (_DELTA, sigma]
+    rng = np.random.default_rng(3)
+    Z = rng.dirichlet(np.ones(6), size=4)
+    dirs = rng.standard_normal((4, 6))
+    dirs -= dirs.mean(axis=1, keepdims=True)
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs[3] = 0.0
+    tcrs = np.array([0.3, 0.5, 0.8, 0.0])
+    sigmas = np.array([0.2, 0.3, 0.25, 0.0])
+    offsets = anneal_module._shadow_offsets(tcrs, sigmas, 0.5)
+    delta = anneal_module._DELTA
+    assert offsets[[0, 1, 3]].tolist() == [delta] * 3
+    assert delta < offsets[2] <= sigmas[2]
+    bank = anneal_module._shadow_bank(Z, dirs, offsets)
+    plain = anneal_module._shadow_bank(Z, dirs, np.full(4, delta))
+    stable = [0, 1, 2, 3, 6, 7]
+    assert np.array_equal(bank[stable], plain[stable])
+    assert not np.array_equal(bank[4:6], plain[4:6])
+
+
+@pytest.mark.parametrize("beta", [1 + 1e-12, 1 + 1e-6, 1.001, 1 / 0.95, 1.5,
+                                  3.0, 50.0, 1e6])
+def test_split_amplitude_is_the_positive_mean_field_root(beta):
+    m = anneal_module._split_amplitude(beta)
+    assert 0.0 < m <= 1.0
+    assert m - np.tanh(beta * m) == pytest.approx(0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("beta", [1.0, 0.95, 0.5, 0.0])
+def test_split_amplitude_is_zero_where_the_split_is_stable(beta):
+    assert anneal_module._split_amplitude(beta) == 0.0
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+def test_split_amplitude_near_the_transition(eps):
+    # m = tanh(beta m) gives m^2 = 3 (beta - 1) to first order in beta - 1
+    # (the next term is -0.9 (beta - 1) relative)
+    m = anneal_module._split_amplitude(1.0 + eps)
+    assert abs(m / np.sqrt(3 * eps) - 1.0) <= eps
+
+
+def test_first_split_starts_at_its_amplitude(monkeypatch):
+    # the first split of a two-block chain settles in fewer map evaluations
+    # from its mean-field offset than from +/- _DELTA, and both starts merge
+    # to the same two centroids
+    rows = gen_ncd(blocks=[5, 5], eps=0.05)[0].rows
+    count = [0]
+    shadows, runs = [], []
+    plain_step = anneal_module.posterior_and_centroids
+    plain_shadow = anneal_module._shadow_bank
+    plain_converge = anneal_module._converge
+
+    def counting_step(*args):
+        count[0] += 1
+        return plain_step(*args)
+
+    def spying_shadow(Z, dirs, offsets):
+        shadows.append((Z, dirs, offsets))
+        return plain_shadow(Z, dirs, offsets)
+
+    def spying_converge(rows, self_ent, positive, rho, Z, T, warnings):
+        start = count[0]
+        out = plain_converge(rows, self_ent, positive, rho, Z, T, warnings)
+        runs.append(((self_ent, positive, rho, T), count[0] - start, out[0]))
+        return out
+
+    monkeypatch.setattr(anneal_module, "posterior_and_centroids",
+                        counting_step)
+    monkeypatch.setattr(anneal_module, "_shadow_bank", spying_shadow)
+    monkeypatch.setattr(anneal_module, "_converge", spying_converge)
+    res = anneal(rows, cfg=AnnealConfig(k_max=2))
+    assert [p.k for p in res.entries] == [1, 2]
+    (self_ent, positive, rho, T), evals, bank = runs[-1]
+    Z, dirs, offsets = shadows[-1]
+    start = count[0]
+    delta_bank = plain_shadow(Z, dirs, np.full(1, anneal_module._DELTA))
+    plain, _ = plain_converge(rows, self_ent, positive, rho, delta_bank, T,
+                              [])
+    assert evals < count[0] - start
+    assert offsets[0] > anneal_module._DELTA
+    merged, _ = anneal_module._merge_bank(bank, anneal_module._MERGE_TOL)
+    merged_plain, _ = anneal_module._merge_bank(plain,
+                                                anneal_module._MERGE_TOL)
+    assert merged.shape == merged_plain.shape == (2, 10)
+    assert np.abs(merged - merged_plain).max() < anneal_module._MERGE_TOL
 
 
 # --- aggregate_fixed_k ---

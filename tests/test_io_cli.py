@@ -56,6 +56,33 @@ def test_parse_rejects_bad_sums(tmp_path):
         parse_matrix(p)
 
 
+@pytest.mark.parametrize("name, text", [
+    ("m.csv", "0.5,0.5\nnan,0.5\n"),
+    ("m.json", '{"matrix": [[0.5, 0.5], [NaN, 0.5]]}'),
+])
+def test_parse_rejects_nan_entries(tmp_path, name, text, capsys):
+    # a NaN row sum is a row-sum violation, in the library and the CLI
+    p = tmp_path / name
+    p.write_text(text)
+    with pytest.raises(RowSumViolation):
+        parse_matrix(p)
+    assert cli.main(["pipeline", "--matrix", str(p)]) == 1
+    assert "row 1 sums to nan" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body", [
+    {"matrix": 5},
+    {"matrix": [[0.5, "a"], [0.5, 0.5]]},
+])
+def test_parse_json_rejects_malformed_matrix(tmp_path, body, capsys):
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps(body))
+    with pytest.raises(ParseError):
+        parse_matrix(p)
+    assert cli.main(["pipeline", "--matrix", str(p)]) == 2
+    capsys.readouterr()
+
+
 def test_parse_bad_token_position(tmp_path):
     p = tmp_path / "m.csv"
     p.write_text("1,0\n0,oops\n")
@@ -386,6 +413,17 @@ def test_read_report_rejects_csv_and_incomplete_json(tmp_path):
     p2.write_text(json.dumps({"k_t": 2, "exact_fit": False}))
     with pytest.raises(ParseError):
         read_report(p2)
+
+
+@pytest.mark.parametrize("rows", [
+    [{"k": 1, "nu": None}],          # a row without "t_bar"
+    5,
+])
+def test_read_report_rejects_malformed_rows(tmp_path, rows):
+    p = tmp_path / "r.json"
+    p.write_text(json.dumps({"k_t": 1, "rows": rows}))
+    with pytest.raises(ParseError):
+        read_report(p)
 
 
 # --- CLI ---

@@ -79,3 +79,26 @@ def test_compare_prints_gaps_of_b_misses(capsys):
     assert totals["worst_b"] == (0.5, "crit1-s0", "2")
     assert totals["gap_b"] == pytest.approx(0.76)
     assert totals["kt_changed"] == 0 and totals["flips"] == 0
+
+
+@pytest.mark.parametrize("null", ["t0", "delta", "swap"])
+def test_null_patch_targets_resolve(null):
+    # each null run patches an attribute that mcagg.anneal has, with a value
+    # of the same kind
+    name, value = sweep_flips._null_patch(null)
+    plain = getattr(sweep_flips.anneal_module, name)
+    assert callable(value) == callable(plain)
+    if not callable(plain):
+        assert value != plain and value == pytest.approx(plain, rel=1e-15)
+
+
+def test_null_swap_reverses_each_shadow_pair():
+    rng = np.random.default_rng(0)
+    Z = rng.dirichlet(np.ones(5), size=3)
+    dirs = rng.standard_normal((3, 5))
+    dirs -= dirs.mean(axis=1, keepdims=True)
+    offsets = np.array([1e-4, 0.05, 1e-4])
+    _, swapped = sweep_flips._null_patch("swap")
+    plain = sweep_flips.anneal_module._shadow_bank(Z, dirs, offsets)
+    assert np.array_equal(swapped(Z, dirs, offsets),
+                          plain[[1, 0, 3, 2, 5, 4]])
