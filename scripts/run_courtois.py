@@ -2,7 +2,9 @@
 
 With stationary weights the k=3 entry recovers the canonical grouping
 {0,1,2} {3,4} {5,6,7}; the printed report shows how the heterogeneity
-drops as k grows.
+drops as k grows. The selected k_t, in the default plain mode, is 2, not
+3, because nu(2) = 0.511 > nu(3) = 0.112; the canonical grouping is the
+k=3 entry, not the k_t one.
 """
 import pathlib
 

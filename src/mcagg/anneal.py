@@ -17,12 +17,12 @@ import numpy as np
 
 from .core import as_rho, as_rows, make_partition, resolve_k_max
 from .errors import EmptySuperstate, InadmissiblePerturbation, NoConvergence
-from .klgeom import (_TINY, SoftAssociation, _check_bank, _Gibbs, _kl_rows,
-                     _self_entropy, hard_centroids, posterior_and_centroids)
-from .selection import _EXACT_FIT, _FLOOR, _top_deviation
+from .klgeom import (_EXACT_FIT, _FLOOR, _TINY, SoftAssociation, _check_bank,
+                     _Gibbs, _kl_rows, _self_entropy, _top_deviation,
+                     hard_centroids, posterior_and_centroids)
 
 # The annealing recipe, one for every run (Rose, Proc. IEEE 1998). anneal,
-# _converge and _critical_full read these (and selection's centroid floor
+# _converge and _critical_full read these (and klgeom's centroid floor
 # _FLOOR and exact-fit threshold _EXACT_FIT) when called, not as default
 # arguments, so a script may patch them for a null run.
 _ALPHA = 0.9            # cooling factor: T <- at most _ALPHA * T
@@ -154,11 +154,11 @@ def _critical_full(rows, rho, Z, assoc):
     Centroid j's critical temperature is the top eigenvalue of its
     posterior-weighted deviation covariance, whitened by the curvature
     diag((p_j @ rows) / z^2) on the simplex tangent space (Rose 1998). That
-    is selection._top_deviation with q = p_j, s = sqrt(p_j @ rows) and u
+    is klgeom._top_deviation with q = p_j, s = sqrt(p_j @ rows) and u
     along z / s, on the coordinates where z clears _FLOOR and p_j puts
     mass; the others are dropped, never raised over. Each centroid costs one
     eigensolve with its direction: eigvalsh and one linear solve when the
-    smaller side of its n x d factor is at most selection._DENSE_MAX, and
+    smaller side of its n x d factor is at most klgeom._DENSE_MAX, and
     Lanczos on the factor above that. The split direction is x z / s for
     the top eigenvector x, unit-normalized. The spread is the
     posterior-weighted RMS sqrt(sum_i q_i ((rows_i - z) . d)^2) of the
@@ -181,15 +181,14 @@ def _critical_full(rows, rho, Z, assoc):
         keep = np.flatnonzero((Z[j] > _FLOOR) & (s2 > 0))
         if len(keep) < 2:
             continue
-        z, s = Z[j, keep], np.sqrt(s2[keep])
-        tcrs[j], x = _top_deviation(rows[:, keep], z, q, s, z / s,
-                                    vectors=True)
+        sub, z, s = rows[:, keep], Z[j, keep], np.sqrt(s2[keep])
+        tcrs[j], x = _top_deviation(sub, z, q, s, z / s, vectors=True)
         d = x * z / s
         nrm = np.linalg.norm(d)
         if nrm > 0:
             d = d / nrm
             dirs[j, keep] = d
-            sigmas[j] = math.sqrt(q @ ((rows[:, keep] - z) @ d) ** 2)
+            sigmas[j] = math.sqrt(q @ ((sub - z) @ d) ** 2)
     return tcrs, dirs, sigmas
 
 

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .core import resolve_k_max, stationary_distribution
-from .errors import InputError, McaggError, ValidationError
+from .errors import BadParameter, InputError, McaggError, ValidationError
 from .generators import default_counts, gen_ncd, gen_replicated_rows
 from .io import (file_sha256, ingest_bigrams, parse_matrix, parse_partitions,
                  report_csv_rows, write_matrix, write_partitions, write_report)
@@ -52,17 +52,29 @@ def _add_select_flags(p):
                    default="uniform")
 
 
+def _int_list(flag, text):
+    """The comma-separated integers of a --blocks or --counts value; a
+    token that is not one raises BadParameter naming it."""
+    out = []
+    for tok in text.split(","):
+        try:
+            out.append(int(tok))
+        except ValueError:
+            raise BadParameter(f"{flag} token {tok!r} is not an integer")
+    return out
+
+
 def _cmd_gen(args):
     _print_config("gen", args)
     if args.family == "ncd":
         if not args.blocks:
             raise ValidationError("gen ncd requires --blocks")
-        blocks = [int(b) for b in args.blocks.split(",")]
+        blocks = _int_list("--blocks", args.blocks)
         matrix, truth = gen_ncd(blocks=blocks, eps=args.eps, seed=args.seed)
     else:
         if args.n is None or args.kt is None:
             raise ValidationError("gen rows requires --n and --kt")
-        counts = ([int(c) for c in args.counts.split(",")]
+        counts = (_int_list("--counts", args.counts)
                   if args.counts else default_counts(args.n, args.kt))
         matrix, truth = gen_replicated_rows(n=args.n, k_t=args.kt,
                                             counts=counts, eps=args.eps,

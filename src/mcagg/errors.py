@@ -82,6 +82,12 @@ class NonConsecutiveK(ValidationError):
 
 
 # generators
+class BadParameter(ValidationError, ValueError):
+    """A numeric parameter out of its range, or a command-line token that
+    does not parse as the number it names. It is also a ValueError, so a
+    caller that catches ValueError for a bad eps still catches it."""
+
+
 class BlockTooSmall(ValidationError):
     pass
 

@@ -8,7 +8,7 @@ is a pure function of the seed.
 import numpy as np
 
 from .core import StochasticMatrix, make_partition
-from .errors import BlockTooSmall, CountMismatch
+from .errors import BadParameter, BlockTooSmall, CountMismatch
 
 __all__ = ["gen_ncd", "gen_replicated_rows", "perturb"]
 
@@ -33,7 +33,7 @@ def gen_ncd(blocks, eps=0.0, seed=0):
     if any(b < 1 for b in blocks):
         raise BlockTooSmall(f"block sizes must be >= 1, got {blocks}")
     if not 0.0 <= eps < 1.0:
-        raise ValueError(f"eps must lie in [0, 1), got {eps}")
+        raise BadParameter(f"eps must lie in [0, 1), got {eps}")
     n = int(sum(blocks))
     if n < 2:
         raise BlockTooSmall("need at least 2 states in total")
@@ -71,7 +71,7 @@ def gen_replicated_rows(n, k_t=None, counts=None, eps=0.0, seed=0):
     if sum(counts) != n:
         raise CountMismatch(f"counts sum to {sum(counts)}, expected n={n}")
     if not 0.0 <= eps < 1.0:
-        raise ValueError(f"eps must lie in [0, 1), got {eps}")
+        raise BadParameter(f"eps must lie in [0, 1), got {eps}")
     rng = np.random.default_rng(seed)
     protos = rng.dirichlet(np.ones(n), size=k_t)
     truth = np.repeat(np.arange(k_t), counts)
@@ -85,7 +85,7 @@ def perturb(pi, eps, seed=0):
     """Convex perturbation (1-eps)*Pi + eps*R with seeded random stochastic
     R; the identity at eps=0, pure R at eps=1."""
     if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"eps must lie in [0, 1], got {eps}")
+        raise BadParameter(f"eps must lie in [0, 1], got {eps}")
     if isinstance(pi, StochasticMatrix):
         rows, labels = pi.rows, pi.labels
     else:

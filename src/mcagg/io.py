@@ -7,8 +7,9 @@ import string
 import numpy as np
 
 from .core import StochasticMatrix, make_partition, validate_stochastic
-from .errors import (BadAssignment, BadBigram, DuplicateLabel, LabelMismatch,
-                     NegativeCount, NonLetter, ParseError, RaggedRows)
+from .errors import (BadAssignment, BadBigram, BadParameter, DuplicateLabel,
+                     LabelMismatch, NegativeCount, NonLetter, ParseError,
+                     RaggedRows)
 from .selection import SelectionReport
 
 __all__ = ["parse_matrix", "write_matrix", "ingest_bigrams",
@@ -135,8 +136,13 @@ def ingest_bigrams(path, smoothing=1.0):
     Each nonempty line is `<two lowercase letters> <count>`. Counts
     accumulate into (first letter -> second letter); smoothing is added to
     every cell before row normalization, so the default eta=1 guarantees
-    strictly positive rows. Rows with no mass at eta=0 become uniform.
+    strictly positive rows. Rows with no mass at eta=0 become uniform. A
+    smoothing that is negative or not finite raises BadParameter before the
+    file is read.
     """
+    eta = float(smoothing)
+    if not 0.0 <= eta < np.inf:
+        raise BadParameter(f"smoothing must be finite and >= 0, got {eta}")
     C = np.zeros((26, 26))
     with open(path) as fh:
         for ln_no, raw in enumerate(fh, 1):
@@ -159,7 +165,7 @@ def ingest_bigrams(path, smoothing=1.0):
             if val < 0:
                 raise NegativeCount(f"line {ln_no}: count {val}")
             C[_LETTERS.index(pair[0]), _LETTERS.index(pair[1])] += val
-    C = C + float(smoothing)
+    C = C + eta
     sums = C.sum(axis=1)
     dead = sums == 0.0
     C[dead] = 1.0
@@ -191,8 +197,8 @@ def parse_partitions(path, labels=None):
             assign = _resolve_label_sets(k, val, labels)
         else:
             try:
-                assign = np.asarray([int(v) for v in val], dtype=int)
-            except (TypeError, ValueError):
+                assign = np.asarray([_index(v) for v in val], dtype=int)
+            except (TypeError, ValueError, OverflowError):
                 raise BadAssignment(k, "indices must be integers")
         if n_seen is None:
             n_seen = len(assign)
@@ -204,6 +210,14 @@ def parse_partitions(path, labels=None):
         except Exception as e:
             raise BadAssignment(k, str(e))
     return out
+
+
+def _index(v):
+    """int(v) for one entry of an index array. JSON true and false, and a
+    number with a fractional part (or inf or nan), are not indices."""
+    if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
+        raise ValueError(v)
+    return int(v)
 
 
 def _resolve_label_sets(k, sets, labels):

@@ -6,22 +6,15 @@ of a deviation covariance restricted to the simplex tangent basis), then
 pick the k whose heterogeneity drop from k-1 is largest on a log scale.
 """
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from .core import as_rho, as_rows, simplex_basis
 from .errors import DimensionMismatch, FloorViolation, NonConsecutiveK
+from .klgeom import _EXACT_FIT, _FLOOR, _top_deviation
 
 __all__ = ["SelectionReport", "hard_membership", "covariance_matrix",
            "heterogeneity", "marginal_return", "select_k"]
-
-_FLOOR = 1e-12       # centroid coordinates below it leave t_bar; anneal.py
-                     # drops those at or below it from t_cr
-_EXACT_FIT = 1e-14   # t_bar below this is reported as an exact fit
-_DENSE_MAX = 128     # _top_deviation runs Lanczos above this Gram size
-_RITZ_TOL = 1e-13    # Lanczos stops once the top Ritz residual is below
-                     # this fraction of the Ritz value
 
 
 @dataclass
@@ -98,110 +91,6 @@ def covariance_matrix(members, w, q, mode="plain", j=0):
     L = np.linalg.cholesky(H0)
     C = np.linalg.solve(L, np.linalg.solve(L, H1).T).T
     return 0.5 * (C + C.T)
-
-
-@lru_cache(maxsize=128)
-def _start_vector(m):
-    """Fixed start vector of length m for _top_deviation's inverse
-    iteration and Lanczos runs, drawn from its own generator so that no
-    caller's random stream moves. Read-only, because it is shared between
-    calls; a vector the cache dropped is drawn again, bit for bit."""
-    b = np.random.default_rng(0).standard_normal(m)
-    b.flags.writeable = False
-    return b
-
-
-def _lanczos_top(A, wide):
-    """Top eigenpair (t, y) of the Gram G = A A^T (wide) or A^T A, by
-    Lanczos with full reorthogonalisation (Golub & Van Loan, sec. 10.1) on
-    products with A and A^T; G is never formed. A is first divided by its
-    largest entry, so no product can under- or overflow, and t is scaled
-    back. The first Lanczos vector is G b for the fixed start vector b, so
-    every vector lies in range(G).
-
-    The run stops at the first check where the top Ritz pair (theta, Q s)
-    of the tridiagonal T has residual beta_j |s_j| <= _RITZ_TOL theta, and
-    in any case at step r = size of G, where the Krylov space is all of it
-    and the pair is exact; there is no other limit. Each check is a dense
-    eigh of T, so checks come at steps 8, 10, 12, 15, ..., each a quarter
-    past the last, and at any step whose beta_j alone meets the bound (an
-    invariant subspace). y is the unit Ritz vector, or zero when A is zero
-    (t = 0).
-    """
-    r = min(A.shape)
-    scale = np.abs(A).max(initial=0.0)
-    if not scale > 0:
-        return 0.0, np.zeros(r)
-    A = A / scale
-    gram = (lambda v: A @ (v @ A)) if wide else (lambda v: (A @ v) @ A)
-    basis = np.empty((r, r))
-    T = np.zeros((r, r))   # tridiagonal, kept in its lower triangle
-    v = gram(_start_vector(r))
-    v /= np.linalg.norm(v)
-    top, check = 0.0, 8    # top: largest alpha, a lower bound on theta
-    for j in range(r):
-        basis[j] = v
-        g = gram(v)
-        T[j, j] = alpha = v @ g
-        top = max(top, alpha)
-        V = basis[:j + 1]
-        g -= (V @ g) @ V
-        g -= (V @ g) @ V
-        beta = np.linalg.norm(g)
-        last = j == r - 1 or beta <= _RITZ_TOL * top
-        if last or j + 1 == check:
-            theta, S = np.linalg.eigh(T[:j + 1, :j + 1])
-            if last or beta * abs(S[-1, -1]) <= _RITZ_TOL * theta[-1]:
-                break
-            check += check // 4
-        T[j + 1, j] = beta
-        v = g / beta
-    return float(theta[-1]) * scale * scale, S[:, -1] @ V
-
-
-def _top_deviation(members, w, q, s, u, vectors=False):
-    """Largest eigenvalue t of A^T A for the m x d deviation factor
-    A = sqrt(q) (U - (U u) u^T), with U = (members - w) / s and u scaled to
-    unit length.
-
-    The eigensolve runs on the smaller Gram G, A A^T or A^T A, of size
-    r = min(m, d). Up to r = _DENSE_MAX, t is the top eigenvalue from
-    eigvalsh (0 when G has none above 0); above it, t and its vector come
-    from _lanczos_top, which never forms G. With vectors=True it returns
-    (t, x), x the unit top eigenvector of A^T A (A^T y normalized on the
-    A A^T side), or zeros when t is 0. On the dense path the eigenvector
-    comes from one step of inverse iteration at the known t (Golub & Van
-    Loan, sec. 8.2): solve (G / t - (1 + 2^-36) I) y = G b / t for a fixed
-    start vector b. The matrix is negative definite, so the solve never
-    meets a singular matrix and y stays near 2^36 in size. On both paths y
-    lies in range(G), so x stays orthogonal to u, and on a multiple top
-    eigenvalue x is the projection of A^T b (or b) onto that eigenspace,
-    the same on every call.
-    """
-    U = (members - w) / s
-    u = u / np.linalg.norm(u)
-    A = np.sqrt(q)[:, None] * (U - np.outer(U @ u, u))
-    wide = A.shape[0] <= A.shape[1]
-    if min(A.shape) > _DENSE_MAX:
-        t, y = _lanczos_top(A, wide)
-        if not vectors:
-            return t
-    else:
-        G = A @ A.T if wide else A.T @ A
-        t = np.linalg.eigvalsh(G).max(initial=0.0)
-        if not vectors:
-            return t
-        if not t > 0:
-            return 0.0, np.zeros(A.shape[1])
-        G = G / t
-        rhs = G @ _start_vector(G.shape[0])
-        G.flat[::G.shape[0] + 1] -= 1.0 + 2.0**-36   # the diagonal
-        y = np.linalg.solve(G, rhs)
-    x = A.T @ y if wide else y
-    nrm = np.linalg.norm(x)
-    if not nrm > 0:
-        return 0.0, np.zeros(A.shape[1])
-    return float(t), x / nrm
 
 
 def _top_eigenvalue(members, w, q, mode, j):

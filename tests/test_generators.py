@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mcagg.core import StochasticMatrix, validate_stochastic
-from mcagg.errors import BlockTooSmall, CountMismatch
+from mcagg.errors import BadParameter, BlockTooSmall, CountMismatch
 from mcagg.generators import (default_counts, gen_ncd, gen_replicated_rows,
                               perturb)
 from mcagg.klgeom import build_model, distortion
@@ -104,6 +104,17 @@ def test_perturb_bad_eps():
         perturb(np.eye(2), -0.1)
     with pytest.raises(ValueError):
         perturb(np.eye(2), 1.5)
+
+
+@pytest.mark.parametrize("make", [
+    lambda eps: gen_ncd(blocks=[3, 3], eps=eps),
+    lambda eps: gen_replicated_rows(6, k_t=2, eps=eps),
+    lambda eps: perturb(np.eye(2), eps),
+])
+@pytest.mark.parametrize("eps", [-1.0, 1.5, float("nan")])
+def test_bad_eps_is_a_typed_error(make, eps):
+    with pytest.raises(BadParameter, match="eps must lie in"):
+        make(eps)
 
 
 @settings(max_examples=60, deadline=None)

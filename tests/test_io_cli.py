@@ -13,9 +13,10 @@ from mcagg import cli
 from mcagg import pipeline
 from mcagg.core import (StochasticMatrix, make_partition,
                         stationary_distribution, validate_stochastic)
-from mcagg.errors import (BadAssignment, BadBigram, DuplicateLabel,
-                          LabelMismatch, McaggError, NegativeCount, NonLetter,
-                          NonSquare, ParseError, RaggedRows, RowSumViolation)
+from mcagg.errors import (BadAssignment, BadBigram, BadParameter,
+                          DuplicateLabel, LabelMismatch, McaggError,
+                          NegativeCount, NonLetter, NonSquare, ParseError,
+                          RaggedRows, RowSumViolation)
 from mcagg.io import (file_sha256, ingest_bigrams, parse_matrix,
                       parse_partitions, read_report, write_matrix,
                       write_partitions, write_report)
@@ -279,6 +280,22 @@ def test_ingest_errors(tmp_path):
             ingest_bigrams(p)
 
 
+@pytest.mark.parametrize("eta", ["-5", "nan", "inf"])
+def test_ingest_rejects_bad_smoothing(tmp_path, capsys, eta):
+    # a negative eta used to write a row holding -0.25, and nan an all-NaN
+    # matrix, both with exit 0
+    p = tmp_path / "b.txt"
+    p.write_text("ab 30\n")
+    with pytest.raises(BadParameter):
+        ingest_bigrams(p, smoothing=float(eta))
+    out = tmp_path / "chain.csv"
+    assert cli.main(["ingest-bigrams", "--counts", str(p), "--eta", eta,
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_ingest_sample_strictly_positive():
     m = ingest_bigrams(DATA / "bigrams_sample.txt", smoothing=1.0)
     assert (m.rows > 0).all()
@@ -323,6 +340,34 @@ def test_parse_partitions_label_errors(tmp_path):
     p.write_text('{"2": [["a"], ["b"]]}')
     with pytest.raises(LabelMismatch):   # c uncovered
         parse_partitions(p, labels=labels)
+
+
+@pytest.mark.parametrize("body", [
+    '{"1": [0, 0], "2": [0.5, 1]}',
+    '{"1": [0, 0], "2": [true, false]}',
+    '{"1": [0, 0], "2": [0, Infinity]}',
+    '{"1": [0, 0], "2": [0, 1e300]}',
+])
+def test_parse_partitions_rejects_non_integer_indices(tmp_path, capsys,
+                                                      body):
+    # 0.5 used to read as 0 and true/false as 1/0; inf and 1e300 escaped
+    # as an untyped OverflowError
+    p = tmp_path / "p.json"
+    p.write_text(body)
+    with pytest.raises(BadAssignment):
+        parse_partitions(p)
+    m = tmp_path / "m.csv"
+    m.write_text("0.9,0.1\n0.2,0.8\n")
+    assert cli.main(["select", "--matrix", str(m),
+                     "--partitions", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_parse_partitions_accepts_integral_floats(tmp_path):
+    p = tmp_path / "p.json"
+    p.write_text('{"2": [0, 1.0, 1]}')
+    assert parse_partitions(p)[2].assign.tolist() == [0, 1, 1]
 
 
 def test_partitions_round_trip(tmp_path):
@@ -511,6 +556,24 @@ def test_cli_exit_codes(tmp_path):
     sums.write_text("0.5,0.6\n0.5,0.5\n")
     assert cli.main(["pipeline", "--matrix", str(sums)]) == 1
     assert cli.main(["pipeline", "--matrix", str(sums), "--bogus"]) == 1
+
+
+@pytest.mark.parametrize("argv, token", [
+    (["ncd", "--blocks", "3,3", "--eps", "-1"], "eps"),
+    (["ncd", "--blocks", "3,3", "--eps", "nan"], "eps"),
+    (["ncd", "--blocks", "a"], "'a'"),
+    (["ncd", "--blocks", "3,,3"], "''"),
+    (["rows", "--n", "6", "--kt", "2", "--eps", "1"], "eps"),
+    (["rows", "--n", "6", "--kt", "2", "--counts", "3,x"], "'x'"),
+])
+def test_cli_gen_rejects_bad_parameters(tmp_path, capsys, argv, token):
+    # each used to end in an uncaught ValueError traceback
+    out = tmp_path / "m.csv"
+    assert cli.main(["gen"] + argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert token in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["select", "pipeline"])

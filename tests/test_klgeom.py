@@ -1,6 +1,12 @@
+import ast
+import importlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from mcagg import klgeom, selection
 
 from mcagg.errors import (DimensionMismatch, EmptySuperstate,
                           NonPositiveTemperature)
@@ -11,6 +17,8 @@ from mcagg.klgeom import (aggregate_transitions, build_model, distance_matrix,
 from mcagg.core import make_partition
 
 PI2 = np.array([[0.9, 0.1], [0.1, 0.9]])
+# the package exports the function anneal under the module's name
+anneal_module = importlib.import_module("mcagg.anneal")
 
 
 def _simplex_pair(n, seed):
@@ -277,3 +285,36 @@ def test_build_model_consistency():
         assert np.allclose(model.psi[:, m],
                            model.distributions[:, idx].sum(axis=1),
                            atol=1e-9)
+
+
+# --- the deviation eigen-kernel's one home ---
+
+def test_anneal_imports_nothing_from_selection():
+    # selection scores partitions that annealing produced; the annealer
+    # reads the spectral kernel and its thresholds from klgeom
+    src = Path(anneal_module.__file__).read_text()
+    found = []
+    for node in ast.walk(ast.parse(src)):
+        if isinstance(node, ast.ImportFrom):
+            if node.module and node.module.split(".")[-1] == "selection":
+                found.append(node.module)
+            elif node.module is None or node.module == "mcagg":
+                found += [a.name for a in node.names
+                          if a.name == "selection"]
+        elif isinstance(node, ast.Import):
+            found += [a.name for a in node.names
+                      if a.name.split(".")[-1] == "selection"]
+    assert found == []
+
+
+@pytest.mark.parametrize("name", ["_top_deviation", "_FLOOR", "_EXACT_FIT"])
+def test_kernel_names_are_klgeom_objects(name):
+    assert getattr(anneal_module, name) is getattr(klgeom, name)
+    assert getattr(selection, name) is getattr(klgeom, name)
+
+
+@pytest.mark.parametrize("name", ["_lanczos_top", "_start_vector",
+                                  "_DENSE_MAX", "_RITZ_TOL"])
+def test_selection_defines_no_kernel_internals(name):
+    assert hasattr(klgeom, name)
+    assert not hasattr(selection, name)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mcagg import selection
+from mcagg import klgeom, selection
 from mcagg.core import make_partition
 from mcagg.errors import DimensionMismatch, FloorViolation, NonConsecutiveK
 from mcagg.generators import gen_ncd
@@ -445,7 +445,7 @@ def test_membership_zero_weight_group_uniform():
 # --- _top_deviation split directions ---
 
 # factors whose smaller side is above the cutoff take the Lanczos path
-_BIG = selection._DENSE_MAX + 12
+_BIG = klgeom._DENSE_MAX + 12
 
 def _factor(members, w, q, s, u):
     """The deviation factor A of _top_deviation, built directly."""
@@ -458,8 +458,8 @@ def _check_direction(members, w, q, s, u):
     """(t, x) of the vector path: t equal to the temperature-only path, x
     unit, orthogonal to u and with Rayleigh quotient t within 1e-12."""
     with np.errstate(all="raise"):
-        t, x = selection._top_deviation(members, w, q, s, u, vectors=True)
-        t_only = selection._top_deviation(members, w, q, s, u)
+        t, x = klgeom._top_deviation(members, w, q, s, u, vectors=True)
+        t_only = klgeom._top_deviation(members, w, q, s, u)
     A, un = _factor(members, w, q, s, u)
     assert t == t_only
     assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
@@ -534,7 +534,7 @@ def test_top_deviation_tiny_deviations(m, d):
     s = u = np.ones(d)
     t, x, _ = _check_direction(1e-150 * (w + dev), 1e-150 * w, q, s, u)
     with np.errstate(all="raise"):
-        t1, x1 = selection._top_deviation(w + dev, w, q, s, u, vectors=True)
+        t1, x1 = klgeom._top_deviation(w + dev, w, q, s, u, vectors=True)
     assert 0.0 < t < 1e-290
     assert t == pytest.approx(1e-300 * t1, rel=1e-12)
     assert abs(x @ x1) == pytest.approx(1.0, abs=1e-12)
@@ -545,7 +545,7 @@ def test_top_deviation_identical_rows_zero_vector(m):
     w = np.array([0.1, 0.2, 0.3, 0.4])
     members = np.tile(w, (m, 1))
     with np.errstate(all="raise"):
-        t, x = selection._top_deviation(members, w, np.full(m, 1.0 / m),
+        t, x = klgeom._top_deviation(members, w, np.full(m, 1.0 / m),
                                         np.sqrt(w), np.sqrt(w), vectors=True)
     assert t == 0.0 and x.shape == (4,) and not x.any()
 
@@ -561,7 +561,7 @@ def _top_gram_eigenvalue(A):
 @settings(max_examples=8, deadline=None)
 @given(st.integers(0, 80), st.booleans(), st.integers(0, 2**32 - 1))
 def test_top_deviation_lanczos_matches_eigvalsh(extra, tall, seed):
-    r = selection._DENSE_MAX + 1 + extra % 40
+    r = klgeom._DENSE_MAX + 1 + extra % 40
     m, d = (r + 1 + extra, r) if tall else (r, r + extra)
     rng = np.random.default_rng(seed)
     members = rng.dirichlet(np.ones(d), size=m)
@@ -591,7 +591,7 @@ def test_top_deviation_lanczos_double_top_eigenvalue(m, d):
     q = np.full(m, 1.0 / m)
     w, s = np.zeros(d), np.ones(d)
     t, x, _ = _check_direction(members, w, q, s, u)
-    t2, x2 = selection._top_deviation(members, w, q, s, u, vectors=True)
+    t2, x2 = klgeom._top_deviation(members, w, q, s, u, vectors=True)
     assert t == t2 and np.array_equal(x, x2)
     assert t == pytest.approx(4.0, rel=1e-12)
     assert np.linalg.norm(R[:, :2].T @ x) == pytest.approx(1.0, abs=1e-12)
@@ -603,9 +603,9 @@ def test_top_deviation_lanczos_identical_rows_zero_vector(m, d):
     members = np.tile(w, (m, 1))
     q = np.full(m, 1.0 / m)
     with np.errstate(all="raise"):
-        t, x = selection._top_deviation(members, w, q, np.sqrt(w),
+        t, x = klgeom._top_deviation(members, w, q, np.sqrt(w),
                                         np.sqrt(w), vectors=True)
-        t_only = selection._top_deviation(members, w, q, np.sqrt(w),
+        t_only = klgeom._top_deviation(members, w, q, np.sqrt(w),
                                           np.sqrt(w))
     assert t == 0.0 and t_only == 0.0
     assert x.shape == (d,) and not x.any()
@@ -635,5 +635,5 @@ def test_heterogeneity_lanczos_on_400_state_superstates(mode):
             A, _ = _factor(members, w, q, s, u)
             assert prof[j] == pytest.approx(_top_gram_eigenvalue(A),
                                             rel=1e-12)
-            large += len(idx) > selection._DENSE_MAX
+            large += len(idx) > klgeom._DENSE_MAX
     assert large == 3
