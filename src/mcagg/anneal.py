@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import as_rho, as_rows, make_partition, resolve_k_max
+from .core import _closure, as_rho, as_rows, make_partition, resolve_k_max
 from .errors import EmptySuperstate, InadmissiblePerturbation, NoConvergence
 from .klgeom import (_EXACT_FIT, _FLOOR, _TINY, SoftAssociation, _check_bank,
                      _Gibbs, _kl_rows, _self_entropy, _top_deviation,
@@ -264,30 +264,15 @@ def extract_hard_partition(assoc, merge_map=None):
 
 
 def _merge_bank(Z, tol):
-    """Union coincident rows (inf-distance below tol). Returns the distinct
-    bank (mean of each group) and the bank-row -> distinct-index map."""
-    k = Z.shape[0]
-    parent = list(range(k))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    """Merge coincident rows: rows linked by a chain of inf-distances below
+    tol form one group, indexed in order of its lowest row. Returns the
+    distinct bank (mean of each group) and the bank-row -> distinct-index
+    map."""
     close = np.abs(Z[:, None] - Z[None]).max(axis=2) < tol
-    for a, b in np.argwhere(np.triu(close, 1)).tolist():
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    root = [find(a) for a in range(k)]
-    members = {}
-    for a, r in enumerate(root):
-        members.setdefault(r, []).append(a)
-    roots = sorted(members)
-    index = {r: i for i, r in enumerate(roots)}
-    merge_map = {a: index[r] for a, r in enumerate(root)}
-    Zm = np.stack([Z[members[r]].mean(axis=0) for r in roots])
+    root = np.argmax(_closure(close), axis=1)
+    roots, index = np.unique(root, return_inverse=True)
+    merge_map = dict(enumerate(index.tolist()))
+    Zm = np.stack([Z[root == r].mean(axis=0) for r in roots])
     return Zm, merge_map
 
 

@@ -145,6 +145,18 @@ def _gth(block):
     return x / x.sum()
 
 
+def _closure(adj):
+    """Reflexive-transitive closure of a square boolean adjacency matrix:
+    entry (i, j) is True when j is reachable from i in zero or more steps.
+    Squaring doubles the path length covered, until nothing grows."""
+    reach = (adj | np.eye(len(adj), dtype=bool)).astype(float)
+    while True:
+        grown = np.sign(reach @ reach)
+        if np.array_equal(grown, reach):
+            return reach > 0
+        reach = grown
+
+
 def stationary_distribution(pi):
     """The Cesaro limit of uniform @ Pi^t, which is what power iteration from
     the uniform start returns whenever it converges.
@@ -156,13 +168,7 @@ def stationary_distribution(pi):
     """
     rows = as_rows(pi)
     n = rows.shape[0]
-    reach = ((rows > 0) | np.eye(n, dtype=bool)).astype(float)
-    while True:
-        grown = np.sign(reach @ reach)
-        if np.array_equal(grown, reach):
-            break
-        reach = grown
-    reach = reach > 0
+    reach = _closure(rows > 0)
     closed = ~(reach & ~reach.T).any(axis=1)
     head = np.argmax(reach & reach.T, axis=1)
     classes = [np.flatnonzero(closed & (head == h))

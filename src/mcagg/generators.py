@@ -16,9 +16,20 @@ __all__ = ["gen_ncd", "gen_replicated_rows", "perturb"]
 def default_counts(n, k_t):
     """Near-equal multiplicities: n // k_t each, remainder spread from the
     front (e.g. n=10, k_t=3 -> (4, 3, 3))."""
+    if k_t < 1:
+        raise BadParameter(f"k_t must be >= 1, got {k_t}")
     counts = np.full(k_t, n // k_t, dtype=int)
     counts[: n % k_t] += 1
     return tuple(int(c) for c in counts)
+
+
+def _rng(seed):
+    """numpy's generator for seed; a seed it rejects, such as a negative
+    integer, is a BadParameter."""
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError):
+        raise BadParameter(f"seed must be a non-negative integer, got {seed}")
 
 
 def gen_ncd(blocks, eps=0.0, seed=0):
@@ -37,7 +48,7 @@ def gen_ncd(blocks, eps=0.0, seed=0):
     n = int(sum(blocks))
     if n < 2:
         raise BlockTooSmall("need at least 2 states in total")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     rows = np.zeros((n, n))
     truth = np.zeros(n, dtype=int)
     start = 0
@@ -72,7 +83,7 @@ def gen_replicated_rows(n, k_t=None, counts=None, eps=0.0, seed=0):
         raise CountMismatch(f"counts sum to {sum(counts)}, expected n={n}")
     if not 0.0 <= eps < 1.0:
         raise BadParameter(f"eps must lie in [0, 1), got {eps}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     protos = rng.dirichlet(np.ones(n), size=k_t)
     truth = np.repeat(np.arange(k_t), counts)
     rows = protos[truth]
@@ -92,6 +103,6 @@ def perturb(pi, eps, seed=0):
         rows, labels = np.asarray(pi, dtype=float), None
     if eps == 0.0:
         return pi if isinstance(pi, StochasticMatrix) else StochasticMatrix(rows=rows, labels=labels)
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     R = rng.dirichlet(np.ones(rows.shape[1]), size=rows.shape[0])
     return StochasticMatrix(rows=(1.0 - eps) * rows + eps * R, labels=labels)

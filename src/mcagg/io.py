@@ -213,9 +213,10 @@ def parse_partitions(path, labels=None):
 
 
 def _index(v):
-    """int(v) for one entry of an index array. JSON true and false, and a
-    number with a fractional part (or inf or nan), are not indices."""
-    if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
+    """int(v) for one entry of an index array. Only a JSON number without a
+    fractional part is an index: not true or false, a string, inf or nan."""
+    if isinstance(v, bool) or not (isinstance(v, int) or
+                                   isinstance(v, float) and v.is_integer()):
         raise ValueError(v)
     return int(v)
 

@@ -70,19 +70,20 @@ def _move_descent(rows, rho, assign, self_ent, memo=None, max_passes=50):
     read from per-group columns: entry i of group g's column is g's term
     with state i added, or, for a member i, with i removed.
 
-    A column depends on the group only through S_g, M_g, SE_g and its
-    member set, so memo maps the bytes of those four to the column and a
-    mask of the rows computed so far. Every state-side input (rho_i, row i,
+    A group's state is a function of its member set: S_g, M_g and SE_g
+    are summed over the members when the set is first met, and memo maps
+    the bytes of the member mask to those sums, the column and a mask of
+    the rows computed so far. Every state-side input (rho_i, row i,
     self-entropy i) is fixed for given rows, rho and self_ent, so a memo
     may be shared by descents on the same chain and weights, and a hit
     holds the bytes a fresh computation would give. It must not be shared
     across chains or weights. memo=None uses a fresh dict.
 
-    tab[:, g] and have[:, g] hold group g's memo column while g stays in
-    one state; they go back to the memo when g changes and when the
-    descent ends. The scan reads the rows from the current state to the
-    end of its block of _BLOCK rows and, just before, computes the rows of
-    that block that a current column lacks.
+    S[g], M[g], SE[g], tab[:, g] and have[:, g] hold group g's memo entry
+    while g keeps its members; the entry goes back to the memo when g
+    changes and when the descent ends. The scan reads the rows from the
+    current state to the end of its block of _BLOCK rows and, just before,
+    computes the rows of that block that a current column lacks.
 
     States are visited in index order, one pass after another, and a state
     moves to the first group whose gain beats the best so far by more than
@@ -104,30 +105,28 @@ def _move_descent(rows, rho, assign, self_ent, memo=None, max_passes=50):
     drho = np.concatenate([rho, -rho])
     dse = np.concatenate([se, -se])
 
-    S = np.zeros((k, rows.shape[1]))
-    M = np.zeros(k)
-    SE = np.zeros(k)
-    for j in range(k):
-        m = assign == j
-        S[j] = wrows[m].sum(axis=0)
-        M[j] = rho[m].sum()
-        SE[j] = se[m].sum()
-
+    S = np.empty((k, rows.shape[1]))
+    M = np.empty(k)
+    SE = np.empty(k)
     tab = np.empty((n, k))
     have = np.empty((n, k), dtype=bool)
     keys = [None] * k
 
     def look_up(g):
-        keys[g] = key = (S[g].tobytes(), M[g].tobytes(), SE[g].tobytes(),
-                         (assign == g).tobytes())
+        m = assign == g
+        keys[g] = key = m.tobytes()
         hit = memo.get(key)
         if hit is None:
+            S[g] = wrows[m].sum(axis=0)
+            M[g] = rho[m].sum()
+            SE[g] = se[m].sum()
             have[:, g] = False
         else:
-            tab[:, g], have[:, g] = hit
+            S[g], M[g], SE[g], tab[:, g], have[:, g] = hit
 
     def store(g):
-        memo[keys[g]] = (tab[:, g].copy(), have[:, g].copy())
+        memo[keys[g]] = (S[g].copy(), M[g], SE[g], tab[:, g].copy(),
+                         have[:, g].copy())
 
     for g in range(k):
         look_up(g)
@@ -170,12 +169,6 @@ def _move_descent(rows, rho, assign, self_ent, memo=None, max_passes=50):
             cur[a], cur[b] = tab[i, a], tab[i, b]
             store(a)
             store(b)
-            S[a] -= wrows[i]
-            M[a] -= rho[i]
-            SE[a] -= se[i]
-            S[b] += wrows[i]
-            M[b] += rho[i]
-            SE[b] += se[i]
             counts[a] -= 1
             counts[b] += 1
             assign[i] = b

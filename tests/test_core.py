@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mcagg.core import (Partition, StochasticMatrix, as_rows, make_partition,
-                        simplex_basis, stationary_distribution,
-                        validate_stochastic)
+from mcagg.core import (Partition, StochasticMatrix, _closure, as_rows,
+                        make_partition, simplex_basis,
+                        stationary_distribution, validate_stochastic)
 from mcagg.errors import (DimensionMismatch, NegativeEntry, NoConvergence,
                           NonSquare, RowSumViolation)
 from mcagg.io import parse_matrix
@@ -92,6 +92,41 @@ def test_simplex_basis_matches_column_definition(n):
 def test_simplex_basis_needs_two_states():
     with pytest.raises(DimensionMismatch):
         simplex_basis(1)
+
+
+def _bfs_reach(adj):
+    """Reference closure: a breadth-first search from every node."""
+    n = len(adj)
+    reach = np.zeros((n, n), dtype=bool)
+    for s in range(n):
+        reach[s, s] = True
+        frontier = [s]
+        while frontier:
+            nxt = []
+            for a in frontier:
+                for b in np.flatnonzero(adj[a]):
+                    if not reach[s, b]:
+                        reach[s, b] = True
+                        nxt.append(b)
+            frontier = nxt
+    return reach
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 30), st.floats(0.0, 0.4), st.integers(0, 10_000))
+def test_closure_matches_breadth_first_search(n, density, seed):
+    rng = np.random.default_rng(seed)
+    adj = rng.random((n, n)) < density
+    got = _closure(adj)
+    assert got.dtype == bool
+    np.testing.assert_array_equal(got, _bfs_reach(adj))
+
+
+def test_closure_of_a_long_path():
+    # 0 -> 1 -> ... -> 39 needs six squarings; nothing reaches back
+    adj = np.eye(40, k=1, dtype=bool)
+    np.testing.assert_array_equal(_closure(adj),
+                                  np.triu(np.ones((40, 40), dtype=bool)))
 
 
 def test_stationary_identity_is_uniform():

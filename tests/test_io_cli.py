@@ -347,11 +347,12 @@ def test_parse_partitions_label_errors(tmp_path):
     '{"1": [0, 0], "2": [true, false]}',
     '{"1": [0, 0], "2": [0, Infinity]}',
     '{"1": [0, 0], "2": [0, 1e300]}',
+    '{"1": [0, 0], "2": ["0", " 1"]}',
 ])
 def test_parse_partitions_rejects_non_integer_indices(tmp_path, capsys,
                                                       body):
-    # 0.5 used to read as 0 and true/false as 1/0; inf and 1e300 escaped
-    # as an untyped OverflowError
+    # 0.5 used to read as 0, true/false as 1/0 and "0"/" 1" as 0/1; inf and
+    # 1e300 escaped as an untyped OverflowError
     p = tmp_path / "p.json"
     p.write_text(body)
     with pytest.raises(BadAssignment):
@@ -565,9 +566,13 @@ def test_cli_exit_codes(tmp_path):
     (["ncd", "--blocks", "3,,3"], "''"),
     (["rows", "--n", "6", "--kt", "2", "--eps", "1"], "eps"),
     (["rows", "--n", "6", "--kt", "2", "--counts", "3,x"], "'x'"),
+    (["rows", "--n", "10", "--kt", "0"], "k_t"),
+    (["rows", "--n", "10", "--kt", "-1"], "k_t"),
+    (["ncd", "--blocks", "3,3", "--seed", "-1"], "seed"),
 ])
 def test_cli_gen_rejects_bad_parameters(tmp_path, capsys, argv, token):
-    # each used to end in an uncaught ValueError traceback
+    # each used to end in an uncaught ValueError (or, for --kt 0,
+    # ZeroDivisionError) traceback
     out = tmp_path / "m.csv"
     assert cli.main(["gen"] + argv + ["--out", str(out)]) == 1
     err = capsys.readouterr().err

@@ -39,7 +39,8 @@ def reference_move_descent(rows, rho, assign, max_passes=50):
     at a time escapes those plateaus. Total distortion decomposes per group
     as SE_g - S_g . log(S_g / M_g), with S_g the rho-weighted row sum, M_g
     the group mass and SE_g the weighted self-entropies, so each candidate
-    move is evaluated in O(n) from running sums.
+    move is evaluated in O(n) from the group sums. After a move the two
+    changed groups' sums are summed afresh over their members.
     """
     assign = np.asarray(assign, dtype=int).copy()
     n = rows.shape[0]
@@ -54,12 +55,15 @@ def reference_move_descent(rows, rho, assign, max_passes=50):
     S = np.zeros((k, rows.shape[1]))
     M = np.zeros(k)
     SE = np.zeros(k)
-    for j in range(k):
+
+    def resum(j):
         m = assign == j
         S[j] = wrows[m].sum(axis=0)
         M[j] = rho[m].sum()
         SE[j] = se[m].sum()
 
+    for j in range(k):
+        resum(j)
     cur = np.array([contrib(S[j], M[j], SE[j]) for j in range(k)])
     counts = np.bincount(assign, minlength=k)
     for _ in range(max_passes):
@@ -79,14 +83,12 @@ def reference_move_descent(rows, rho, assign, max_passes=50):
                 if gain > best_gain + 1e-14:
                     best_gain, best_j, best_cb = gain, j, cb
             if best_j != a:
-                S[a], M[a], SE[a], cur[a] = Sa, Ma, SEa, ca
-                S[best_j] += wrows[i]
-                M[best_j] += rho[i]
-                SE[best_j] += se[i]
-                cur[best_j] = best_cb
+                cur[a], cur[best_j] = ca, best_cb
                 counts[a] -= 1
                 counts[best_j] += 1
                 assign[i] = best_j
+                resum(a)
+                resum(best_j)
                 improved = True
         if not improved:
             break
@@ -245,8 +247,7 @@ def _twin_chain(seed, n=9):
 def test_move_descent_memo_keys_on_members(seed):
     # swapping the twins 1 and 2 between their groups gives groups with the
     # same S, M and SE bytes but different members; a member row holds a
-    # removal and any other row an addition, so the member set is part of
-    # the key
+    # removal and any other row an addition, so the entries must stay apart
     rows, rho = _twin_chain(seed)
     a = np.array([0, 0, 1, 1, 2, 0, 1, 2, 2])
     b = a.copy()
@@ -256,8 +257,34 @@ def test_move_descent_memo_keys_on_members(seed):
         want = reference_move_descent(rows, rho, start)
         for got in descend_each_block(rows, rho, start, memo=memo):
             np.testing.assert_array_equal(got, want)
-    # the case is exercised: two keys differ only in their member mask
-    assert len({key[:3] for key in memo}) < len(memo)
+    # the case is exercised: two entries hold the same sums under
+    # different member masks
+    sums = {(S.tobytes(), M.tobytes(), SE.tobytes())
+            for S, M, SE, _, _ in memo.values()}
+    assert len(sums) < len(memo)
+
+
+def test_refine_memo_sums_are_fresh_member_sums(monkeypatch):
+    # each entry's sums are a function of its key's members alone: the sums
+    # taken over the members, bit for bit, however the descents reached it
+    rows, rho, sweep = _sweep()
+    memos = []
+    descend = pipeline._move_descent
+
+    def keep_memo(rows, rho, assign, self_ent, memo=None):
+        memos.append(memo)
+        return descend(rows, rho, assign, self_ent, memo)
+
+    monkeypatch.setattr(pipeline, "_move_descent", keep_memo)
+    refine_per_k(rows, rho, sweep, 6)
+    memo = memos[0]
+    assert memo and all(m is memo for m in memos)
+    se = _self_entropy(rows) * rho
+    wrows = rho[:, None] * rows
+    for key, (S, M, SE, _, _) in memo.items():
+        m = np.frombuffer(key, dtype=bool)
+        assert S.tobytes() == wrows[m].sum(axis=0).tobytes()
+        assert M == rho[m].sum() and SE == se[m].sum()
 
 
 def _sweep(n_blocks=4, size=6, eps=0.05, seed=2, k_max=6):
@@ -279,8 +306,8 @@ def _memo_free(monkeypatch):
 
 def test_refine_memo_stays_within_one_call(monkeypatch):
     # the second call weights states 2, 6 and 18 ten times as much and
-    # leaves the rest of rho as it is, so every group without them keeps
-    # its key bytes while its entries in their rows change
+    # leaves the rest of rho as it is, so every group keeps its key while
+    # its entries in their rows change
     rows, rho, sweep = _sweep()
     heavy = rho.copy()
     heavy[[2, 6, 18]] *= 10.0
