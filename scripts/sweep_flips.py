@@ -1,8 +1,11 @@
 """Record, and compare, what the annealing sweep chooses on a fixed chain set.
 
 A change to annealing that is not bit-identical moves some partitions. This
-script records, per chain, k_t, the planted k, and at every k the
-partition (relabelled canonically, by first occurrence) and its distortion:
+script records, per chain, k_t, the planted k, at every k the partition
+(relabelled canonically, by first occurrence) and its distortion, and the
+sweep's cost: its map evaluations (calls of
+mcagg.anneal.posterior_and_centroids) and its temperatures (the length of
+the pipeline's trace):
 
     python scripts/sweep_flips.py --out before.json
     python scripts/sweep_flips.py --out after.json      # on the changed code
@@ -52,8 +55,10 @@ pair, k >= 2, that gains or loses the optimum (distortion within 1e-9
 relative plus 1e-12 absolute of the minimum) and, per chain set, the count
 at the optimum, and record B's misses: their number, the largest gap
 (d - opt) / opt (absolute where opt = 0) with its (chain, k), and the summed
-gap. It exits 1 when any chain's k_t changed, so it serves as the
-k_t gate alone.
+gap. Per chain set it also prints the summed map evaluations and
+temperatures of both records, or n/a for a record written before they were
+recorded. It exits 1 when any chain's k_t changed, so it serves as the k_t
+gate alone.
 """
 import argparse
 import contextlib
@@ -224,11 +229,21 @@ def _record(with_ncd9, with_degenerate):
     runs = [(*c, "plain") for c in chains(with_ncd9)]
     if with_degenerate:
         runs += degenerate_chains()
+    evals = [0]
+    step = anneal_module.posterior_and_centroids
+
+    def counting_step(*args):
+        evals[0] += 1
+        return step(*args)
+
     out = {}
     for name, rows, rho_mode, k_max, planted, mode in runs:
         rho = (mcagg.stationary_distribution(rows) if rho_mode == "stationary"
                else None)
-        res = run_pipeline(rows, rho, k_max=k_max, mode=mode)
+        evals[0] = 0
+        with mock.patch.object(anneal_module, "posterior_and_centroids",
+                               counting_step):
+            res = run_pipeline(rows, rho, k_max=k_max, mode=mode)
         out[name] = {
             "k_t": int(res.k_t),
             "planted_k": None if planted is None else int(planted),
@@ -236,6 +251,8 @@ def _record(with_ncd9, with_degenerate):
                            for k, p in res.partitions.items()},
             "distortion": {str(k): mcagg.distortion(rows, m, rho)
                            for k, m in res.models.items()},
+            "map_evals": evals[0],
+            "temperatures": len(res.trace),
         }
         if rows.shape[0] <= EXACT_MAX_N:
             minima = exact_minima(rows, as_rho(rho, rows.shape[0]),
@@ -264,6 +281,15 @@ def gap(chain, k):
     return (d - opt) / abs(opt) if opt else d - opt
 
 
+# per-chain sweep costs; a record written before they were kept lacks them,
+# and a total over such a chain is None
+COSTS = ("map_evals", "temperatures")
+
+
+def _add(total, value):
+    return None if total is None or value is None else total + value
+
+
 def compare(a, b):
     """Print every k_t change and partition flip from run a to run b, then
     the totals per chain set and overall; returns the overall totals."""
@@ -273,8 +299,12 @@ def compare(a, b):
         t = totals.setdefault(family(name), dict(
             chains=0, partitions=0, hits_a=0, hits_b=0, kt_changed=0,
             flips=0, ties=0, raised_low=0, delta=0.0, exact=0, opt_a=0,
-            opt_b=0, gap_b=0.0, worst_b=None))
+            opt_b=0, gap_b=0.0, worst_b=None,
+            **{f"{c}_{s}": 0 for c in COSTS for s in "ab"}))
         t["chains"] += 1
+        for c in COSTS:
+            t[f"{c}_a"] = _add(t[f"{c}_a"], ca.get(c))
+            t[f"{c}_b"] = _add(t[f"{c}_b"], cb.get(c))
         t["partitions"] += len(ca["partitions"])
         t["hits_a"] += ca["k_t"] == ca["planted_k"]
         t["hits_b"] += cb["k_t"] == cb["planted_k"]
@@ -315,7 +345,7 @@ def compare(a, b):
                 da, db = ca["distortion"][k], cb["distortion"][k]
                 print(f"OPT{'+' if ob else '-'} {name} k={k}: distortion "
                       f"{da:.10g} -> {db:.10g}, optimum {cb['exact'][k]:.10g}")
-    overall = {key: sum(t[key] for t in totals.values())
+    overall = {key: functools.reduce(_add, (t[key] for t in totals.values()))
                for key in next(iter(totals.values())) if key != "worst_b"}
     overall["worst_b"] = max((t["worst_b"] for t in totals.values()
                               if t["worst_b"]), key=lambda w: w[0],
@@ -327,6 +357,11 @@ def compare(a, b):
               f"({t['ties']} ties), {t['raised_low']} at k <= planted k_t "
               f"raise distortion beyond a tie; summed distortion change "
               f"over the flips {t['delta']:+.4g}")
+        costs = {c: " -> ".join("n/a" if t[f"{c}_{s}"] is None
+                                else str(t[f"{c}_{s}"]) for s in "ab")
+                 for c in COSTS}
+        print(f"{fam}: map evaluations {costs['map_evals']}, temperatures "
+              f"{costs['temperatures']}")
         if t["exact"]:
             misses = t["exact"] - t["opt_b"]
             worst = ""

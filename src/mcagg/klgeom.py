@@ -140,7 +140,9 @@ class _Gibbs:
         self.rows, self.self_ent, self.positive = rows, self_ent, positive
         self.T = T
         self.live = rho > 0
-        self.rho_live = rho[self.live]
+        # where every weight is live, the free energy is rho @ lse as is
+        self.all_live = bool(self.live.all())
+        self.rho_live = rho if self.all_live else rho[self.live]
         # a bank above _TINY has D <= -log(_TINY) < 700, so D / T stays
         # finite for T > _TINY
         self.fast = T > _TINY
@@ -149,18 +151,25 @@ class _Gibbs:
         """Gibbs weights at the bank Z and, with energy=True, the free
         energy there (None otherwise)."""
         if self.fast and np.minimum.reduce(Z, axis=None) > _TINY:
-            A = (self.self_ent[:, None] - self.rows @ np.log(Z).T) / -self.T
-            m = np.maximum.reduce(A, axis=1, keepdims=True)
-            E = np.exp(A - m)
-            s = np.add.reduce(E, axis=1, keepdims=True)
-            p = E / s
+            # one buffer, in _softmin's order: (self_ent - rows log Z^T) / -T,
+            # less the row max, exp, normalized
+            p = self.rows @ np.log(Z).T
+            np.subtract(self.self_ent[:, None], p, out=p)
+            p /= -self.T
+            m = np.maximum.reduce(p, axis=1, keepdims=True)
+            p -= m
+            np.exp(p, out=p)
+            s = np.add.reduce(p, axis=1, keepdims=True)
+            p /= s
             lse = m[:, 0] + np.log(s[:, 0]) if energy else None
         else:
             D = _kl_rows(self.rows, self.self_ent, self.positive, Z)
             p, lse = _softmin(D, self.T, energy)
         if not energy:
             return p, None
-        return p, -self.T * float(self.rho_live @ lse[self.live])
+        if not self.all_live:
+            lse = lse[self.live]
+        return p, -self.T * float(self.rho_live @ lse)
 
 
 def gibbs_weights(distances, T):

@@ -651,6 +651,41 @@ def test_extract_rho_scale_invariance():
     assert np.array_equal(a1.assign, a2.assign)
 
 
+def _loop_extract_hard_partition(assoc, merge_map=None):
+    """extract_hard_partition with the per-column Python loop it had before
+    np.add.at, kept verbatim as the reference."""
+    p = assoc.p
+    n, kb = p.shape
+    if merge_map is None:
+        merge_map = {j: j for j in range(kb)}
+    n_distinct = len(set(merge_map.values()))
+    grouped = np.zeros((n, n_distinct))
+    for b in range(kb):
+        grouped[:, merge_map[b]] += p[:, b]
+    raw = np.argmax(grouped, axis=1)
+    used, compact = np.unique(raw, return_inverse=True)
+    return compact, len(used)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_extract_matches_column_loop(seed):
+    # merged columns summed in the same order give the same bytes, so the
+    # same argmax, ties included (weights rounded to 0.1 make many)
+    rng = np.random.default_rng(seed)
+    kb, n = int(rng.integers(1, 13)), int(rng.integers(1, 20))
+    p = rng.dirichlet(np.ones(kb), size=n)
+    if seed % 2:
+        p = np.round(p, 1)
+    groups = rng.integers(0, kb, kb)
+    _, index = np.unique(groups, return_inverse=True)
+    for merge_map in (None, dict(enumerate(index.tolist()))):
+        part = extract_hard_partition(SoftAssociation(p=p), merge_map)
+        assign, k = _loop_extract_hard_partition(SoftAssociation(p=p),
+                                                 merge_map)
+        assert part.k == k
+        assert part.assign.tobytes() == assign.tobytes()
+
+
 # --- _merge_bank ---
 
 def _loop_merge_bank(Z, tol):
@@ -884,6 +919,35 @@ def test_converge_drops_a_dead_bank_row():
 
 # --- shadow offsets ---
 
+def _loop_shadow_bank(Z, dirs, offsets):
+    """_shadow_bank with the per-row Python loop it had before it was
+    vectorized, kept verbatim as the reference."""
+    out = []
+    for j in range(Z.shape[0]):
+        d = dirs[j]
+        for s in (+1.0, -1.0):
+            z = Z[j] + s * offsets[j] * d
+            z = np.maximum(z, 1e-15)
+            out.append(z / z.sum())
+    return np.stack(out)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_shadow_bank_matches_row_loop(seed):
+    # offsets from _DELTA to ones large enough to clip coordinates at 1e-15,
+    # and a zero direction, which gives two coincident copies
+    rng = np.random.default_rng(seed)
+    k, n = int(rng.integers(1, 9)), int(rng.integers(2, 300))
+    Z = rng.dirichlet(np.full(n, 0.3), size=k)
+    dirs = rng.standard_normal((k, n))
+    dirs -= dirs.mean(axis=1, keepdims=True)
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs[rng.random(k) < 0.2] = 0.0
+    offsets = rng.choice([anneal_module._DELTA, 0.01, 0.3, 2.0], size=k)
+    bank = anneal_module._shadow_bank(Z, dirs, offsets)
+    assert bank.tobytes() == _loop_shadow_bank(Z, dirs, offsets).tobytes()
+
+
 def test_stable_centroid_keeps_delta_offsets_bit_for_bit():
     # centroids with t_cr <= T (the last one has t_cr 0 and no direction)
     # get exactly +/- _DELTA, so their shadow rows are those of a
@@ -973,6 +1037,32 @@ def test_first_split_starts_at_its_amplitude(monkeypatch):
                                                 anneal_module._MERGE_TOL)
     assert merged.shape == merged_plain.shape == (2, 10)
     assert np.abs(merged - merged_plain).max() < anneal_module._MERGE_TOL
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_near_critical_pairs_merge_below_t_cr_split_above(seed):
+    # the coupling of _FP_TOL and _MERGE_TOL: the starting centroid's shadow
+    # pair, settled at _FP_TOL, must merge under _MERGE_TOL just above its
+    # critical temperature, where the pair converges slowly onto one
+    # centroid, and stay two centroids below it
+    rows = gen_ncd(blocks=[5, 5], eps=0.05, seed=seed)[0].rows
+    rho = np.full(10, 0.1)
+    z0 = (rho @ rows)[None, :]
+    ones = SoftAssociation(p=np.ones((10, 1)),
+                           posterior=(rho / rho.sum())[:, None])
+    tcrs, dirs, sigmas = anneal_module._critical_full(rows, rho, z0, ones)
+    sizes = {}
+    for ratio in (0.9, 0.95, 1.005, 1.01, 1.02, 1.05, 1.2):
+        T = ratio * tcrs[0]
+        bank = anneal_module._shadow_bank(
+            z0, dirs, anneal_module._shadow_offsets(tcrs, sigmas, T))
+        Z, _, ok = anneal_module._fp_iterate(
+            rows, _self_entropy(rows), rows > 0, rho, bank, T,
+            anneal_module._FP_TOL, anneal_module._FP_MAX_ITER)
+        merged, _ = anneal_module._merge_bank(Z, anneal_module._MERGE_TOL)
+        sizes[ratio] = merged.shape[0]
+    assert sizes == {0.9: 2, 0.95: 2, 1.005: 1, 1.01: 1, 1.02: 1, 1.05: 1,
+                     1.2: 1}
 
 
 # --- aggregate_fixed_k ---

@@ -102,3 +102,40 @@ def test_null_swap_reverses_each_shadow_pair():
     plain = sweep_flips.anneal_module._shadow_bank(Z, dirs, offsets)
     assert np.array_equal(swapped(Z, dirs, offsets),
                           plain[[1, 0, 3, 2, 5, 4]])
+
+
+def test_record_counts_map_evaluations_and_temperatures(monkeypatch):
+    # the record's costs are the calls of mcagg.anneal.posterior_and_centroids
+    # in the chain's pipeline run and the length of its trace
+    pi, truth = sweep_flips.gen_ncd(blocks=[3, 3, 3], eps=0.05, seed=1)
+    monkeypatch.setattr(sweep_flips, "chains", lambda with_ncd9: iter(
+        [("crit1-1", pi.rows, "uniform", 6, truth.k)]))
+    anneal_module = sweep_flips.anneal_module
+    plain, calls = anneal_module.posterior_and_centroids, []
+    rec = sweep_flips.record(False, False, None)["crit1-1"]
+    assert anneal_module.posterior_and_centroids is plain
+    monkeypatch.setattr(anneal_module, "posterior_and_centroids",
+                        lambda *a: calls.append(1) or plain(*a))
+    res = sweep_flips.run_pipeline(pi.rows, None, k_max=6)
+    assert rec["map_evals"] == len(calls) > 0
+    assert rec["temperatures"] == len(res.trace) > 0
+
+
+def test_compare_totals_costs_and_reads_records_without_them(capsys):
+    old = _chain_record([2.0, 1.0, 0.2], [2.0, 1.0, 0.2])
+    a = {"crit1-s0": dict(old, map_evals=900, temperatures=40),
+         "crit1-s1": dict(old, map_evals=100, temperatures=10),
+         "large-ncd-s1-0": dict(old, map_evals=50, temperatures=5)}
+    b = {"crit1-s0": dict(old, map_evals=700, temperatures=41),
+         "crit1-s1": dict(old, map_evals=80, temperatures=10),
+         "large-ncd-s1-0": old}
+    totals = sweep_flips.compare(a, b)
+    out = capsys.readouterr().out
+    assert ("acceptance: map evaluations 1000 -> 780, temperatures 50 -> 51"
+            in out)
+    assert "large-ncd: map evaluations 50 -> n/a, temperatures 5 -> n/a" in out
+    assert "all: map evaluations 1050 -> n/a, temperatures 55 -> n/a" in out
+    assert totals["map_evals_a"] == 1050 and totals["map_evals_b"] is None
+    sweep_flips.compare({"crit1-s0": old}, {"crit1-s0": old})
+    assert ("acceptance: map evaluations n/a -> n/a, temperatures n/a -> n/a"
+            in capsys.readouterr().out)
