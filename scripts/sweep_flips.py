@@ -45,6 +45,15 @@ mass, SE_g the weighted self-entropies; Banerjee et al., JMLR 2005), so the
 best split of a subset into k groups is the best first group, taken to hold
 the subset's lowest state, plus the best split of the rest into k - 1.
 
+``--summary FILE`` writes, per chain set of one record (the one ``--out``
+writes, or record B of ``--compare``), the k_t hits, the exact-optimum
+count with every miss and its gap, and the summed map evaluations and
+temperatures; SWEEP.json at the repository root is this summary for
+``--with-ncd9-eps0 --with-degenerate``:
+
+    python scripts/sweep_flips.py --with-ncd9-eps0 --with-degenerate \
+        --out record.json --summary SWEEP.json
+
 ``--compare`` prints every k_t change and every partition flip with its
 distortion before and after, then totals: flips, ties among them
 (distortions equal within 1e-12 relative or 1e-15 absolute, so two exact
@@ -374,6 +383,37 @@ def compare(a, b):
     return overall
 
 
+def summary(rec):
+    """Per chain set of one record, and over all of them ("all"): the
+    chains, the k_t hits among the chains with a planted k, the (chain,
+    k >= 2) pairs with an exact minimum and how many reach it, each miss
+    with its gap (as gap() gives it), and the summed map evaluations and
+    temperatures (None where a chain lacks them)."""
+    out = {}
+    for name in sorted(rec):
+        c = rec[name]
+        for fam in (family(name), "all"):
+            t = out.setdefault(fam, dict(
+                chains=0, planted=0, kt_hits=0, exact_pairs=0, at_optimum=0,
+                misses=[], **{cost: 0 for cost in COSTS}))
+            t["chains"] += 1
+            t["planted"] += c["planted_k"] is not None
+            t["kt_hits"] += c["k_t"] == c["planted_k"]
+            for cost in COSTS:
+                t[cost] = _add(t[cost], c.get(cost))
+            for k in c.get("exact", ()):
+                if k == "1":
+                    continue
+                t["exact_pairs"] += 1
+                if at_optimum(c, k):
+                    t["at_optimum"] += 1
+                elif fam != "all":
+                    t["misses"].append({"chain": name, "k": int(k),
+                                        "gap": gap(c, k)})
+    out["all"].pop("misses")
+    return out
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", help="write the record of this run to a JSON file")
@@ -385,13 +425,19 @@ def main():
                     help="record a null run (see the module docstring)")
     ap.add_argument("--compare", nargs=2, metavar=("A", "B"),
                     help="print the flips from record A to record B")
+    ap.add_argument("--summary", metavar="FILE",
+                    help="also write the per-chain-set summary of the new "
+                         "record (with --out) or of record B (with "
+                         "--compare) to a JSON file")
     args = ap.parse_args()
     if args.compare:
         a, b = (json.load(open(p)) for p in args.compare)
         missing = sorted(set(a) ^ set(b))
         if missing:
             ap.error(f"the records differ in chains: {missing[:5]}")
-        return 1 if compare(a, b)["kt_changed"] else 0
+        rc = 1 if compare(a, b)["kt_changed"] else 0
+        _write_summary(args.summary, b)
+        return rc
     if not args.out:
         ap.error("give --out FILE or --compare A B")
     t0 = time.time()
@@ -400,7 +446,15 @@ def main():
         json.dump(out, fh)
     print(f"{len(out)} chains written to {args.out} "
           f"[{time.time() - t0:.1f}s]")
+    _write_summary(args.summary, out)
     return 0
+
+
+def _write_summary(path, rec):
+    if path:
+        with open(path, "w") as fh:
+            json.dump(summary(rec), fh, indent=1, sort_keys=True)
+            fh.write("\n")
 
 
 if __name__ == "__main__":

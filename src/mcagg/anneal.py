@@ -419,16 +419,15 @@ def _lloyd(rows, rho, assign, self_ent, positive, max_iter=200):
         W = hard_centroids(rows, assign, rho)
         D = _kl_rows(rows, self_ent, positive, W)
         new = np.where(live, np.argmin(D, axis=1), assign)
-        # reseed empties deterministically
-        for j in range(k):
-            if not np.any(new == j):
-                cur = D[np.arange(len(new)), new]
-                donors = np.where(live
-                                  & (np.bincount(new, minlength=k)[new] > 1))[0]
-                if len(donors) == 0:
-                    break
-                far = donors[np.argmax(cur[donors])]
-                new[far] = j
+        # reseed empties in group order (a donor's group keeps a member)
+        for j in np.flatnonzero(np.bincount(new, minlength=k) == 0):
+            cur = D[np.arange(len(new)), new]
+            donors = np.where(live
+                              & (np.bincount(new, minlength=k)[new] > 1))[0]
+            if len(donors) == 0:
+                break
+            far = donors[np.argmax(cur[donors])]
+            new[far] = j
         if np.array_equal(new, assign):
             break
         assign = new

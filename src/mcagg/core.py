@@ -7,8 +7,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (DimensionMismatch, NegativeEntry, NonSquare,
-                     RowSumViolation)
+from .errors import (DimensionMismatch, DuplicateLabel, NegativeEntry,
+                     NonSquare, RowSumViolation)
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,8 @@ def validate_stochastic(rows, tol=1e-9, labels=None):
     """Validate (and lightly repair) a candidate transition matrix.
 
     Entries in [-tol, 0) are clamped to zero and each row renormalized, so
-    ingestion rounding does not get rejected. Genuine violations raise.
+    ingestion rounding does not get rejected. Genuine violations raise; a
+    repeated label raises DuplicateLabel.
     """
     rows = np.array(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[0] != rows.shape[1]:
@@ -96,6 +97,9 @@ def validate_stochastic(rows, tol=1e-9, labels=None):
         if len(labels) != n:
             raise DimensionMismatch(
                 f"{len(labels)} labels for {n} states")
+        if len(set(labels)) < n:
+            dup = next(b for i, b in enumerate(labels) if b in labels[:i])
+            raise DuplicateLabel(f"label {dup!r} names more than one state")
     return StochasticMatrix(rows=rows, labels=labels)
 
 

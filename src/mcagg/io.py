@@ -1,5 +1,5 @@
 """File formats: matrices (csv/json), bigram count ingestion, partition
-maps, and selection reports."""
+maps, and selection reports; text is UTF-8, a leading BOM dropped."""
 import hashlib
 import json
 import string
@@ -45,7 +45,7 @@ def parse_matrix(path):
     optional leading label header; json is {"labels"?: [...], "matrix":
     [[...]]}. Rows may be off by 1e-6 and are renormalized exactly."""
     if _is_json(path):
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             try:
                 obj = json.load(fh)
             except json.JSONDecodeError as e:
@@ -57,8 +57,10 @@ def parse_matrix(path):
         if not (isinstance(rows, list)
                 and all(isinstance(r, list) for r in rows)):
             raise ParseError('"matrix" must be a list of rows')
-        if labels is not None and not isinstance(labels, list):
-            raise ParseError('"labels" must be a list')
+        if labels is not None and not (
+                isinstance(labels, list)
+                and all(isinstance(lab, str) for lab in labels)):
+            raise ParseError('"labels" must be a list of strings')
         widths = {len(r) for r in rows}
         if len(widths) > 1:
             raise RaggedRows(f"row lengths {sorted(widths)}")
@@ -69,7 +71,7 @@ def parse_matrix(path):
                              f'number: {e}')
         return validate_stochastic(rows, tol=1e-6,
                                    labels=tuple(labels) if labels else None)
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         lines = [ln for ln in map(str.strip, fh.read().split("\n")) if ln]
     if not lines:
         raise ParseError("empty matrix file", line=1)
@@ -144,7 +146,7 @@ def ingest_bigrams(path, smoothing=1.0):
     if not 0.0 <= eta < np.inf:
         raise BadParameter(f"smoothing must be finite and >= 0, got {eta}")
     C = np.zeros((26, 26))
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for ln_no, raw in enumerate(fh, 1):
             ln = raw.strip()
             if not ln:
@@ -177,7 +179,7 @@ def ingest_bigrams(path, smoothing=1.0):
 def parse_partitions(path, labels=None):
     """k -> Partition map from json. Values are either length-n index
     arrays or lists of label sets (resolved against the matrix labels)."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             obj = json.load(fh)
         except json.JSONDecodeError as e:
@@ -299,7 +301,7 @@ def read_report(path):
     ignored. A file that is not JSON, has no "k_t" or "rows", or whose
     "rows" is not a list of objects with "k", "t_bar" and "nu", raises
     ParseError."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             obj = json.load(fh)
         except json.JSONDecodeError as e:

@@ -214,35 +214,27 @@ def free_energy(pi, Z, rho=None, T=1.0):
 def aggregate_transitions(Z, partition):
     """Superstate-level transition matrix: psi_jm sums z_j over group m."""
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    k = partition.k
-    if Z.shape[0] != k or Z.shape[1] != partition.n:
+    n, k = partition.n, partition.k
+    if Z.shape[0] != k or Z.shape[1] != n:
         raise DimensionMismatch(
-            f"bank shape {Z.shape} does not match partition ({partition.n}, {k})")
-    psi = np.zeros((k, k))
-    for m, idx in enumerate(partition.groups()):
-        psi[:, m] = Z[:, idx].sum(axis=1)
-    return psi
+            f"bank shape {Z.shape} does not match partition ({n}, {k})")
+    onehot = np.zeros((n, k))
+    onehot[np.arange(n), partition.assign] = 1.0
+    return Z @ onehot
 
 
 def hard_centroids(pi, assign, rho=None):
-    """rho-weighted mean row per group; the hard-partition bank W. A group
-    whose states all have zero weight gets their plain mean."""
+    """rho-weighted mean row per group; the hard-partition bank W, as one
+    product Q @ rows (Q: k x n member weights) over each group's mass. A
+    group whose states all have zero weight gets their plain mean."""
     rows = as_rows(pi)
-    rho = as_rho(rho, rows.shape[0])
+    n = rows.shape[0]
+    rho = as_rho(rho, n)
     k = int(np.max(assign)) + 1
-    W = np.zeros((k, rows.shape[1]))
-    for j in range(k):
-        idx = np.where(assign == j)[0]
-        W[j] = _group_mean(rows[idx], rho[idx])
-    return W
-
-
-def _group_mean(R, w):
-    """w-weighted mean of the rows R; their plain mean when w sums to 0, as
-    for a group of states that all have zero stationary weight."""
-    if w.sum() == 0.0:
-        w = np.ones(len(w))
-    return (w @ R) / w.sum()
+    w = np.where(np.bincount(assign, rho, k)[assign] == 0.0, 1.0, rho)
+    Q = np.zeros((k, n))
+    Q[assign, np.arange(n)] = w
+    return (Q @ rows) / np.bincount(assign, w, k)[:, None]
 
 
 def build_model(pi, assign, rho=None, bank=None):

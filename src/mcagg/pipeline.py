@@ -18,8 +18,9 @@ import numpy as np
 from .anneal import AnnealConfig, _lloyd, anneal
 from .core import as_rho, as_rows, make_partition, resolve_k_max
 from .errors import DimensionMismatch
-from .klgeom import (_TINY, _group_mean, _kl_rows, _self_entropy,
-                     build_model, hard_centroids)
+from . import klgeom
+from .klgeom import (_TINY, _kl_rows, _self_entropy, build_model,
+                     hard_centroids)
 from .selection import SelectionReport, select_k
 
 __all__ = ["PipelineResult", "aggregate_fixed_k", "aggregate_per_k",
@@ -81,9 +82,10 @@ def _move_descent(rows, rho, assign, self_ent, memo=None, max_passes=50):
 
     S[g], M[g], SE[g], tab[:, g] and have[:, g] hold group g's memo entry
     while g keeps its members; the entry goes back to the memo when g
-    changes and when the descent ends. The scan reads the rows from the
-    current state to the end of its block of _BLOCK rows and, just before,
-    computes the rows of that block that a current column lacks.
+    changes and when the descent ends, if it changed: a miss, or a column
+    that gained rows. The scan reads the rows from the current state to
+    the end of its block of _BLOCK rows and, just before, computes the
+    rows of that block that a current column lacks.
 
     States are visited in index order, one pass after another, and a state
     moves to the first group whose gain beats the best so far by more than
@@ -111,11 +113,13 @@ def _move_descent(rows, rho, assign, self_ent, memo=None, max_passes=50):
     tab = np.empty((n, k))
     have = np.empty((n, k), dtype=bool)
     keys = [None] * k
+    changed = np.empty(k, dtype=bool)
 
     def look_up(g):
         m = assign == g
         keys[g] = key = m.tobytes()
         hit = memo.get(key)
+        changed[g] = hit is None
         if hit is None:
             S[g] = wrows[m].sum(axis=0)
             M[g] = rho[m].sum()
@@ -125,8 +129,9 @@ def _move_descent(rows, rho, assign, self_ent, memo=None, max_passes=50):
             S[g], M[g], SE[g], tab[:, g], have[:, g] = hit
 
     def store(g):
-        memo[keys[g]] = (S[g].copy(), M[g], SE[g], tab[:, g].copy(),
-                         have[:, g].copy())
+        if changed[g]:
+            memo[keys[g]] = (S[g].copy(), M[g], SE[g], tab[:, g].copy(),
+                             have[:, g].copy())
 
     for g in range(k):
         look_up(g)
@@ -148,6 +153,7 @@ def _move_descent(rows, rho, assign, self_ent, memo=None, max_passes=50):
                 Sg += S.take(c, axis=0)
                 tab[r, c] = _group_terms(Sg, M[c] + drho[d], SE[c] + dse[d])
                 have[r, c] = True
+                changed[c] = True
             t = tab[i:hi]
             idx = np.arange(hi - i)
             # gain of moving each state to each group, in the tie rule's
@@ -183,12 +189,14 @@ def _move_descent(rows, rho, assign, self_ent, memo=None, max_passes=50):
     return assign
 
 
-def _farthest(rows, rho, self_ent, positive, idx):
-    """Position within idx of the member farthest, in KL, from the
-    rho-weighted mean of the rows in idx."""
-    z = _group_mean(rows[idx], rho[idx])
-    d = _kl_rows(rows[idx], self_ent[idx], positive[idx], z[None, :])[:, 0]
-    return int(np.argmax(d))
+def _farthest_members(rows, rho, self_ent, positive, assign):
+    """Per group of assign, the member farthest in KL from the group's hard
+    centroid, the first on a tie. The centroids come through klgeom, so a
+    tracer of this module's hard_centroids counts _score's calls alone."""
+    W = klgeom.hard_centroids(rows, assign, rho)
+    d = _kl_rows(rows, self_ent, positive, W)[np.arange(len(assign)), assign]
+    order = np.lexsort((-d, assign))   # stable: by group, then farthest
+    return order[np.searchsorted(assign[order], np.arange(len(W)))]
 
 
 def refine_per_k(pi, rho, sweep_parts, k_max):
@@ -217,12 +225,10 @@ def refine_per_k(pi, rho, sweep_parts, k_max):
         if k in sweep_parts:
             cands.append(polish(np.asarray(sweep_parts[k], dtype=int)))
         prev = chosen[k - 1]
-        for g in range(k - 1):
-            idx = np.where(prev == g)[0]
-            if len(idx) < 2:
-                continue
+        far = _farthest_members(rows, rho, ent, pos, prev)
+        for g in np.flatnonzero(np.bincount(prev) >= 2):
             a = prev.copy()
-            a[idx[_farthest(rows, rho, ent, pos, idx)]] = k - 1
+            a[far[g]] = k - 1
             cands.append(polish(a))
         # a repeat scores the same, so it can never be the first minimum
         unique = {}

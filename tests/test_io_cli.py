@@ -113,6 +113,103 @@ def test_parse_json_variant(tmp_path):
         parse_matrix(p2)
 
 
+# --- byte-order mark and duplicate labels ---
+
+BOM = b"\xef\xbb\xbf"   # what Excel's "CSV UTF-8" export starts a file with
+
+
+def _pair(tmp_path, name, text):
+    """The same text written as name and as bom-name with a leading BOM."""
+    plain, marked = tmp_path / name, tmp_path / f"bom-{name}"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(BOM + text.encode())
+    return plain, marked
+
+
+@pytest.mark.parametrize("name, text", [
+    ("m.csv", "0.5,0.5\n0.25,0.75\n"),
+    ("m.csv", "a,b\n0.5,0.5\n0.25,0.75\n"),
+    ("m.json", '{"labels": ["a", "b"], "matrix": [[0.5, 0.5], [0.25, 0.75]]}'),
+])
+def test_parse_matrix_reads_a_bom_file_as_without(tmp_path, name, text):
+    plain, marked = _pair(tmp_path, name, text)
+    want, got = parse_matrix(plain), parse_matrix(marked)
+    assert got.labels == want.labels
+    assert np.array_equal(got.rows, want.rows)
+
+
+def test_other_readers_read_a_bom_file_as_without(tmp_path):
+    plain, marked = _pair(tmp_path, "p.json", '{"2": [["b"], ["a"]]}')
+    want = parse_partitions(plain, labels=("a", "b"))
+    got = parse_partitions(marked, labels=("a", "b"))
+    assert np.array_equal(got[2].assign, want[2].assign)
+    plain, marked = _pair(tmp_path, "b.txt", "ab 3\nba 1\n")
+    assert np.array_equal(ingest_bigrams(marked).rows,
+                          ingest_bigrams(plain).rows)
+    rep = SelectionReport(k_t=2, t_bars={1: 0.5, 2: 0.1},
+                          nus={2: float(np.log(5.0))})
+    out = tmp_path / "r.json"
+    write_report(rep, out)
+    plain, marked = _pair(tmp_path, "r.json", out.read_text())
+    assert read_report(marked) == read_report(plain)
+
+
+@pytest.mark.parametrize("command, name, text", [
+    # without the BOM handling: the first data row taken as a header, exit 1
+    ("pipeline", "m.csv", "0.9,0.1,0\n0.1,0.9,0\n0,0.1,0.9\n"),
+    # without it: "unknown label 'a'", exit 2
+    ("select", "m.csv", "a,b,c\n0.9,0.1,0\n0.1,0.9,0\n0,0.1,0.9\n"),
+    # without it: "Unexpected UTF-8 BOM", exit 2
+    ("pipeline", "m.json", '{"matrix": [[0.9, 0.1, 0], [0.1, 0.9, 0], '
+                           '[0, 0.1, 0.9]]}'),
+])
+def test_cli_reads_a_bom_matrix_as_without(tmp_path, capsys, command, name,
+                                           text):
+    parts = tmp_path / "parts.json"
+    parts.write_text('{"1": [["a", "b", "c"]], "2": [["a", "b"], ["c"]], '
+                     '"3": [["a"], ["b"], ["c"]]}')
+    reports = []
+    for path in _pair(tmp_path, name, text):
+        out = tmp_path / f"report-{path.name}.json"
+        argv = [command, "--matrix", str(path), "--out", str(out)]
+        if command == "select":
+            argv += ["--partitions", str(parts)]
+        assert cli.main(argv) == 0, capsys.readouterr().err
+        report = json.loads(out.read_text())
+        assert report.pop("input") == file_sha256(path)
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("name, text", [
+    ("m.csv", "a,a\n0.5,0.5\n0.25,0.75\n"),
+    ("m.json", '{"labels": ["a", "a"], "matrix": [[0.5, 0.5], [0.25, 0.75]]}'),
+])
+def test_duplicate_state_labels_are_rejected(tmp_path, capsys, name, text):
+    # before, the matrix was accepted and a label-set partition could never
+    # address state 0; select blamed the partition file
+    p = tmp_path / name
+    p.write_text(text)
+    with pytest.raises(DuplicateLabel, match="'a'"):
+        parse_matrix(p)
+    parts = tmp_path / "parts.json"
+    parts.write_text('{"1": [["a"]]}')
+    assert cli.main(["select", "--matrix", str(p),
+                     "--partitions", str(parts)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'a'" in err
+    assert "k=1" not in err and "Traceback" not in err
+    with pytest.raises(DuplicateLabel):
+        validate_stochastic(np.eye(2), labels=("a", "a"))
+
+
+def test_parse_json_labels_must_be_strings(tmp_path):
+    p = tmp_path / "m.json"
+    p.write_text('{"labels": [["a"], ["b"]], "matrix": [[1, 0], [0, 1]]}')
+    with pytest.raises(ParseError):
+        parse_matrix(p)
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_matrix_round_trip(tmp_path, fmt):
     rng = np.random.default_rng(0)

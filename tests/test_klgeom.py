@@ -119,6 +119,75 @@ def test_hard_centroids_zero_weight_group_plain_mean():
     assert np.allclose(W[1], [0.1, 0.6, 0.3], atol=1e-15)
 
 
+# The per-group loop forms that hard_centroids and aggregate_transitions
+# replaced, kept verbatim as references for the whole-array kernels.
+def _group_mean(R, w):
+    """w-weighted mean of the rows R; their plain mean when w sums to 0, as
+    for a group of states that all have zero stationary weight."""
+    if w.sum() == 0.0:
+        w = np.ones(len(w))
+    return (w @ R) / w.sum()
+
+
+def _loop_hard_centroids(rows, assign, rho):
+    k = int(np.max(assign)) + 1
+    W = np.zeros((k, rows.shape[1]))
+    for j in range(k):
+        idx = np.where(assign == j)[0]
+        W[j] = _group_mean(rows[idx], rho[idx])
+    return W
+
+
+def _loop_aggregate_transitions(Z, partition):
+    k = partition.k
+    psi = np.zeros((k, k))
+    for m, idx in enumerate(partition.groups()):
+        psi[:, m] = Z[:, idx].sum(axis=1)
+    return psi
+
+
+def _zero_weight_case(n, k, seed):
+    """Rows with some zero entries, a shuffled partition into k groups
+    (singletons among them when k is near n), and rho with zero entries,
+    group 0's all of them."""
+    rng = np.random.default_rng(seed)
+    rows = rng.dirichlet(np.ones(n), size=n)
+    rows[rng.random((n, n)) < 0.2] = 0.0
+    rows[np.arange(n), np.arange(n)] += 0.1
+    rows /= rows.sum(axis=1, keepdims=True)
+    assign = np.concatenate([np.arange(k), rng.integers(0, k, size=n - k)])
+    rng.shuffle(assign)
+    rho = rng.dirichlet(np.ones(n))
+    rho[rng.random(n) < 0.3] = 0.0
+    rho[assign == 0] = 0.0
+    return rows, assign, rho
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 12), k=st.integers(1, 12), seed=st.integers(0, 10_000))
+def test_hard_centroids_match_group_loop(n, k, seed):
+    k = min(k, n)
+    rows, assign, rho = _zero_weight_case(n, k, seed)
+    W = hard_centroids(rows, assign, rho)
+    ref = _loop_hard_centroids(rows, assign, rho)
+    np.testing.assert_allclose(W, ref, rtol=1e-14, atol=0.0)
+    # a zero-weight group gets its members' plain mean
+    np.testing.assert_allclose(W[0], rows[assign == 0].mean(axis=0),
+                               rtol=1e-14, atol=0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 12), k=st.integers(1, 12), seed=st.integers(0, 10_000))
+def test_aggregate_transitions_match_column_loop(n, k, seed):
+    k = min(k, n)
+    rows, assign, rho = _zero_weight_case(n, k, seed)
+    part = make_partition(assign, k=k)
+    Z = hard_centroids(rows, assign, rho)
+    np.testing.assert_allclose(aggregate_transitions(Z, part),
+                               _loop_aggregate_transitions(Z, part),
+                               rtol=1e-14, atol=0.0)
+
+
 # --- gibbs_weights ---
 
 def test_gibbs_uniform_on_equal_distances():

@@ -1,7 +1,8 @@
 """Refinement: the memo-backed move descent against the scalar loop it
-replaced, the per-call column memo, candidate de-duplication, and centroids
-of zero-weight groups; aggregate_fixed_k against the pipeline; end-to-end
-runs under stationary weights."""
+replaced, the per-call column memo, candidate de-duplication, centroids of
+zero-weight groups, and the farthest-state split and Lloyd reseed against
+their loop forms; aggregate_fixed_k against the pipeline; end-to-end runs
+under stationary weights."""
 from pathlib import Path
 
 import numpy as np
@@ -14,9 +15,10 @@ from mcagg.core import stationary_distribution
 from mcagg.errors import DimensionMismatch
 from mcagg.generators import gen_ncd
 from mcagg.io import parse_matrix
-from mcagg.klgeom import _self_entropy
+from mcagg.klgeom import _kl_rows, _self_entropy, hard_centroids
 from mcagg.pipeline import (_move_descent, aggregate_fixed_k, refine_per_k,
                             run_pipeline)
+from test_klgeom import _group_mean
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 
@@ -243,6 +245,19 @@ def _twin_chain(seed, n=9):
     return rows, rho / rho.sum()
 
 
+def test_move_descent_writes_back_only_changed_entries():
+    # a descent from a settled partition hits complete columns and makes no
+    # move, so it leaves every memo entry as it found it
+    rows, rho, assign = _problem(40, 4, 5, 0.5, True)
+    ent = _self_entropy(rows)
+    memo = {}
+    settled = _move_descent(rows, rho, assign, ent, memo)
+    entries = {key: id(entry) for key, entry in memo.items()}
+    np.testing.assert_array_equal(_move_descent(rows, rho, settled, ent, memo),
+                                  settled)
+    assert {key: id(entry) for key, entry in memo.items()} == entries
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_move_descent_memo_keys_on_members(seed):
     # swapping the twins 1 and 2 between their groups gives groups with the
@@ -417,7 +432,115 @@ def test_zero_weight_group_gets_plain_mean_centroid():
     idx = np.array([4, 5])
     z = rows[idx].mean(axis=0)
     d = [float(r[r > 0] @ np.log(r[r > 0] / z[r > 0])) for r in rows[idx]]
-    assert pipeline._farthest(rows, rho, ent, pos, idx) == int(np.argmax(d))
+    far = pipeline._farthest_members(rows, rho, ent, pos, start)
+    assert far[2] == idx[int(np.argmax(d))]
+
+
+# The per-group split selection that _farthest_members replaced, kept
+# verbatim as its reference (with test_klgeom's verbatim _group_mean).
+def _loop_farthest(rows, rho, self_ent, positive, idx):
+    """Position within idx of the member farthest, in KL, from the
+    rho-weighted mean of the rows in idx."""
+    z = _group_mean(rows[idx], rho[idx])
+    d = _kl_rows(rows[idx], self_ent[idx], positive[idx], z[None, :])[:, 0]
+    return int(np.argmax(d))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(2, 40), k=st.integers(1, 8), seed=st.integers(0, 10_000),
+       zero_frac=st.sampled_from([0.0, 0.5, 0.8]),
+       zero_group=st.booleans(), dup=st.booleans())
+def test_farthest_members_match_group_loop(n, k, seed, zero_frac, zero_group,
+                                           dup):
+    # zero-weight states, a whole group of zero weight, singletons (k near
+    # n), and duplicated rows. Members at equal distance in exact arithmetic
+    # (copies of a row, or disjoint rows around a plain mean) may get
+    # distances an ulp apart from the loop and from the kernel, so there
+    # the kernel's pick need only be one of them
+    rows, rho, assign = _problem(n, k, seed, zero_frac, True)
+    rng = np.random.default_rng(seed + 1)
+    if zero_group:
+        rho[assign == 0] = 0.0
+    if dup:
+        rows[rng.integers(0, n, n // 2)] = rows[rng.integers(0, n, n // 2)]
+    ent, pos = _self_entropy(rows), rows > 0
+    far = pipeline._farthest_members(rows, rho, ent, pos, assign)
+    assert len(far) == assign.max() + 1
+    for g in range(len(far)):
+        idx = np.flatnonzero(assign == g)
+        assert assign[far[g]] == g
+        if len(idx) >= 2:
+            want = idx[_loop_farthest(rows, rho, ent, pos, idx)]
+            z = _group_mean(rows[idx], rho[idx])
+            d = _kl_rows(rows[idx], ent[idx], pos[idx], z[None, :])[:, 0]
+            tied = idx[np.isclose(d, d.max(), rtol=1e-12, atol=1e-14)]
+            if len(tied) == 1:
+                assert far[g] == want
+            else:
+                assert far[g] in tied
+
+
+def test_farthest_members_tie_goes_to_the_first_member():
+    # states 1 and 3 hold the same row, farthest from their group's mean
+    rows = np.array([[0.4, 0.3, 0.3], [0.1, 0.1, 0.8], [0.3, 0.4, 0.3],
+                     [0.1, 0.1, 0.8], [0.0, 0.0, 1.0]])
+    rho = np.full(5, 0.2)
+    assign = np.array([0, 0, 0, 0, 1])
+    far = pipeline._farthest_members(rows, rho, _self_entropy(rows),
+                                     rows > 0, assign)
+    np.testing.assert_array_equal(far, [1, 4])
+
+
+# The Lloyd loop before its reseed ran only on an empty group, kept
+# verbatim as the reference of _lloyd.
+def _loop_lloyd(rows, rho, assign, self_ent, positive, max_iter=200):
+    assign = np.asarray(assign, dtype=int).copy()
+    k = int(assign.max()) + 1
+    live = rho > 0
+    for _ in range(max_iter):
+        W = hard_centroids(rows, assign, rho)
+        D = _kl_rows(rows, self_ent, positive, W)
+        new = np.where(live, np.argmin(D, axis=1), assign)
+        # reseed empties deterministically
+        for j in range(k):
+            if not np.any(new == j):
+                cur = D[np.arange(len(new)), new]
+                donors = np.where(live
+                                  & (np.bincount(new, minlength=k)[new] > 1))[0]
+                if len(donors) == 0:
+                    break
+                far = donors[np.argmax(cur[donors])]
+                new[far] = j
+        if np.array_equal(new, assign):
+            break
+        assign = new
+    return assign
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(2, 40), k=st.integers(2, 8), seed=st.integers(0, 10_000),
+       zero_frac=st.sampled_from([0.0, 0.5, 0.8]), zero_rho=st.booleans())
+@example(n=6, k=3, seed=0, zero_frac=0.0, zero_rho=False)
+def test_lloyd_matches_reseed_loop(n, k, seed, zero_frac, zero_rho):
+    rows, rho, assign = _problem(n, k, seed, zero_frac, zero_rho)
+    ent, pos = _self_entropy(rows), rows > 0
+    np.testing.assert_array_equal(_lloyd(rows, rho, assign, ent, pos),
+                                  _loop_lloyd(rows, rho, assign, ent, pos))
+
+
+@pytest.mark.parametrize("start", [[0, 1, 0, 2, 1, 2], [0, 1, 1, 2, 0, 0]])
+def test_lloyd_reseed_matches_reseed_loop(start):
+    # from these starts a group empties on the first reassignment
+    rows = ZERO_WEIGHT_ROWS
+    rho = stationary_distribution(rows)
+    ent, pos = _self_entropy(rows), rows > 0
+    start = np.array(start)
+    W = hard_centroids(rows, start, rho)
+    first = np.where(rho > 0, np.argmin(_kl_rows(rows, ent, pos, W), axis=1),
+                     start)
+    assert len(set(first.tolist())) < start.max() + 1
+    np.testing.assert_array_equal(_lloyd(rows, rho, start, ent, pos),
+                                  _loop_lloyd(rows, rho, start, ent, pos))
 
 
 @pytest.mark.parametrize("start", [[0, 0, 1, 1, 1, 0], [0, 0, 1, 1, 0, 1],

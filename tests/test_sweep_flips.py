@@ -139,3 +139,33 @@ def test_compare_totals_costs_and_reads_records_without_them(capsys):
     sweep_flips.compare({"crit1-s0": old}, {"crit1-s0": old})
     assert ("acceptance: map evaluations n/a -> n/a, temperatures n/a -> n/a"
             in capsys.readouterr().out)
+
+
+def test_summary_counts_hits_optima_misses_and_costs(tmp_path, monkeypatch):
+    big = _chain_record([2.0, 1.0, 0.2], [])   # no exact minima, no costs
+    del big["exact"]
+    rec = {"crit1-s0": dict(_chain_record([2.0, 1.5, 0.25], [2.0, 1.0, 0.2]),
+                            map_evals=700, temperatures=41),
+           "crit1-s1": dict(_chain_record([2.0, 0.5, 0.0], [2.0, 0.5, 0.0]),
+                            k_t=3, map_evals=80, temperatures=10),
+           "large-ncd-s1-0": dict(big, planted_k=None)}
+    got = sweep_flips.summary(rec)
+    assert got["acceptance"] == {
+        "chains": 2, "planted": 2, "kt_hits": 1, "exact_pairs": 4,
+        "at_optimum": 2, "map_evals": 780, "temperatures": 51,
+        "misses": [{"chain": "crit1-s0", "k": 2, "gap": 0.5},
+                   {"chain": "crit1-s0", "k": 3, "gap": pytest.approx(0.25)}]}
+    # a chain without exact minima or costs adds to neither count
+    assert got["large-ncd"]["exact_pairs"] == 0
+    assert got["large-ncd"]["map_evals"] is None
+    assert got["all"] == {"chains": 3, "planted": 2, "kt_hits": 1,
+                          "exact_pairs": 4, "at_optimum": 2,
+                          "map_evals": None, "temperatures": None}
+    # --summary writes the same summary for record B of --compare
+    a, b, out = (tmp_path / n for n in ("a.json", "b.json", "s.json"))
+    for path in (a, b):
+        path.write_text(sweep_flips.json.dumps(rec))
+    monkeypatch.setattr(sweep_flips.sys, "argv", [
+        "sweep_flips.py", "--compare", str(a), str(b), "--summary", str(out)])
+    assert sweep_flips.main() == 0
+    assert sweep_flips.json.loads(out.read_text()) == got
