@@ -105,40 +105,55 @@ def _chain_seeds(seed, tag, count):
     return [int(s) for s in ss.generate_state(count)]
 
 
-def chains(with_ncd9):
-    """(name, rows, rho mode, k_max, planted k) for every chain of the set."""
+def ncd9_chains(tag, eps):
+    """(name, rows, rho mode, k_max, planted Partition) for the 30 seeded
+    gen_ncd([3, 3, 3], eps) chains of criteria 1 and 4, named tag-seed."""
     for seed in range(30):
-        pi, truth = gen_ncd(blocks=[3, 3, 3], eps=0.05, seed=seed)
-        yield f"crit1-{seed}", pi.rows, "uniform", 6, truth.k
+        pi, truth = gen_ncd(blocks=[3, 3, 3], eps=eps, seed=seed)
+        yield f"{tag}-{seed}", pi.rows, "uniform", 6, truth
+
+
+def acceptance_chains():
+    """(name, rows, rho mode, k_max, planted Partition) for the 125 chains
+    of acceptance criteria 1-4."""
+    yield from ncd9_chains("crit1", 0.05)
     for seed in range(5):
         pi, truth = gen_ncd(blocks=[10, 30, 20, 20, 20], eps=0.02, seed=seed)
-        yield f"crit2-{seed}", pi.rows, "uniform", 8, truth.k
+        yield f"crit2-{seed}", pi.rows, "uniform", 8, truth
     for counts in ((4, 3, 3), (3, 3, 2, 2)):
         tag = "".join(map(str, counts))
         for seed in range(30):
             pi, truth = gen_replicated_rows(n=10, counts=counts, eps=0.1,
                                             seed=seed)
-            yield f"crit3-{tag}-{seed}", pi.rows, "uniform", 6, truth.k
-    for seed in range(30):
-        pi, truth = gen_ncd(blocks=[3, 3, 3], eps=0.01, seed=seed)
-        yield f"crit4-{seed}", pi.rows, "uniform", 6, truth.k
+            yield f"crit3-{tag}-{seed}", pi.rows, "uniform", 6, truth
+    yield from ncd9_chains("crit4", 0.01)
+
+
+def chains(with_ncd9):
+    """acceptance_chains(), then the benchmark's chains, in that form."""
+    yield from acceptance_chains()
     for seed in range(1, 11):
         for i, s in enumerate(_chain_seeds(seed, "large-ncd", 6)):
             pi, truth = gen_ncd(blocks=[40] * 5, eps=0.02, seed=s)
-            yield f"large-ncd-s{seed}-{i}", pi.rows, "uniform", 8, truth.k
+            yield f"large-ncd-s{seed}-{i}", pi.rows, "uniform", 8, truth
     for seed in range(1, 11):
         seeds = _chain_seeds(seed, "sparse-stationary", 72)
         pi, truth = gen_ncd(blocks=[20] * 5, eps=0.0, seed=seeds[70])
-        yield f"ncd100-eps0-s{seed}", pi.rows, "stationary", 6, truth.k
+        yield f"ncd100-eps0-s{seed}", pi.rows, "stationary", 6, truth
         pi, truth = gen_ncd(blocks=[3, 3, 3], eps=0.05, seed=seeds[71])
         rows = pi.rows.copy()
         rows[0] = np.eye(9)[0]
-        yield f"absorbing-s{seed}", rows, "stationary", 6, truth.k
+        yield f"absorbing-s{seed}", rows, "stationary", 6, truth
         if with_ncd9:
             for i, s in enumerate(seeds[:70]):
                 pi, truth = gen_ncd(blocks=[3, 3, 3], eps=0.0, seed=s)
-                yield (f"ncd9-eps0-s{seed}-{i}", pi.rows, "stationary", 6,
-                       truth.k)
+                yield f"ncd9-eps0-s{seed}-{i}", pi.rows, "stationary", 6, truth
+
+
+def rho_of(rows, rho_mode):
+    """The weights a chain runs under: None (uniform) or stationary."""
+    return (mcagg.stationary_distribution(rows) if rho_mode == "stationary"
+            else None)
 
 
 def degenerate_chains():
@@ -247,26 +262,32 @@ def _record(with_ncd9, with_degenerate):
 
     out = {}
     for name, rows, rho_mode, k_max, planted, mode in runs:
-        rho = (mcagg.stationary_distribution(rows) if rho_mode == "stationary"
-               else None)
+        rho = rho_of(rows, rho_mode)
         evals[0] = 0
         with mock.patch.object(anneal_module, "posterior_and_centroids",
                                counting_step):
             res = run_pipeline(rows, rho, k_max=k_max, mode=mode)
-        out[name] = {
-            "k_t": int(res.k_t),
-            "planted_k": None if planted is None else int(planted),
-            "partitions": {str(k): canonical(p.assign)
-                           for k, p in res.partitions.items()},
-            "distortion": {str(k): mcagg.distortion(rows, m, rho)
-                           for k, m in res.models.items()},
-            "map_evals": evals[0],
-            "temperatures": len(res.trace),
-        }
-        if rows.shape[0] <= EXACT_MAX_N:
-            minima = exact_minima(rows, as_rho(rho, rows.shape[0]),
-                                  max(res.partitions))
-            out[name]["exact"] = {str(k): v for k, v in minima.items()}
+        out[name] = chain_record(rows, rho, res.partitions, res.models,
+                                 res.k_t, planted)
+        out[name]["map_evals"] = evals[0]
+        out[name]["temperatures"] = len(res.trace)
+    return out
+
+
+def chain_record(rows, rho, partitions, models, k_t, planted):
+    """One chain's record without its sweep costs: k_t, the planted k (None
+    without a planted Partition), the canonical partition and the
+    distortion at every k, and for at most EXACT_MAX_N states the exact
+    minima."""
+    out = {"k_t": int(k_t),
+           "planted_k": None if planted is None else int(planted.k),
+           "partitions": {str(k): canonical(p.assign)
+                          for k, p in partitions.items()},
+           "distortion": {str(k): mcagg.distortion(rows, m, rho)
+                          for k, m in models.items()}}
+    if rows.shape[0] <= EXACT_MAX_N:
+        minima = exact_minima(rows, as_rho(rho, len(rows)), max(partitions))
+        out["exact"] = {str(k): v for k, v in minima.items()}
     return out
 
 

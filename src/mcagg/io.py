@@ -186,6 +186,8 @@ def parse_partitions(path, labels=None):
             raise ParseError(str(e), line=e.lineno, column=e.colno)
     if not isinstance(obj, dict):
         raise ParseError("expected an object keyed by k")
+    if not obj:
+        raise ParseError("no partitions: the object has no entries")
     out = {}
     n_seen = None
     for key, val in obj.items():

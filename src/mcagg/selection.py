@@ -164,11 +164,14 @@ def marginal_return(t_bars):
 def select_k(pi, partitions, rho=None, mode="plain"):
     """Score a consecutive family of partitions and pick k_t = argmax nu
     (ties to the smallest k). Exact fits short-circuit: the smallest k with
-    t_bar = 0 wins. Every partition must cover the matrix's n states. A
-    superstate that recurs across k with the same inputs is scored once."""
+    t_bar = 0 wins. The family must be nonempty and every partition must
+    cover the matrix's n states. A superstate that recurs across k with the
+    same inputs is scored once."""
     rows = as_rows(pi)
     n = rows.shape[0]
     rho = as_rho(rho, n)
+    if not partitions:
+        raise DimensionMismatch("no partitions to select from")
     ks = sorted(partitions)
     gaps = [k for k in range(ks[0], ks[-1] + 1) if k not in partitions]
     if gaps:

@@ -62,17 +62,19 @@ def test_01_ncd_recovery_cli():
 
 
 # ---------------------------------------------------------------- 2
-def test_02_large_ncd_recovery():
+# Criteria 2-4 read their chains' runs from the session fixture
+# acceptance_runs (conftest), which aggregates every acceptance chain once;
+# each budget holds the fixture's wall time for that criterion's chains.
+def test_02_large_ncd_recovery(acceptance_runs):
     # N=100, blocks (10,30,20,20,20), eps=0.02, 5 seeds; k_t = 5 in >= 4.
-    t0 = time.time()
+    runs, seconds = acceptance_runs
     hits = 0
     kts = []
     for seed in range(5):
-        pi, _ = gen_ncd(blocks=[10, 30, 20, 20, 20], eps=0.02, seed=seed)
-        res = run_pipeline(pi.rows, k_max=8)
-        kts.append(res.k_t)
-        hits += res.k_t == 5
-    dt = time.time() - t0
+        k_t = runs[f"crit2-{seed}"].reports["plain"].k_t
+        kts.append(k_t)
+        hits += k_t == 5
+    dt = seconds["crit2"]
     ok = hits >= 4 and dt < 120.0
     record(f"criterion 2 large NCD recovery: {'PASS' if ok else 'FAIL'} "
            f"{hits}/5 k_t=5 (gate 4, got {kts}) [{dt:.1f}s < 120s]")
@@ -81,24 +83,23 @@ def test_02_large_ncd_recovery():
 
 
 # ---------------------------------------------------------------- 3
-def test_03_replicated_rows_recovery():
+def test_03_replicated_rows_recovery(acceptance_runs):
     # n=10 prototype chains with multiplicities (4,3,3) and (3,3,2,2),
     # eps=0.1, 30 seeds each; recovery gate 27/30 per family.
-    t0 = time.time()
+    runs, seconds = acceptance_runs
     results = {}
     for counts in ((4, 3, 3), (3, 3, 2, 2)):
         kt = len(counts)
+        tag = "".join(map(str, counts))
         hits = 0
         misses = []
         for seed in range(30):
-            pi, _ = gen_replicated_rows(n=10, counts=counts, eps=0.1,
-                                        seed=seed)
-            res = run_pipeline(pi.rows, k_max=6)
-            hits += res.k_t == kt
-            if res.k_t != kt:
+            k_t = runs[f"crit3-{tag}-{seed}"].reports["plain"].k_t
+            hits += k_t == kt
+            if k_t != kt:
                 misses.append(seed)
         results[counts] = (hits, misses)
-    dt = time.time() - t0
+    dt = seconds["crit3"]
     worst = min(h for h, _ in results.values())
     ok = worst >= 27 and dt < 10.0
     detail = ", ".join(f"k_t={len(c)}: {h}/30 (misses {m})"
@@ -111,21 +112,19 @@ def test_03_replicated_rows_recovery():
 
 
 # ---------------------------------------------------------------- 4
-def test_04_return_ratio_separation():
+def test_04_return_ratio_separation(acceptance_runs):
     # eps=0.01, blocks (3,3,3): nu(3) must dominate the second-largest
     # marginal return by a factor >= 10 in >= 25/30 seeds.
-    t0 = time.time()
+    runs, seconds = acceptance_runs
     hits = 0
     ratios = []
     for seed in range(30):
-        pi, _ = gen_ncd(blocks=[3, 3, 3], eps=0.01, seed=seed)
-        res = run_pipeline(pi.rows, k_max=6)
-        nus = res.report.nus
+        nus = runs[f"crit4-{seed}"].reports["plain"].nus
         v3 = nus.get(3, -np.inf)
         second = max((v for kk, v in nus.items() if kk != 3), default=0.0)
         ratios.append(v3 / second if second > 0 else np.inf)
         hits += v3 >= 10 * second
-    dt = time.time() - t0
+    dt = seconds["crit4"]
     med = float(np.median(ratios))
     ok = hits >= 25
     record(f"criterion 4 return-ratio separation: "

@@ -462,6 +462,20 @@ def test_parse_partitions_rejects_non_integer_indices(tmp_path, capsys,
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_parse_partitions_rejects_an_empty_object(tmp_path, capsys):
+    # {} used to reach select_k and end in an untyped IndexError (exit 1)
+    p = tmp_path / "p.json"
+    p.write_text("{}")
+    with pytest.raises(ParseError, match="no entries"):
+        parse_partitions(p)
+    m = tmp_path / "m.csv"
+    m.write_text("0.9,0.1\n0.2,0.8\n")
+    assert cli.main(["select", "--matrix", str(m),
+                     "--partitions", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_parse_partitions_accepts_integral_floats(tmp_path):
     p = tmp_path / "p.json"
     p.write_text('{"2": [0, 1.0, 1]}')

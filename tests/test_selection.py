@@ -159,6 +159,12 @@ def test_select_rejects_gaps():
     assert exc.value.gaps == [2]
 
 
+def test_select_rejects_an_empty_family():
+    rows, _ = _random_chain_and_partition(4, 2, seed=3)
+    with pytest.raises(DimensionMismatch, match="no partitions"):
+        select_k(rows, {})
+
+
 def test_select_exact_fit_smallest_k():
     rows = np.tile([0.2, 0.8], (4, 1))
     parts = {1: make_partition([0] * 4),

@@ -1,17 +1,12 @@
 """scripts/sweep_flips.py's exact minima against brute-force enumeration of
 every set partition: the reference that the sweep's optimum counts rest on."""
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 import pytest
 
+from conftest import load_script
 from mcagg import build_model, distortion, stationary_distribution
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "sweep_flips.py"
-_spec = importlib.util.spec_from_file_location("sweep_flips", SCRIPT)
-sweep_flips = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(sweep_flips)
+sweep_flips = load_script("sweep_flips")
 
 
 def set_partitions(n):
@@ -109,7 +104,7 @@ def test_record_counts_map_evaluations_and_temperatures(monkeypatch):
     # in the chain's pipeline run and the length of its trace
     pi, truth = sweep_flips.gen_ncd(blocks=[3, 3, 3], eps=0.05, seed=1)
     monkeypatch.setattr(sweep_flips, "chains", lambda with_ncd9: iter(
-        [("crit1-1", pi.rows, "uniform", 6, truth.k)]))
+        [("crit1-1", pi.rows, "uniform", 6, truth)]))
     anneal_module = sweep_flips.anneal_module
     plain, calls = anneal_module.posterior_and_centroids, []
     rec = sweep_flips.record(False, False, None)["crit1-1"]
