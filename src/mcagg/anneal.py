@@ -17,9 +17,9 @@ import numpy as np
 
 from .core import _closure, as_rho, as_rows, make_partition, resolve_k_max
 from .errors import EmptySuperstate, InadmissiblePerturbation, NoConvergence
-from .klgeom import (_EXACT_FIT, _FLOOR, _TINY, SoftAssociation, _check_bank,
-                     _Gibbs, _kl_rows, _self_entropy, _top_deviation,
-                     hard_centroids, posterior_and_centroids)
+from .klgeom import (_DENSE_MAX, _EXACT_FIT, _FLOOR, _TINY, SoftAssociation,
+                     _check_bank, _Gibbs, _kl_rows, _lengths, _self_entropy,
+                     _top_deviation, hard_centroids, posterior_and_centroids)
 
 # The annealing recipe, one for every run (Rose, Proc. IEEE 1998). anneal,
 # _converge and _critical_full read these (and klgeom's centroid floor
@@ -149,9 +149,7 @@ def _posterior_from(rows, rho, assoc):
     if assoc.posterior is not None:
         return assoc.posterior
     weighted = rho[:, None] * assoc.p
-    col = weighted.sum(axis=0)
-    col = np.maximum(col, _TINY)
-    return weighted / col
+    return weighted / np.maximum(weighted.sum(axis=0), _TINY)
 
 
 def _critical_full(rows, rho, Z, assoc):
@@ -161,41 +159,44 @@ def _critical_full(rows, rho, Z, assoc):
     Centroid j's critical temperature is the top eigenvalue of its
     posterior-weighted deviation covariance, whitened by the curvature
     diag((p_j @ rows) / z^2) on the simplex tangent space (Rose 1998). That
-    is klgeom._top_deviation with q = p_j, s = sqrt(p_j @ rows) and u
-    along z / s, on the coordinates where z clears _FLOOR and p_j puts
-    mass; the others are dropped, never raised over. Each centroid costs one
-    eigensolve with its direction: eigvalsh and one linear solve when the
-    smaller side of its n x d factor is at most klgeom._DENSE_MAX, and
-    Lanczos on the factor above that. The split direction is x z / s for
-    the top eigenvector x, unit-normalized. The spread is the
+    is klgeom._top_deviation with q = p_j, s = sqrt(p_j @ rows) and u along
+    z / s, on the coordinates where z clears _FLOOR and p_j puts mass; the
+    others are dropped, never raised over. Centroids that keep the same
+    coordinates are solved as one stacked _top_deviation batch; a lone one,
+    or one whose factor takes Lanczos (smaller side above _DENSE_MAX),
+    alone. Each keeps the bits of its own 1-D solve. The split direction is
+    x z / s for the top eigenvector x, unit-normalized. The spread is the
     posterior-weighted RMS sqrt(sum_i q_i ((rows_i - z) . d)^2) of the
     members along that direction d; it scales the split's shadow offset
     (_shadow_offsets). A centroid with no mass, fewer than 2 kept
     coordinates or a zero top eigenvalue gets t_cr 0, a zero direction and
     spread 0.
     """
-    k = Z.shape[0]
-    posterior = _posterior_from(rows, rho, assoc)
-    tcrs = np.zeros(k)
-    dirs = np.zeros((k, rows.shape[1]))
-    sigmas = np.zeros(k)
-    for j in range(k):
-        mass = float((rho * assoc.p[:, j]).sum())
-        if mass < _TINY:
-            continue
-        q = posterior[:, j]
-        s2 = q @ rows
-        keep = np.flatnonzero((Z[j] > _FLOOR) & (s2 > 0))
-        if len(keep) < 2:
-            continue
-        sub, z, s = rows[:, keep], Z[j, keep], np.sqrt(s2[keep])
-        tcrs[j], x = _top_deviation(sub, z, q, s, z / s, vectors=True)
+    n, k = rows.shape[0], Z.shape[0]
+    Q = _posterior_from(rows, rho, assoc).T   # row j: p_j
+    tcrs, dirs, proj2 = np.zeros(k), np.zeros(Z.shape), np.zeros((k, n))
+    # masses, p_j @ rows and spreads keep 1-D bits: C-ordered row sums and
+    # stacked vector-matrix products
+    mass = np.multiply(assoc.p.T, rho, order="C").sum(axis=1)
+    S2 = (Q[:, None, :] @ rows)[:, 0]
+    keep = (Z > _FLOOR) & (S2 > 0) & ~(mass < _TINY)[:, None]
+    kept, batches = keep.sum(axis=1), {}   # keep pattern -> centroids
+    for j in (kept >= 2).nonzero()[0].tolist():
+        big = min(n, kept[j]) > _DENSE_MAX   # Lanczos: stacking adds memory
+        batches.setdefault(j if big else keep[j].tobytes(), []).append(j)
+    for js in batches.values():
+        cols = keep[js[0]].nonzero()[0]
+        sub = rows[:, cols]
+        # a lone centroid keeps the 1-D arithmetic; a batch, C-ordered items
+        js, i = (js[0],) * 2 if len(js) == 1 else (js, np.array(js)[:, None])
+        z, s = Z[i, cols], np.sqrt(S2[i, cols])
+        tcrs[js], x = _top_deviation(sub, z, Q[js], s, z / s, vectors=True)
         d = x * z / s
-        nrm = np.linalg.norm(d)
-        if nrm > 0:
-            d = d / nrm
-            dirs[j, keep] = d
-            sigmas[j] = math.sqrt(q @ ((sub - z) @ d) ** 2)
+        nrm = _lengths(d)
+        d /= nrm + (nrm == 0)   # nrm is 0 only where x, and so d, is
+        dirs[i, cols] = d
+        proj2[js] = ((sub - z[..., None, :]) @ d[..., None])[..., 0] ** 2
+    sigmas = np.sqrt(Q[:, None, :] @ proj2[..., None])[:, 0, 0]
     return tcrs, dirs, sigmas
 
 

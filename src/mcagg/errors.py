@@ -83,9 +83,9 @@ class NonConsecutiveK(ValidationError):
 
 # generators
 class BadParameter(ValidationError, ValueError):
-    """A numeric parameter out of its range, or a command-line token that
-    does not parse as the number it names. It is also a ValueError, so a
-    caller that catches ValueError for a bad eps still catches it."""
+    """A numeric parameter out of its range, a command-line token that does
+    not parse as the number it names, or labels a CSV header cannot carry.
+    Also a ValueError, so a caller catching it for a bad eps still does."""
 
 
 class BlockTooSmall(ValidationError):

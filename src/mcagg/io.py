@@ -125,6 +125,12 @@ def write_matrix(matrix, path):
             json.dump(obj, fh, sort_keys=True)
             fh.write("\n")
         return
+    if labels and (all(_try_float(lab) is not None for lab in labels) or any(
+            not lab or lab != lab.strip() or {",", "\r", "\n"} & set(lab)
+            for lab in labels)):
+        raise BadParameter("a CSV header cannot carry labels that are empty, "
+                           "padded or hold a comma or line break, or that "
+                           "are all numbers: use a .json path")
     with open(path, "w") as fh:
         if labels:
             fh.write(",".join(labels) + "\n")
@@ -146,7 +152,7 @@ def ingest_bigrams(path, smoothing=1.0):
     if not 0.0 <= eta < np.inf:
         raise BadParameter(f"smoothing must be finite and >= 0, got {eta}")
     C = np.zeros((26, 26))
-    with open(path, encoding="utf-8-sig") as fh:
+    with open(path, encoding="utf-8-sig") as fh, np.errstate(over="ignore"):
         for ln_no, raw in enumerate(fh, 1):
             ln = raw.strip()
             if not ln:
@@ -166,9 +172,15 @@ def ingest_bigrams(path, smoothing=1.0):
                                 "integer")
             if val < 0:
                 raise NegativeCount(f"line {ln_no}: count {val}")
-            C[_LETTERS.index(pair[0]), _LETTERS.index(pair[1])] += val
-    C = C + eta
-    sums = C.sum(axis=1)
+            try:
+                C[_LETTERS.index(pair[0]), _LETTERS.index(pair[1])] += val
+            except OverflowError:
+                raise BadBigram(f"line {ln_no}: count too large for a float")
+        C = C + eta
+        sums = C.sum(axis=1)
+    if not np.isfinite(sums).all():   # an overflow, silenced above
+        row = _LETTERS[np.argmin(np.isfinite(sums))]
+        raise BadBigram(f"row {row!r}: total count too large for a float")
     dead = sums == 0.0
     C[dead] = 1.0
     sums[dead] = 26.0
@@ -195,6 +207,8 @@ def parse_partitions(path, labels=None):
             k = int(key)
         except ValueError:
             raise BadAssignment(key, f"key {key!r} is not an integer")
+        if k in out:
+            raise BadAssignment(k, f"key {key!r} repeats k = {k}")
         if not isinstance(val, list) or not val:
             raise BadAssignment(k, "value must be a nonempty list")
         if isinstance(val[0], list):

@@ -11,6 +11,7 @@ ingestion is the supported way to avoid that).
 """
 from dataclasses import dataclass
 from functools import lru_cache
+import math
 
 import numpy as np
 
@@ -306,6 +307,14 @@ def _lanczos_top(A, wide):
     return float(theta[-1]) * scale * scale, S[:, -1] @ V
 
 
+def _lengths(x):
+    """sqrt(v.dot(v)) as np.linalg.norm takes it, of a vector or each row."""
+    if x.ndim == 1:
+        return math.sqrt(x.dot(x))
+    x = np.ascontiguousarray(x)
+    return np.sqrt(x[:, None, :] @ x[:, :, None])[:, 0]
+
+
 def _top_deviation(members, w, q, s, u, vectors=False):
     """Largest eigenvalue t of A^T A for the m x d deviation factor
     A = sqrt(q) (U - (U u) u^T), with U = (members - w) / s and u scaled to
@@ -324,28 +333,34 @@ def _top_deviation(members, w, q, s, u, vectors=False):
     lies in range(G), so x stays orthogonal to u, and on a multiple top
     eigenvalue x is the projection of A^T b (or b) onto that eigenspace,
     the same on every call.
+
+    w, q, s and u may carry a leading batch axis of superstates over the
+    same members. t and x then come back stacked, each item with the bits of
+    its 1-D call: stacked products, eigvalsh, solve and Lanczos run item-wise.
     """
-    U = (members - w) / s
-    u = u / np.linalg.norm(u)
-    A = np.sqrt(q)[:, None] * (U - np.outer(U @ u, u))
-    wide = A.shape[0] <= A.shape[1]
-    if min(A.shape) > _DENSE_MAX:
-        t, y = _lanczos_top(A, wide)
+    U = (members - w[..., None, :]) / s[..., None, :]
+    u = u / _lengths(u)
+    A = np.sqrt(q)[..., None] * (U - (U @ u[..., None]) * u[..., None, :])
+    At = A.swapaxes(-1, -2)
+    wide, r = A.shape[-2] <= A.shape[-1], min(A.shape[-2:])
+    if r > _DENSE_MAX:
+        t, y = (_lanczos_top(A, wide) if A.ndim == 2 else
+                map(np.array, zip(*[_lanczos_top(a, wide) for a in A])))
         if not vectors:
             return t
     else:
-        G = A @ A.T if wide else A.T @ A
-        t = np.linalg.eigvalsh(G).max(initial=0.0)
+        G = A @ At if wide else At @ A
+        t = np.linalg.eigvalsh(G).max(axis=-1, initial=0.0)
         if not vectors:
             return t
-        if not t > 0:
-            return 0.0, np.zeros(A.shape[1])
-        G = G / t
-        rhs = G @ _start_vector(G.shape[0])
-        G.flat[::G.shape[0] + 1] -= 1.0 + 2.0**-36   # the diagonal
-        y = np.linalg.solve(G, rhs)
-    x = A.T @ y if wide else y
-    nrm = np.linalg.norm(x)
-    if not nrm > 0:
-        return 0.0, np.zeros(A.shape[1])
-    return float(t), x / nrm
+        G /= (t + (t <= 0))[..., None, None]   # a t of 0 divides by 1
+        rhs = G @ _start_vector(r)[:, None]
+        G.reshape(-1, r * r)[:, ::r + 1] -= 1.0 + 2.0**-36   # the diagonals
+        y = np.linalg.solve(G, rhs)[..., 0]
+    x = (At @ y[..., None])[..., 0] if wide else y
+    nrm = _lengths(x)
+    if x.ndim == 1:
+        return (float(t), x / nrm) if t > 0 < nrm else (0.0, np.zeros(len(x)))
+    ok = (t > 0)[:, None] & (nrm > 0)
+    return np.where(ok[:, 0], t, 0.0), np.divide(x, nrm, out=np.zeros_like(x),
+                                                 where=ok)

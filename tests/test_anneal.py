@@ -1,4 +1,5 @@
 import importlib
+import math
 import warnings
 
 import numpy as np
@@ -12,7 +13,7 @@ from mcagg.core import simplex_basis, stationary_distribution
 from mcagg.errors import (DimensionMismatch, InadmissiblePerturbation,
                           NoConvergence, NonPositiveTemperature)
 from mcagg.generators import gen_ncd
-from mcagg.klgeom import (_TINY, SoftAssociation, _Gibbs, _kl_rows,
+from mcagg.klgeom import (_FLOOR, _TINY, SoftAssociation, _Gibbs, _kl_rows,
                           _self_entropy, _softmin, distance_matrix,
                           free_energy, gibbs_weights, posterior_and_centroids)
 from mcagg.pipeline import aggregate_fixed_k
@@ -205,6 +206,156 @@ def test_critical_full_multiple_top_eigenvalue_deterministic():
     num = float(rho @ (V @ d) ** 2)
     den = float(d @ ((rho @ rows) / z**2 * d))
     assert num / den == pytest.approx(t1[0], rel=1e-12)
+
+
+
+# --- the stacked critical-temperature solve against the per-centroid one ---
+
+def _reference_top_deviation(members, w, q, s, u):
+    """klgeom._top_deviation(members, w, q, s, u, vectors=True) for one
+    superstate as it was before batching, kept verbatim."""
+    U = (members - w) / s
+    u = u / np.linalg.norm(u)
+    A = np.sqrt(q)[:, None] * (U - np.outer(U @ u, u))
+    wide = A.shape[0] <= A.shape[1]
+    if min(A.shape) > klgeom_module._DENSE_MAX:
+        t, y = klgeom_module._lanczos_top(A, wide)
+    else:
+        G = A @ A.T if wide else A.T @ A
+        t = np.linalg.eigvalsh(G).max(initial=0.0)
+        if not t > 0:
+            return 0.0, np.zeros(A.shape[1])
+        G = G / t
+        rhs = G @ klgeom_module._start_vector(G.shape[0])
+        G.flat[::G.shape[0] + 1] -= 1.0 + 2.0**-36   # the diagonal
+        y = np.linalg.solve(G, rhs)
+    x = A.T @ y if wide else y
+    nrm = np.linalg.norm(x)
+    if not nrm > 0:
+        return 0.0, np.zeros(A.shape[1])
+    return float(t), x / nrm
+
+
+def _reference_critical_full(rows, rho, Z, assoc):
+    """anneal._critical_full as it was before batching, one solve per
+    centroid, kept verbatim but for the name of the kernel it calls."""
+    k = Z.shape[0]
+    posterior = anneal_module._posterior_from(rows, rho, assoc)
+    tcrs = np.zeros(k)
+    dirs = np.zeros((k, rows.shape[1]))
+    sigmas = np.zeros(k)
+    for j in range(k):
+        mass = float((rho * assoc.p[:, j]).sum())
+        if mass < _TINY:
+            continue
+        q = posterior[:, j]
+        s2 = q @ rows
+        keep = np.flatnonzero((Z[j] > _FLOOR) & (s2 > 0))
+        if len(keep) < 2:
+            continue
+        sub, z, s = rows[:, keep], Z[j, keep], np.sqrt(s2[keep])
+        tcrs[j], x = _reference_top_deviation(sub, z, q, s, z / s)
+        d = x * z / s
+        nrm = np.linalg.norm(d)
+        if nrm > 0:
+            d = d / nrm
+            dirs[j, keep] = d
+            sigmas[j] = math.sqrt(q @ ((sub - z) @ d) ** 2)
+    return tcrs, dirs, sigmas
+
+
+def _assert_same_bits(got, ref):
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    np.testing.assert_array_equal(got, ref)
+    assert got.tobytes() == ref.tobytes()   # signed zeros too
+
+
+def _sparse_rows(rng, n, d, zero_frac):
+    """n rows on the simplex in d coordinates, each entry zero with
+    probability zero_frac, and at least one entry of each row positive."""
+    rows = rng.dirichlet(np.ones(d), size=n)
+    rows[rng.random((n, d)) < zero_frac] = 0.0
+    rows[np.arange(n), rng.integers(0, d, size=n)] += 0.5
+    return rows / rows.sum(axis=1, keepdims=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 40), st.integers(1, 8), st.sampled_from([0.0, 0.5, 0.8]),
+       st.sampled_from(["plain", "dead", "identical", "multiple"]),
+       st.integers(0, 2**32 - 1))
+def test_critical_full_matches_per_centroid_reference(n, k, zero_frac, case,
+                                                      seed):
+    # Centroids are mixtures of a few rows, so with zero entries their keep
+    # patterns differ within a bank: batches of one and of several mix.
+    # "dead" zeroes one centroid's weights, "identical" puts some centroids
+    # on the rows' common value (t = 0) and "multiple" solves copies of the
+    # centroid of three closed classes of equal mass (a double top
+    # eigenvalue).
+    rng = np.random.default_rng(seed)
+    if case == "multiple":
+        pi, _ = gen_ncd(blocks=[max(2, n // 3)] * 3, eps=0.0, seed=seed % 97)
+        rows = pi.rows
+        n = len(rows)
+        rho = stationary_distribution(rows)
+        Z = np.tile(rho @ rows, (k, 1))
+    else:
+        rows = _sparse_rows(rng, n, n, zero_frac)
+        if case == "identical":
+            rows[:] = rows[0]
+        rho = rng.dirichlet(np.ones(n))
+        W = rng.dirichlet(np.ones(n), size=k)
+        W[rng.random((k, n)) < zero_frac] = 0.0
+        W[np.arange(k), rng.integers(0, n, size=k)] += 0.5
+        Z = W @ rows / W.sum(axis=1, keepdims=True)
+        if case == "identical":
+            Z[rng.random(k) < 0.5] = rows[0]
+    p = rng.dirichlet(np.ones(k), size=n)
+    p[rng.random((n, k)) < zero_frac / 2] = 0.0
+    p[np.arange(n), rng.integers(0, k, size=n)] += 0.5
+    if case == "dead":
+        p[:, rng.integers(0, k)] = 0.0
+    p = p / np.maximum(p.sum(axis=1, keepdims=True), 1e-300)
+    assoc = SoftAssociation(p=p)
+    ref = _reference_critical_full(rows, rho, Z, assoc)
+    for got, want in zip(anneal_module._critical_full(rows, rho, Z, assoc),
+                         ref):
+        _assert_same_bits(got, want)
+    if case == "identical":
+        assert (ref[0][(Z == rows[0]).all(axis=1)] == 0.0).all()
+
+
+# just above the cutoff, where each item takes Lanczos
+_JUST_ABOVE = klgeom_module._DENSE_MAX + 1
+
+
+@pytest.mark.parametrize("m, d", [(6, 11), (11, 6),
+                                  (_JUST_ABOVE, _JUST_ABOVE + 6),
+                                  (_JUST_ABOVE + 6, _JUST_ABOVE)])
+def test_top_deviation_batch_matches_its_one_item_calls(m, d):
+    # a batch of four superstates over the same members: each item has the
+    # bits of its own 1-D call, which has those of the kernel before
+    # batching; the item with no posterior weight (A = 0, t = 0) returns
+    # zeros
+    rng = np.random.default_rng(m * d)
+    members = rng.dirichlet(np.ones(d), size=m)
+    w = rng.dirichlet(np.ones(d), size=4)
+    q = rng.dirichlet(np.ones(m), size=4)
+    q[2] = 0.0
+    s = rng.uniform(0.1, 1.0, size=(4, d))
+    u = rng.uniform(0.1, 1.0, size=(4, d))
+    top = klgeom_module._top_deviation
+    t, x = top(members, w, q, s, u, vectors=True)
+    _assert_same_bits(top(members, w, q, s, u), t)
+    assert t.shape == (4,) and x.shape == (4, d)
+    for i in range(4):
+        t1, x1 = top(members, w[i], q[i], s[i], u[i], vectors=True)
+        t_ref, x_ref = _reference_top_deviation(members, w[i], q[i], s[i],
+                                                u[i])
+        assert t[i] == t1 == t_ref
+        _assert_same_bits(x[i], x1)
+        _assert_same_bits(x1, x_ref)
+    assert t[2] == 0.0 and not x[2].any() and (t[[0, 1, 3]] > 0).all()
 
 
 # --- fixed_point ---

@@ -225,6 +225,26 @@ def test_matrix_round_trip(tmp_path, fmt):
     assert back.labels == m.labels
 
 
+@pytest.mark.parametrize("labels", [
+    ("1", "2", "3"),      # every label a number: read back as a data row
+    ("a,b", "c", "d"),    # a comma: read back as four labels
+    (" a", "a", "b"),     # surrounding whitespace: read back as a duplicate
+    ("a", "", "b"),       # empty
+    ("a", "b\nc", "d"),   # a line break
+])
+def test_write_matrix_refuses_labels_a_csv_header_cannot_hold(tmp_path,
+                                                              labels):
+    # each used to write a header that parse_matrix read back as something
+    # else (NonSquare, DimensionMismatch, DuplicateLabel); JSON keeps them
+    m = StochasticMatrix(rows=np.full((3, 3), 1 / 3), labels=labels)
+    p = tmp_path / "m.csv"
+    with pytest.raises(BadParameter, match=r"\.json"):
+        write_matrix(m, p)
+    assert not p.exists()
+    write_matrix(m, tmp_path / "m.json")
+    assert parse_matrix(tmp_path / "m.json").labels == labels
+
+
 def _try_float(tok):
     try:
         return float(tok)
@@ -393,6 +413,38 @@ def test_ingest_rejects_bad_smoothing(tmp_path, capsys, eta):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, where", [
+    ("ab 1" + "0" * 400 + "\n", "line 1"),
+    ("aa 1" + "0" * 308 + "\nab 1" + "0" * 308 + "\n", "row 'a'"),
+    ("ab 1" + "0" * 308 + "\nab 1" + "0" * 308 + "\n", "row 'a'"),
+], ids=["count", "row-total", "cell-total"])
+def test_ingest_rejects_counts_a_float_cannot_hold(tmp_path, capsys, text,
+                                                   where):
+    # a count of 10^400 raised an untyped OverflowError (a traceback), and
+    # two counts of 10^308 on one row wrote a NaN row with exit 0
+    p = tmp_path / "b.txt"
+    p.write_text(text)
+    with pytest.raises(BadBigram, match=where):
+        ingest_bigrams(p)
+    out = tmp_path / "chain.csv"
+    assert cli.main(["ingest-bigrams", "--counts", str(p),
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and where in err
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_ingest_rejects_a_smoothing_whose_rows_overflow(tmp_path, capsys):
+    p = tmp_path / "b.txt"
+    p.write_text("ab 3\n")
+    with pytest.raises(BadBigram, match="row 'a'"):
+        ingest_bigrams(p, smoothing=1e308)
+    out = tmp_path / "chain.csv"
+    assert cli.main(["ingest-bigrams", "--counts", str(p), "--eta", "1e308",
+                     "--out", str(out)]) == 2
+    assert not out.exists() and "Traceback" not in capsys.readouterr().err
+
+
 def test_ingest_sample_strictly_positive():
     m = ingest_bigrams(DATA / "bigrams_sample.txt", smoothing=1.0)
     assert (m.rows > 0).all()
@@ -460,6 +512,20 @@ def test_parse_partitions_rejects_non_integer_indices(tmp_path, capsys,
                      "--partitions", str(p)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_parse_partitions_rejects_a_repeated_k(tmp_path, capsys):
+    # "02" used to overwrite "2" silently, so k = 2 read as [0, 1, 1]
+    p = tmp_path / "p.json"
+    p.write_text('{"2": [0, 0, 1], "02": [0, 1, 1]}')
+    with pytest.raises(BadAssignment, match="k = 2") as e:
+        parse_partitions(p)
+    assert e.value.k == 2
+    m = tmp_path / "m.csv"
+    m.write_text("0.9,0.05,0.05\n0.1,0.8,0.1\n0.2,0.2,0.6\n")
+    assert cli.main(["select", "--matrix", str(m),
+                     "--partitions", str(p)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_parse_partitions_rejects_an_empty_object(tmp_path, capsys):
