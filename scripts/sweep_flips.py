@@ -322,22 +322,16 @@ def _add(total, value):
 
 def compare(a, b):
     """Print every k_t change and partition flip from run a to run b, then
-    the totals per chain set and overall; returns the overall totals."""
+    the totals per chain set and overall, with the k_t hits, optima, misses
+    and costs of summary(a) and summary(b); returns the overall totals."""
+    sa, sb = summary(a), summary(b)
     totals = {}
     for name in a:
         ca, cb = a[name], b[name]
         t = totals.setdefault(family(name), dict(
-            chains=0, partitions=0, hits_a=0, hits_b=0, kt_changed=0,
-            flips=0, ties=0, raised_low=0, delta=0.0, exact=0, opt_a=0,
-            opt_b=0, gap_b=0.0, worst_b=None,
-            **{f"{c}_{s}": 0 for c in COSTS for s in "ab"}))
-        t["chains"] += 1
-        for c in COSTS:
-            t[f"{c}_a"] = _add(t[f"{c}_a"], ca.get(c))
-            t[f"{c}_b"] = _add(t[f"{c}_b"], cb.get(c))
+            partitions=0, kt_changed=0, flips=0, ties=0, raised_low=0,
+            delta=0.0))
         t["partitions"] += len(ca["partitions"])
-        t["hits_a"] += ca["k_t"] == ca["planted_k"]
-        t["hits_b"] += cb["k_t"] == cb["planted_k"]
         if ca["k_t"] != cb["k_t"]:
             t["kt_changed"] += 1
             print(f"K_T {name}: {ca['k_t']} -> {cb['k_t']} "
@@ -360,47 +354,40 @@ def compare(a, b):
         if "exact" not in ca or "exact" not in cb:  # n > EXACT_MAX_N
             continue
         for k in ca["partitions"]:
-            if k == "1":
-                continue
-            oa, ob = at_optimum(ca, k), at_optimum(cb, k)
-            t["exact"] += 1
-            t["opt_a"] += oa
-            t["opt_b"] += ob
-            if not ob:
-                g = gap(cb, k)
-                t["gap_b"] += g
-                if t["worst_b"] is None or g > t["worst_b"][0]:
-                    t["worst_b"] = (g, name, k)
-            if oa != ob:
+            if k != "1" and at_optimum(ca, k) != at_optimum(cb, k):
                 da, db = ca["distortion"][k], cb["distortion"][k]
-                print(f"OPT{'+' if ob else '-'} {name} k={k}: distortion "
-                      f"{da:.10g} -> {db:.10g}, optimum {cb['exact'][k]:.10g}")
-    overall = {key: functools.reduce(_add, (t[key] for t in totals.values()))
-               for key in next(iter(totals.values())) if key != "worst_b"}
-    overall["worst_b"] = max((t["worst_b"] for t in totals.values()
-                              if t["worst_b"]), key=lambda w: w[0],
-                             default=None)
+                print(f"OPT{'+' if at_optimum(cb, k) else '-'} {name} k={k}: "
+                      f"distortion {da:.10g} -> {db:.10g}, optimum "
+                      f"{cb['exact'][k]:.10g}")
+    overall = {key: sum(t[key] for t in totals.values())
+               for key in next(iter(totals.values()))}
     for fam, t in list(totals.items()) + [("all", overall)]:
-        print(f"{fam}: {t['chains']} chains, {t['partitions']} (chain, k) "
-              f"partitions; k_t hits {t['hits_a']} -> {t['hits_b']}, "
+        ta, tb = sa[fam], sb[fam]
+        misses = [m for f in (totals if fam == "all" else [fam])
+                  for m in sb[f]["misses"]]
+        t["gap_b"] = sum(m["gap"] for m in misses)
+        worst = max(misses, key=lambda m: m["gap"], default=None)
+        t["worst_b"] = worst and (worst["gap"], worst["chain"],
+                                  str(worst["k"]))
+        for c in COSTS:
+            t[f"{c}_a"], t[f"{c}_b"] = ta[c], tb[c]
+        print(f"{fam}: {tb['chains']} chains, {t['partitions']} (chain, k) "
+              f"partitions; k_t hits {ta['kt_hits']} -> {tb['kt_hits']}, "
               f"{t['kt_changed']} k_t changes; {t['flips']} flips "
               f"({t['ties']} ties), {t['raised_low']} at k <= planted k_t "
               f"raise distortion beyond a tie; summed distortion change "
               f"over the flips {t['delta']:+.4g}")
-        costs = {c: " -> ".join("n/a" if t[f"{c}_{s}"] is None
-                                else str(t[f"{c}_{s}"]) for s in "ab")
-                 for c in COSTS}
+        costs = {c: " -> ".join("n/a" if s[c] is None else str(s[c])
+                                for s in (ta, tb)) for c in COSTS}
         print(f"{fam}: map evaluations {costs['map_evals']}, temperatures "
               f"{costs['temperatures']}")
-        if t["exact"]:
-            misses = t["exact"] - t["opt_b"]
-            worst = ""
-            if t["worst_b"]:
-                g, name, k = t["worst_b"]
-                worst = f", largest gap {g:.4g} ({name} k={k})"
-            print(f"{fam}: exact optimum at {t['opt_a']} -> {t['opt_b']} of "
-                  f"{t['exact']} (chain, k >= 2) pairs; B misses {misses}"
-                  f"{worst}, summed gap {t['gap_b']:.4g}")
+        if tb["exact_pairs"]:
+            where = (f", largest gap {worst['gap']:.4g} ({worst['chain']} "
+                     f"k={worst['k']})" if worst else "")
+            print(f"{fam}: exact optimum at {ta['at_optimum']} -> "
+                  f"{tb['at_optimum']} of {tb['exact_pairs']} (chain, k >= 2) "
+                  f"pairs; B misses {len(misses)}{where}, summed gap "
+                  f"{t['gap_b']:.4g}")
     return overall
 
 

@@ -2,6 +2,7 @@
 maps, and selection reports; text is UTF-8, a leading BOM dropped."""
 import hashlib
 import json
+import re
 import string
 
 import numpy as np
@@ -141,12 +142,12 @@ def write_matrix(matrix, path):
 def ingest_bigrams(path, smoothing=1.0):
     """26-state chain from letter-pair counts.
 
-    Each nonempty line is `<two lowercase letters> <count>`. Counts
-    accumulate into (first letter -> second letter); smoothing is added to
-    every cell before row normalization, so the default eta=1 guarantees
-    strictly positive rows. Rows with no mass at eta=0 become uniform. A
-    smoothing that is negative or not finite raises BadParameter before the
-    file is read.
+    Each nonempty line is `<two lowercase letters> <count>`, the count in
+    ASCII digits after an optional sign. Counts accumulate into (first
+    letter -> second letter); smoothing is added to every cell before row
+    normalization, so the default eta=1 guarantees strictly positive rows.
+    Rows with no mass at eta=0 become uniform. A smoothing that is negative
+    or not finite raises BadParameter before the file is read.
     """
     eta = float(smoothing)
     if not 0.0 <= eta < np.inf:
@@ -165,17 +166,15 @@ def ingest_bigrams(path, smoothing=1.0):
             if not all(c in _LETTERS for c in pair):
                 raise NonLetter(f"line {ln_no}: pair {pair!r} is not two "
                                 "lowercase letters")
-            try:
-                val = int(cnt)
-            except ValueError:
+            if not re.fullmatch(r"[+-]?[0-9]+", cnt):
                 raise BadBigram(f"line {ln_no}: count {cnt!r} is not an "
                                 "integer")
+            val = float(cnt)   # correctly rounded, as int(cnt) would be
             if val < 0:
-                raise NegativeCount(f"line {ln_no}: count {val}")
-            try:
-                C[_LETTERS.index(pair[0]), _LETTERS.index(pair[1])] += val
-            except OverflowError:
+                raise NegativeCount(f"line {ln_no}: count {cnt}")
+            if val == np.inf:
                 raise BadBigram(f"line {ln_no}: count too large for a float")
+            C[_LETTERS.index(pair[0]), _LETTERS.index(pair[1])] += val
         C = C + eta
         sums = C.sum(axis=1)
     if not np.isfinite(sums).all():   # an overflow, silenced above

@@ -224,6 +224,11 @@ def aggregate_transitions(Z, partition):
     return Z @ onehot
 
 
+def _member_weights(assign, rho, k):
+    """rho, except 1 for each member of a group of zero total weight."""
+    return np.where(np.bincount(assign, rho, k)[assign] == 0.0, 1.0, rho)
+
+
 def hard_centroids(pi, assign, rho=None):
     """rho-weighted mean row per group; the hard-partition bank W, as one
     product Q @ rows (Q: k x n member weights) over each group's mass. A
@@ -232,7 +237,7 @@ def hard_centroids(pi, assign, rho=None):
     n = rows.shape[0]
     rho = as_rho(rho, n)
     k = int(np.max(assign)) + 1
-    w = np.where(np.bincount(assign, rho, k)[assign] == 0.0, 1.0, rho)
+    w = _member_weights(assign, rho, k)
     Q = np.zeros((k, n))
     Q[assign, np.arange(n)] = w
     return (Q @ rows) / np.bincount(assign, w, k)[:, None]

@@ -18,7 +18,6 @@ import numpy as np
 from .anneal import AnnealConfig, _lloyd, anneal
 from .core import as_rho, as_rows, make_partition, resolve_k_max
 from .errors import DimensionMismatch
-from . import klgeom
 from .klgeom import (_TINY, _kl_rows, _self_entropy, build_model,
                      hard_centroids)
 from .selection import SelectionReport, select_k
@@ -40,11 +39,11 @@ class PipelineResult:
 
 
 def _score(rows, rho, assign, self_ent, positive):
-    """Distortion of the hard partition against its own centroids."""
+    """(distortion, each state's KL distance to its group's hard centroid)."""
     W = hard_centroids(rows, assign, rho)
     d = _kl_rows(rows, self_ent, positive, W)[np.arange(rows.shape[0]), assign]
     used = rho > 0
-    return float(rho[used] @ d[used])
+    return float(rho[used] @ d[used]), d
 
 
 def _group_terms(Sg, Mg, SEg):
@@ -189,14 +188,10 @@ def _move_descent(rows, rho, assign, self_ent, memo=None, max_passes=50):
     return assign
 
 
-def _farthest_members(rows, rho, self_ent, positive, assign):
-    """Per group of assign, the member farthest in KL from the group's hard
-    centroid, the first on a tie. The centroids come through klgeom, so a
-    tracer of this module's hard_centroids counts _score's calls alone."""
-    W = klgeom.hard_centroids(rows, assign, rho)
-    d = _kl_rows(rows, self_ent, positive, W)[np.arange(len(assign)), assign]
+def _farthest(assign, d):
+    """Per group of assign, the member of largest d, the first on a tie."""
     order = np.lexsort((-d, assign))   # stable: by group, then farthest
-    return order[np.searchsorted(assign[order], np.arange(len(W)))]
+    return order[np.searchsorted(assign[order], np.arange(assign.max() + 1))]
 
 
 def refine_per_k(pi, rho, sweep_parts, k_max):
@@ -220,12 +215,14 @@ def refine_per_k(pi, rho, sweep_parts, k_max):
     # descent never empties one, and for k <= n the previous choice has a
     # group of at least 2 states to split
     chosen = {1: np.zeros(n, dtype=int)}
+    # d: the latest choice's scored distances, which its splits read
+    _, d = _score(rows, rho, chosen[1], ent, pos)
     for k in range(2, min(k_max, n) + 1):
         cands = []
         if k in sweep_parts:
             cands.append(polish(np.asarray(sweep_parts[k], dtype=int)))
         prev = chosen[k - 1]
-        far = _farthest_members(rows, rho, ent, pos, prev)
+        far = _farthest(prev, d)
         for g in np.flatnonzero(np.bincount(prev) >= 2):
             a = prev.copy()
             a[far[g]] = k - 1
@@ -236,7 +233,8 @@ def refine_per_k(pi, rho, sweep_parts, k_max):
             unique.setdefault(a.tobytes(), a)
         cands = list(unique.values())
         scores = [_score(rows, rho, a, ent, pos) for a in cands]
-        chosen[k] = cands[int(np.argmin(scores))]
+        best = int(np.argmin([s for s, _ in scores]))
+        chosen[k], d = cands[best], scores[best][1]
     return chosen
 
 

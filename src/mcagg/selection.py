@@ -11,7 +11,7 @@ import numpy as np
 
 from .core import as_rho, as_rows, simplex_basis
 from .errors import DimensionMismatch, FloorViolation, NonConsecutiveK
-from .klgeom import _EXACT_FIT, _FLOOR, _top_deviation
+from .klgeom import _EXACT_FIT, _FLOOR, _member_weights, _top_deviation
 
 __all__ = ["SelectionReport", "hard_membership", "covariance_matrix",
            "heterogeneity", "marginal_return", "select_k"]
@@ -28,16 +28,13 @@ class SelectionReport:
 
 
 def hard_membership(partition, rho=None):
-    """Membership matrix Q (n x k). Column j holds the weight each state
-    contributes to cluster j's centroid (so W = Q^T Pi has stochastic
-    rows), and a cluster whose states all have zero weight weighs them
-    equally."""
+    """Membership matrix Q (n x k): column j holds each state's weight in
+    cluster j's centroid, klgeom._member_weights normalized, so W = Q^T Pi
+    has stochastic rows."""
     n, k = partition.n, partition.k
-    Q = np.zeros((n, k))
-    Q[np.arange(n), partition.assign] = 1.0
-    rho = as_rho(rho, n)
-    R = Q * rho[:, None]
-    R += Q * (R.sum(axis=0) == 0.0)
+    w = _member_weights(partition.assign, as_rho(rho, n), k)
+    R = np.zeros((n, k))
+    R[np.arange(n), partition.assign] = w
     return R / R.sum(axis=0, keepdims=True)
 
 

@@ -388,13 +388,18 @@ def test_ingest_empty_file_uniform(tmp_path):
 
 
 def test_ingest_errors(tmp_path):
+    # a count is ASCII digits after an optional sign: int() alone read
+    # "1_0" as 10 and the Arabic-Indic digit "\u0665" as 5
     cases = [("abc 5\n", BadBigram), ("ab x\n", BadBigram),
-             ("Ab 5\n", NonLetter), ("ab -3\n", NegativeCount)]
+             ("Ab 5\n", NonLetter), ("ab -3\n", NegativeCount),
+             ("ab 1_0\n", BadBigram), ("ac \u0665\n", BadBigram)]
     for text, err in cases:
         p = tmp_path / "b.txt"
         p.write_text(text)
         with pytest.raises(err):
             ingest_bigrams(p)
+    p.write_text("ab +7\n")
+    assert ingest_bigrams(p, smoothing=0.0).rows[0, 1] == 1.0
 
 
 @pytest.mark.parametrize("eta", ["-5", "nan", "inf"])
@@ -415,13 +420,15 @@ def test_ingest_rejects_bad_smoothing(tmp_path, capsys, eta):
 
 @pytest.mark.parametrize("text, where", [
     ("ab 1" + "0" * 400 + "\n", "line 1"),
+    ("ab 1" + "0" * 5000 + "\n", "line 1"),
     ("aa 1" + "0" * 308 + "\nab 1" + "0" * 308 + "\n", "row 'a'"),
     ("ab 1" + "0" * 308 + "\nab 1" + "0" * 308 + "\n", "row 'a'"),
-], ids=["count", "row-total", "cell-total"])
+], ids=["count", "digits", "row-total", "cell-total"])
 def test_ingest_rejects_counts_a_float_cannot_hold(tmp_path, capsys, text,
                                                    where):
-    # a count of 10^400 raised an untyped OverflowError (a traceback), and
-    # two counts of 10^308 on one row wrote a NaN row with exit 0
+    # a count of 10^400 raised an untyped OverflowError (a traceback), one
+    # of 10^5000 has more digits than int() converts, and two counts of
+    # 10^308 on one row wrote a NaN row with exit 0
     p = tmp_path / "b.txt"
     p.write_text(text)
     with pytest.raises(BadBigram, match=where):

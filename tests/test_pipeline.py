@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import mcagg.klgeom as klgeom
 import mcagg.pipeline as pipeline
 from mcagg.anneal import AnnealConfig, _lloyd, anneal
 from mcagg.core import stationary_distribution
@@ -379,13 +380,40 @@ def test_refine_scores_each_candidate_once(monkeypatch):
     monkeypatch.setattr(pipeline, "_score", recording_score)
     chosen = refine_per_k(rows, rho, sweep, 6)
     assert len(scored) == len(set(scored))
-    assert sorted({k for k, _ in scored}) == list(range(2, 7))
+    assert sorted({k for k, _ in scored}) == list(range(1, 7))
+    # k = 1 is scored once, for the distances its split reads
+    assert sum(j == 1 for j, _ in scored) == 1
     for k in range(2, 7):
         assert int(chosen[k].max()) + 1 == k
         # the polished snapshot and one polished split per group of the
         # previous choice with at least 2 states
         splittable = int((np.bincount(chosen[k - 1]) >= 2).sum())
         assert sum(j == k for j, _ in scored) <= 1 + splittable
+
+
+def test_refine_builds_centroids_only_to_score(monkeypatch):
+    # the split reads the winner's scored distances, so outside Lloyd's
+    # steps every centroid bank refinement builds is one _score call's:
+    # the premise of the benchmark's candidates_scored count, which wraps
+    # mcagg.pipeline.hard_centroids
+    rows, rho, sweep = _sweep()
+    calls = []
+    score, centroids = pipeline._score, pipeline.hard_centroids
+
+    def recording_score(*args):
+        calls.append("score")
+        return score(*args)
+
+    def recording_centroids(*args):
+        calls.append("centroids")
+        return centroids(*args)
+
+    monkeypatch.setattr(pipeline, "_score", recording_score)
+    monkeypatch.setattr(pipeline, "hard_centroids", recording_centroids)
+    monkeypatch.setattr(klgeom, "hard_centroids", recording_centroids)
+    refine_per_k(rows, rho, sweep, 6)
+    assert calls.count("score") > 6
+    assert calls == ["score", "centroids"] * calls.count("score")
 
 
 # two closed 2-state classes and two transient states that lead into them;
@@ -409,12 +437,12 @@ def test_refine_zero_weight_states_score_finite(monkeypatch):
 
     def recording_score(rows, rho, assign, *geom):
         s = score(rows, rho, assign, *geom)
-        scores.append((int(assign.max()) + 1, s))
+        scores.append((int(assign.max()) + 1, s[0]))
         return s
 
     monkeypatch.setattr(pipeline, "_score", recording_score)
     chosen = refine_per_k(rows, rho, sweep, 5)
-    assert sorted({k for k, _ in scores}) == [2, 3, 4, 5]
+    assert sorted({k for k, _ in scores}) == [1, 2, 3, 4, 5]
     assert all(np.isfinite(s) for _, s in scores)
     a = chosen[2]
     assert a[0] == a[1] and a[2] == a[3] and a[0] != a[2]
@@ -432,11 +460,12 @@ def test_zero_weight_group_gets_plain_mean_centroid():
     idx = np.array([4, 5])
     z = rows[idx].mean(axis=0)
     d = [float(r[r > 0] @ np.log(r[r > 0] / z[r > 0])) for r in rows[idx]]
-    far = pipeline._farthest_members(rows, rho, ent, pos, start)
+    far = pipeline._farthest(start, pipeline._score(rows, rho, start, ent,
+                                                    pos)[1])
     assert far[2] == idx[int(np.argmax(d))]
 
 
-# The per-group split selection that _farthest_members replaced, kept
+# The per-group split selection that _farthest replaced, kept
 # verbatim as its reference (with test_klgeom's verbatim _group_mean).
 def _loop_farthest(rows, rho, self_ent, positive, idx):
     """Position within idx of the member farthest, in KL, from the
@@ -464,7 +493,8 @@ def test_farthest_members_match_group_loop(n, k, seed, zero_frac, zero_group,
     if dup:
         rows[rng.integers(0, n, n // 2)] = rows[rng.integers(0, n, n // 2)]
     ent, pos = _self_entropy(rows), rows > 0
-    far = pipeline._farthest_members(rows, rho, ent, pos, assign)
+    far = pipeline._farthest(assign, pipeline._score(rows, rho, assign, ent,
+                                                     pos)[1])
     assert len(far) == assign.max() + 1
     for g in range(len(far)):
         idx = np.flatnonzero(assign == g)
@@ -486,8 +516,8 @@ def test_farthest_members_tie_goes_to_the_first_member():
                      [0.1, 0.1, 0.8], [0.0, 0.0, 1.0]])
     rho = np.full(5, 0.2)
     assign = np.array([0, 0, 0, 0, 1])
-    far = pipeline._farthest_members(rows, rho, _self_entropy(rows),
-                                     rows > 0, assign)
+    far = pipeline._farthest(assign, pipeline._score(
+        rows, rho, assign, _self_entropy(rows), rows > 0)[1])
     np.testing.assert_array_equal(far, [1, 4])
 
 

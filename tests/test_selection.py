@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mcagg import klgeom, selection
-from mcagg.core import make_partition
+from mcagg.core import as_rho, make_partition
 from mcagg.errors import DimensionMismatch, FloorViolation, NonConsecutiveK
 from mcagg.generators import gen_ncd
 from mcagg.pipeline import run_pipeline
@@ -41,6 +41,42 @@ def test_membership_gives_stochastic_w():
     Q = hard_membership(part)
     W = Q.T @ rows
     assert np.abs(W.sum(axis=1) - 1.0).max() < 1e-12
+
+
+# hard_membership before klgeom._member_weights carried its zero-weight
+# rule, kept verbatim as the reference
+def _reference_membership(partition, rho=None):
+    n, k = partition.n, partition.k
+    Q = np.zeros((n, k))
+    Q[np.arange(n), partition.assign] = 1.0
+    rho = as_rho(rho, n)
+    R = Q * rho[:, None]
+    R += Q * (R.sum(axis=0) == 0.0)
+    return R / R.sum(axis=0, keepdims=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 40), k=st.integers(1, 6), seed=st.integers(0, 10_000),
+       zero_frac=st.sampled_from([0.0, 0.5, 1.0]), zero_group=st.booleans(),
+       uniform=st.booleans())
+@example(n=40, k=1, seed=2, zero_frac=0.0, zero_group=False, uniform=False)
+@example(n=40, k=3, seed=4, zero_frac=0.5, zero_group=True, uniform=False)
+def test_membership_bytes_match_reference(n, k, seed, zero_frac, zero_group,
+                                          uniform):
+    # k = 1 (one n x 1 column sum), groups of zero weight, and groups of 8
+    # or more members when n is large against k
+    k = min(k, n)
+    rng = np.random.default_rng(seed)
+    assign = np.concatenate([np.arange(k), rng.integers(0, k, size=n - k)])
+    rng.shuffle(assign)
+    part = make_partition(assign, k=k)
+    rho = rng.random(n)
+    rho[rng.random(n) < zero_frac] = 0.0
+    if zero_group:
+        rho[assign == 0] = 0.0
+    rho = None if uniform else rho
+    assert (hard_membership(part, rho).tobytes()
+            == _reference_membership(part, rho).tobytes())
 
 
 # --- covariance_matrix ---
