@@ -17,9 +17,10 @@ import numpy as np
 
 from .core import _closure, as_rho, as_rows, make_partition, resolve_k_max
 from .errors import EmptySuperstate, InadmissiblePerturbation, NoConvergence
-from .klgeom import (_DENSE_MAX, _EXACT_FIT, _FLOOR, _TINY, SoftAssociation,
-                     _check_bank, _Gibbs, _kl_rows, _lengths, _self_entropy,
-                     _top_deviation, hard_centroids, posterior_and_centroids)
+from .klgeom import (_DENSE_MAX, _EXACT_FIT, _TINY, SoftAssociation,
+                     _check_bank, _Gibbs, _kept, _kl_rows, _lengths,
+                     _self_entropy, _top_deviation, hard_centroids,
+                     posterior_and_centroids)
 
 # The annealing recipe, one for every run (Rose, Proc. IEEE 1998). anneal,
 # _converge and _critical_full read these (and klgeom's centroid floor
@@ -179,7 +180,7 @@ def _critical_full(rows, rho, Z, assoc):
     # stacked vector-matrix products
     mass = np.multiply(assoc.p.T, rho, order="C").sum(axis=1)
     S2 = (Q[:, None, :] @ rows)[:, 0]
-    keep = (Z > _FLOOR) & (S2 > 0) & ~(mass < _TINY)[:, None]
+    keep = _kept(Z, S2) & ~(mass < _TINY)[:, None]
     kept, batches = keep.sum(axis=1), {}   # keep pattern -> centroids
     for j in (kept >= 2).nonzero()[0].tolist():
         big = min(n, kept[j]) > _DENSE_MAX   # Lanczos: stacking adds memory

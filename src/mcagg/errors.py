@@ -67,14 +67,6 @@ class InadmissiblePerturbation(ValidationError):
 
 
 # selection
-class FloorViolation(ValidationError):
-    def __init__(self, j, coord):
-        self.j, self.coord = j, coord
-        super().__init__(
-            f"superstate {j} centroid coordinate {coord} is below the floor "
-            "while member rows deviate there")
-
-
 class NonConsecutiveK(ValidationError):
     def __init__(self, gaps):
         self.gaps = gaps

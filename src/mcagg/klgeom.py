@@ -20,13 +20,21 @@ from .errors import (DimensionMismatch, EmptySuperstate,
                      NonPositiveTemperature)
 
 _TINY = 1e-300
-_FLOOR = 1e-12       # centroid coordinates below it leave t_bar; the
-                     # annealer drops those at or below it from t_cr
+_FLOOR = 1e-12       # centroid coordinates at or below it leave every
+                     # deviation eigen-solve (_kept)
 _EXACT_FIT = 1e-14   # t_bar below this is reported as an exact fit; the
                      # sweep stops once every t_cr is below it
 _DENSE_MAX = 128     # _top_deviation runs Lanczos above this Gram size
 _RITZ_TOL = 1e-13    # Lanczos stops once the top Ritz residual is below
                      # this fraction of the Ritz value
+
+
+def _kept(z, s2):
+    """The floor rule of every deviation eigen-solve, t_cr and t_bar alike:
+    keep the coordinates where the centroid z clears _FLOOR and carries
+    mass, s2 = q @ rows > 0 (for a hard group s2 = z). The others are
+    dropped, whatever the members do there."""
+    return (z > _FLOOR) & (s2 > 0)
 
 
 @dataclass(frozen=True)

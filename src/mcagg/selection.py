@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import as_rho, as_rows, simplex_basis
-from .errors import DimensionMismatch, FloorViolation, NonConsecutiveK
-from .klgeom import _EXACT_FIT, _FLOOR, _member_weights, _top_deviation
+from .errors import DimensionMismatch, NonConsecutiveK
+from .klgeom import _EXACT_FIT, _kept, _member_weights, _top_deviation
 
 __all__ = ["SelectionReport", "hard_membership", "covariance_matrix",
            "heterogeneity", "marginal_return", "select_k"]
@@ -38,32 +38,22 @@ def hard_membership(partition, rho=None):
     return R / R.sum(axis=0, keepdims=True)
 
 
-def _guard_floor(j, members, w, q):
-    """Coordinates where the centroid sits below _FLOOR are dropped when
-    no member row with weight q > 0 deviates there (a member with q = 0 adds
-    nothing to the covariance); a real deviation over a floored coordinate
-    is unrecoverable."""
-    low = w < _FLOOR
-    if not low.any():
-        return np.maximum(w, _FLOOR), slice(None)
-    dev = np.abs(members[q > 0] - w).max(axis=0, initial=0.0)
-    bad = low & (dev > _FLOOR)
-    if bad.any():
-        raise FloorViolation(j, int(np.where(bad)[0][0]))
-    keep = ~low
-    return w[keep], keep
+def _kept_coordinates(members, w):
+    """members and w on the coordinates klgeom._kept keeps, with s2 = w as
+    for a hard group; the inputs themselves when it keeps every one."""
+    keep = _kept(w, w)
+    return (members, w) if keep.all() else (members[:, keep], w[keep])
 
 
-def covariance_matrix(members, w, q, mode="plain", j=0):
+def covariance_matrix(members, w, q, mode="plain"):
     """Deviation covariance of one superstate in the simplex tangent basis,
     formed in full: the oracle for _top_eigenvalue, which never forms it.
 
-    members: rows of the cluster (m x n); w: its aggregated row; q: weights;
-    j: the superstate a FloorViolation names. Coordinates of w below _FLOOR
-    go as _guard_floor says. Plain mode measures relative
-    deviations (pi(i) - w) ./ w directly; whiten mode rescales them by the
-    local curvature (Cholesky of the Theta^T Lambda Theta form) so the
-    output eigenvalues are comparable to annealing temperatures. That
+    members: rows of the cluster (m x n); w: its aggregated row; q: weights.
+    Only the coordinates klgeom._kept keeps enter. Plain mode measures
+    relative deviations (pi(i) - w) ./ w directly; whiten mode rescales
+    them by the local curvature (Cholesky of the Theta^T Lambda Theta form)
+    so the output eigenvalues are comparable to annealing temperatures. That
     Cholesky is ill-conditioned when a kept coordinate of w sits just above
     _FLOOR (Lambda = diag(1/w)): with w near 1e-12, whiten mode is accurate
     only to about 1e-5 relative.
@@ -71,10 +61,9 @@ def covariance_matrix(members, w, q, mode="plain", j=0):
     members = np.atleast_2d(np.asarray(members, dtype=float))
     w = np.asarray(w, dtype=float)
     q = np.asarray(q, dtype=float)
-    wsafe, keep = _guard_floor(j, members, w, q)
-    sub = members[:, keep] if not isinstance(keep, slice) else members
-    theta = simplex_basis(wsafe.shape[0])
-    V = (sub - wsafe) / wsafe
+    sub, w = _kept_coordinates(members, w)
+    theta = simplex_basis(w.shape[0])
+    V = (sub - w) / w
     B = V @ theta
     if mode == "plain":
         C = B.T @ (q[:, None] * B)
@@ -82,7 +71,7 @@ def covariance_matrix(members, w, q, mode="plain", j=0):
     if mode != "whiten":
         raise ValueError(f"unknown covariance mode {mode!r}")
     qn = q / q.sum()
-    lam = (qn @ sub) / wsafe**2
+    lam = (qn @ sub) / w**2
     H0 = theta.T @ (lam[:, None] * theta)
     H1 = B.T @ (qn[:, None] * B)
     L = np.linalg.cholesky(H0)
@@ -90,22 +79,21 @@ def covariance_matrix(members, w, q, mode="plain", j=0):
     return 0.5 * (C + C.T)
 
 
-def _top_eigenvalue(members, w, q, mode, j):
-    """Largest eigenvalue of covariance_matrix(members, w, q, mode, j=j)
-    (0 below 2 kept coordinates), by _top_deviation: s = w and u along 1 in
-    plain mode; q normalized, s = sqrt(q @ members) and u along w / s in
-    whiten mode."""
-    wsafe, keep = _guard_floor(j, members, w, q)
-    sub = members[:, keep]
+def _top_eigenvalue(members, w, q, mode):
+    """Largest eigenvalue of covariance_matrix(members, w, q, mode) (0 below
+    2 kept coordinates), by _top_deviation: s = w and u along 1 in plain
+    mode; q normalized, s = sqrt(q @ members) and u along w / s in whiten
+    mode, which is the annealer's t_cr at the posterior q."""
+    sub, w = _kept_coordinates(members, w)
     if mode == "plain":
-        s, u = wsafe, np.ones(len(wsafe))
+        s, u = w, np.ones(len(w))
     elif mode == "whiten":
         q = q / q.sum()
         s = np.sqrt(q @ sub)
-        u = wsafe / s
+        u = w / s
     else:
         raise ValueError(f"unknown covariance mode {mode!r}")
-    return _top_deviation(sub, wsafe, q, s, u)
+    return _top_deviation(sub, w, q, s, u)
 
 
 def heterogeneity_profile(pi, partition, rho=None, mode="plain"):
@@ -128,7 +116,7 @@ def _profile(rows, partition, rho, mode, memo):
         key = (idx.tobytes(), q.tobytes())
         if key not in memo:
             members = rows[idx]
-            memo[key] = _top_eigenvalue(members, q @ members, q, mode, jj)
+            memo[key] = _top_eigenvalue(members, q @ members, q, mode)
         out[jj] = memo[key]
     return out
 

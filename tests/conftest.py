@@ -61,6 +61,20 @@ def random_stochastic(rng, n):
     return rng.dirichlet(np.ones(n), size=n)
 
 
+def floored_chain():
+    """An 11-state chain whose one entry of 5e-12 (row 0, column 10) leaves
+    the centroid of states 0..9 below klgeom._FLOOR on coordinate 10, where
+    member 0 deviates."""
+    rng = np.random.default_rng(3)
+    n = 11
+    rows = np.zeros((n, n))
+    rows[:10, :10] = rng.dirichlet(np.ones(10), size=10)
+    rows[0, 10] = 5e-12
+    rows[0, :10] *= (1 - 5e-12) / rows[0, :10].sum()
+    rows[10] = rng.dirichlet(np.ones(n))
+    return rows
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)

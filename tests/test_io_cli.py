@@ -23,6 +23,8 @@ from mcagg.io import (file_sha256, ingest_bigrams, parse_matrix,
 from mcagg.klgeom import build_model
 from mcagg.selection import SelectionReport
 
+from conftest import floored_chain
+
 DATA = Path(__file__).resolve().parents[1] / "data"
 
 
@@ -741,6 +743,25 @@ def test_cli_exit_codes(tmp_path):
     sums.write_text("0.5,0.6\n0.5,0.5\n")
     assert cli.main(["pipeline", "--matrix", str(sums)]) == 1
     assert cli.main(["pipeline", "--matrix", str(sums), "--bogus"]) == 1
+
+
+def test_cli_scores_a_chain_with_an_entry_below_the_floor(tmp_path, capsys):
+    # selection drops the floored coordinate of the 10-state group's
+    # centroid, as the annealer does, so every command reports
+    rows = floored_chain()
+    m, parts, out = (tmp_path / name for name in ("m.csv", "p.json",
+                                                   "r.json"))
+    write_matrix(rows, m)
+    parts.write_text(json.dumps({"1": [0] * 11, "2": [0] * 10 + [1],
+                                 "3": [0] * 9 + [1, 2]}))
+    for argv in (["pipeline"], ["pipeline", "--rho", "stationary"],
+                 ["pipeline", "--mode", "whiten"],
+                 ["select", "--partitions", str(parts)],
+                 ["select", "--partitions", str(parts), "--mode", "whiten"]):
+        assert cli.main(argv + ["--matrix", str(m), "--out", str(out)]) == 0
+        t_bars = list(read_report(out).t_bars.values())
+        assert t_bars and np.isfinite(t_bars).all(), (argv, t_bars)
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("argv, token", [

@@ -376,7 +376,7 @@ def test_anneal_imports_nothing_from_selection():
     assert found == []
 
 
-@pytest.mark.parametrize("name", ["_top_deviation", "_FLOOR", "_EXACT_FIT"])
+@pytest.mark.parametrize("name", ["_top_deviation", "_kept", "_EXACT_FIT"])
 def test_kernel_names_are_klgeom_objects(name):
     assert getattr(anneal_module, name) is getattr(klgeom, name)
     assert getattr(selection, name) is getattr(klgeom, name)

@@ -19,6 +19,7 @@ from mcagg.io import parse_matrix
 from mcagg.klgeom import _kl_rows, _self_entropy, hard_centroids
 from mcagg.pipeline import (_move_descent, aggregate_fixed_k, refine_per_k,
                             run_pipeline)
+from mcagg.selection import select_k
 from test_klgeom import _group_mean
 
 DATA = Path(__file__).resolve().parents[1] / "data"
@@ -631,3 +632,30 @@ def test_pipeline_courtois_three_blocks():
     groups = sorted(sorted(int(i) for i in g)
                     for g in res.partitions[3].groups())
     assert groups == [[0, 1, 2], [3, 4], [5, 6, 7]]
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(3, 10), seed=st.integers(0, 10_000),
+       zero_frac=st.sampled_from([0.0, 0.5, 0.8]),
+       tiny=st.lists(st.floats(1e-14, 1e-10), min_size=1, max_size=3))
+@example(n=3, seed=0, zero_frac=0.5, tiny=[5e-11])
+def test_pipeline_scores_chains_with_entries_at_the_floor(n, seed, zero_frac,
+                                                          tiny):
+    # an entry near klgeom._FLOOR in an otherwise empty column leaves a
+    # centroid coordinate below it while a member deviates there; every
+    # superstate eigen-solve drops such a coordinate, so each chain is
+    # scored in full
+    rng = np.random.default_rng(seed)
+    rows = _sparse_chain(rng, n, zero_frac)
+    at = rng.choice(n * n, size=len(tiny), replace=False)
+    rows.flat[at] = tiny
+    rows /= rows.sum(axis=1, keepdims=True)
+    for rho in (None, stationary_distribution(rows)):
+        res = run_pipeline(rows, rho)
+        # selection does not feed back into aggregation, so whiten mode
+        # scores the same partitions
+        whiten = select_k(rows, res.partitions, rho, "whiten")
+        for report in (res.report, whiten):
+            t_bars = np.array(list(report.t_bars.values()))
+            assert len(t_bars) == min(n, 8)
+            assert np.isfinite(t_bars).all() and (t_bars >= 0).all()

@@ -3,13 +3,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mcagg import klgeom, selection
+from mcagg.anneal import _critical_full
 from mcagg.core import as_rho, make_partition
-from mcagg.errors import DimensionMismatch, FloorViolation, NonConsecutiveK
+from mcagg.errors import DimensionMismatch, NonConsecutiveK
 from mcagg.generators import gen_ncd
 from mcagg.pipeline import run_pipeline
 from mcagg.selection import (covariance_matrix, hard_membership,
                              heterogeneity, heterogeneity_profile,
                              marginal_return, select_k)
+
+from conftest import floored_chain
 
 PI2 = np.array([[0.9, 0.1], [0.1, 0.9]])
 
@@ -99,13 +102,18 @@ def test_covariance_zero_deviation():
     assert np.abs(C).max() < 1e-15
 
 
-def test_covariance_floor_violation():
-    members = np.array([[0.5, 0.4, 0.1]])
+@pytest.mark.parametrize("mode", ["plain", "whiten"])
+def test_covariance_drops_floored_coordinate_with_a_deviation(mode):
+    # the member deviates by 0.1 where the centroid sits below _FLOOR: the
+    # coordinate is dropped, as the annealer drops it from t_cr
+    members = np.array([[0.5, 0.4, 0.1], [0.6, 0.4, 0.0]])
     w = np.array([0.55, 0.45, 1e-15])
-    with pytest.raises(FloorViolation) as exc:
-        covariance_matrix(members, w, np.array([1.0]), j=4)
-    assert exc.value.j == 4
-    assert exc.value.coord == 2
+    q = np.array([0.5, 0.5])
+    C = covariance_matrix(members, w, q, mode=mode)
+    assert np.array_equal(C, covariance_matrix(members[:, :2], w[:2], q,
+                                               mode=mode))
+    assert selection._top_eigenvalue(members, w, q, mode) == pytest.approx(
+        np.linalg.eigvalsh(C).max(), rel=1e-12)
 
 
 def test_covariance_drops_dead_coordinate():
@@ -120,8 +128,8 @@ def test_covariance_drops_dead_coordinate():
 @pytest.mark.parametrize("mode", ["plain", "whiten"])
 def test_covariance_ignores_zero_weight_member_on_floored_coordinate(mode):
     # an absorbing state of weight 0 deviates on the centroid's floored
-    # coordinate: it adds nothing to the covariance, so no FloorViolation,
-    # and the covariance equals that of the weighted members alone
+    # coordinate: it adds nothing to the covariance, which equals that of
+    # the weighted members alone
     members = np.array([[0.6, 0.4, 0.0], [0.3, 0.7, 0.0], [0.0, 0.0, 1.0]])
     q = np.array([0.5, 0.5, 0.0])
     w = q @ members
@@ -360,8 +368,7 @@ def _reference_profile(rows, part, rho, mode):
     for j in range(part.k):
         idx = np.where(part.assign == j)[0]
         try:
-            C = covariance_matrix(rows[idx], W[j], Q[idx, j], mode=mode,
-                                  j=j)
+            C = covariance_matrix(rows[idx], W[j], Q[idx, j], mode=mode)
         except DimensionMismatch:
             continue
         out[j] = max(float(np.linalg.eigvalsh(C)[-1]), 0.0)
@@ -425,17 +432,42 @@ def test_profile_matches_covariance_eigvalsh(n, k, seed, zero_frac,
     # reference loses digits when w has a coordinate near the floor (see
     # the closed-form test below)
     for mode, tol in (("plain", 1e-12), ("whiten", 1e-6)):
-        try:
-            ref = _reference_profile(rows, part, rho, mode)
-        except FloorViolation as e:
-            with pytest.raises(FloorViolation) as got:
-                heterogeneity_profile(rows, part, rho, mode)
-            assert (got.value.j, got.value.coord) == (e.j, e.coord)
-            continue
+        ref = _reference_profile(rows, part, rho, mode)
         prof = heterogeneity_profile(rows, part, rho, mode)
         scale = max(float(ref.max()), 1e-300)
         err = np.abs(prof - ref) / np.maximum(ref, 1e-12 * scale)
         assert err.max() <= tol, (mode, prof, ref)
+
+
+def _whiten_t_and_t_cr(members, q):
+    """Whiten-mode t of a hard group and the annealer's t_cr of its centroid
+    at the posterior q (ROADMAP item 17: one kernel, one floor rule)."""
+    w = q @ members
+    t = selection._top_eigenvalue(members, w, q, "whiten")
+    assoc = klgeom.SoftAssociation(p=np.ones((len(q), 1)),
+                                   posterior=q[:, None])
+    return t, _critical_full(members, q, w[None], assoc)[0][0]
+
+
+def test_whiten_t_is_the_annealers_t_cr(acceptance_runs):
+    runs, _ = acceptance_runs
+    checked = 0
+    for r in runs.values():
+        for part in r.partitions.values():
+            Q = hard_membership(part, r.rho)
+            for j in range(part.k):
+                idx = np.flatnonzero(part.assign == j)
+                t, t_cr = _whiten_t_and_t_cr(r.rows[idx], Q[idx, j])
+                if t > 1e-10:
+                    assert abs(t - t_cr) <= 1e-14 * t, (t, t_cr)
+                    checked += 1
+    assert checked > 1000
+    # the floored group of the 11-state chain, where the member deviates
+    members, q = floored_chain()[:10], np.full(10, 0.1)
+    w = q @ members
+    assert w[10] < klgeom._FLOOR < members[0, 10] - w[10]
+    t, t_cr = _whiten_t_and_t_cr(members, q)
+    assert t > 0 and abs(t - t_cr) <= 1e-14 * t, (t, t_cr)
 
 
 def test_whiten_two_members_closed_form_ill_conditioned():
