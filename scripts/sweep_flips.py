@@ -11,7 +11,7 @@ the pipeline's trace):
     python scripts/sweep_flips.py --out after.json      # on the changed code
     python scripts/sweep_flips.py --compare before.json after.json
 
-The default chain set has 205 chains:
+Every record holds the same 2505 runs:
 
 - acceptance: the 125 chains of acceptance criteria 1-4 (uniform rho);
 - large-ncd: the benchmark's six 200-state chains for seeds 1-10;
@@ -19,17 +19,17 @@ The default chain set has 205 chains:
   under stationary rho;
 - absorbing: the benchmark's 9-state chain whose state 0 is absorbing, for
   seeds 1-10, under stationary rho. All the steady-state mass sits on
-  state 0, so every other state weighs 0 and many partitions tie.
+  state 0, so every other state weighs 0 and many partitions tie;
+- ncd9-eps0: the benchmark's 70 nine-state eps = 0 chains per seed 1-10
+  under stationary rho (700).
 
-``--with-ncd9-eps0`` adds the benchmark's 70 nine-state eps = 0 chains per
-seed under stationary rho (700 more). The benchmark chains are drawn with
-the same seeds as perfbench/workloads.py draws them.
-
-``--with-degenerate`` adds 400 seeded random chains of 2-12 states with
-30-80% zero entries, some with an absorbing state and some with duplicated
-rows, each run with k_max = n under both rho and both selection modes (1600
-more). They have no planted k, so their planted_k is null and they count
-toward neither the k_t hits nor the flips at k <= planted k_t.
+The benchmark chains are drawn with the same seeds as perfbench/workloads.py
+draws them. Then come 400 seeded random chains of 2-12 states with 30-80%
+zero entries, some with an absorbing state and some with duplicated rows,
+each run with k_max = n under both rho and both selection modes (1600 runs,
+the degenerate-* sets). They have no planted k, so their planted_k is null
+and they count toward neither the k_t hits nor the flips at k <= planted
+k_t.
 
 ``--null t0|delta|swap`` records a null run of the same code, to size how
 many flips a change with no intended effect already causes: ``t0`` and
@@ -48,11 +48,9 @@ the subset's lowest state, plus the best split of the rest into k - 1.
 ``--summary FILE`` writes, per chain set of one record (the one ``--out``
 writes, or record B of ``--compare``), the k_t hits, the exact-optimum
 count with every miss and its gap, and the summed map evaluations and
-temperatures; SWEEP.json at the repository root is this summary for
-``--with-ncd9-eps0 --with-degenerate``:
+temperatures; SWEEP.json at the repository root is that summary:
 
-    python scripts/sweep_flips.py --with-ncd9-eps0 --with-degenerate \
-        --out record.json --summary SWEEP.json
+    python scripts/sweep_flips.py --out record.json --summary SWEEP.json
 
 ``--compare`` prints every k_t change and every partition flip with its
 distortion before and after, then totals: flips, ties among them
@@ -129,7 +127,7 @@ def acceptance_chains():
     yield from ncd9_chains("crit4", 0.01)
 
 
-def chains(with_ncd9):
+def chains():
     """acceptance_chains(), then the benchmark's chains, in that form."""
     yield from acceptance_chains()
     for seed in range(1, 11):
@@ -144,10 +142,9 @@ def chains(with_ncd9):
         rows = pi.rows.copy()
         rows[0] = np.eye(9)[0]
         yield f"absorbing-s{seed}", rows, "stationary", 6, truth
-        if with_ncd9:
-            for i, s in enumerate(seeds[:70]):
-                pi, truth = gen_ncd(blocks=[3, 3, 3], eps=0.0, seed=s)
-                yield f"ncd9-eps0-s{seed}-{i}", pi.rows, "stationary", 6, truth
+        for i, s in enumerate(seeds[:70]):
+            pi, truth = gen_ncd(blocks=[3, 3, 3], eps=0.0, seed=s)
+            yield f"ncd9-eps0-s{seed}-{i}", pi.rows, "stationary", 6, truth
 
 
 def rho_of(rows, rho_mode):
@@ -243,16 +240,14 @@ def _null_patch(null):
     return "_shadow_bank", swapped
 
 
-def record(with_ncd9, with_degenerate, null):
+def record(null):
     with (mock.patch.object(anneal_module, *_null_patch(null)) if null
           else contextlib.nullcontext()):
-        return _record(with_ncd9, with_degenerate)
+        return _record()
 
 
-def _record(with_ncd9, with_degenerate):
-    runs = [(*c, "plain") for c in chains(with_ncd9)]
-    if with_degenerate:
-        runs += degenerate_chains()
+def _record():
+    runs = [(*c, "plain") for c in chains()] + list(degenerate_chains())
     evals = [0]
     step = anneal_module.posterior_and_centroids
 
@@ -425,10 +420,6 @@ def summary(rec):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", help="write the record of this run to a JSON file")
-    ap.add_argument("--with-ncd9-eps0", action="store_true",
-                    help="add the 700 nine-state eps = 0 stationary chains")
-    ap.add_argument("--with-degenerate", action="store_true",
-                    help="add the 1600 runs of 400 degenerate chains")
     ap.add_argument("--null", choices=("t0", "delta", "swap"),
                     help="record a null run (see the module docstring)")
     ap.add_argument("--compare", nargs=2, metavar=("A", "B"),
@@ -449,7 +440,7 @@ def main():
     if not args.out:
         ap.error("give --out FILE or --compare A B")
     t0 = time.time()
-    out = record(args.with_ncd9_eps0, args.with_degenerate, args.null)
+    out = record(args.null)
     with open(args.out, "w") as fh:
         json.dump(out, fh)
     print(f"{len(out)} chains written to {args.out} "

@@ -2,7 +2,7 @@
 heterogeneity-based selection of the number of superstates."""
 from .anneal import (AnnealConfig, AnnealResult, CriticalReport, anneal,
                      critical_temperature, extract_hard_partition,
-                     fixed_point, hessian_quadratic_form)
+                     hessian_quadratic_form)
 from .core import (AggregatedModel, Partition, StochasticMatrix,
                    make_partition, simplex_basis, stationary_distribution,
                    validate_stochastic)
@@ -14,8 +14,7 @@ from .klgeom import (SoftAssociation, aggregate_transitions, build_model,
                      kl_divergence, posterior_and_centroids)
 from .pipeline import PipelineResult, aggregate_fixed_k, run_pipeline
 from .selection import (SelectionReport, covariance_matrix, hard_membership,
-                        heterogeneity, heterogeneity_profile, marginal_return,
-                        select_k)
+                        heterogeneity, marginal_return, select_k)
 
 __version__ = "0.1.0"
 
@@ -25,9 +24,9 @@ __all__ = [
     "SoftAssociation", "StochasticMatrix",
     "aggregate_fixed_k", "aggregate_transitions", "anneal", "build_model",
     "covariance_matrix", "critical_temperature", "distance_matrix",
-    "distortion", "extract_hard_partition", "fixed_point", "free_energy",
+    "distortion", "extract_hard_partition", "free_energy",
     "gen_ncd", "gen_replicated_rows", "gibbs_weights", "hard_membership",
-    "hessian_quadratic_form", "heterogeneity", "heterogeneity_profile",
+    "hessian_quadratic_form", "heterogeneity",
     "ingest_bigrams", "kl_divergence", "make_partition", "marginal_return",
     "parse_matrix", "parse_partitions", "perturb", "posterior_and_centroids",
     "read_report", "run_pipeline", "select_k", "simplex_basis",

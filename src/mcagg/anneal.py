@@ -16,11 +16,10 @@ from typing import Optional
 import numpy as np
 
 from .core import _closure, as_rho, as_rows, make_partition, resolve_k_max
-from .errors import EmptySuperstate, InadmissiblePerturbation, NoConvergence
-from .klgeom import (_DENSE_MAX, _EXACT_FIT, _TINY, SoftAssociation,
-                     _check_bank, _Gibbs, _kept, _kl_rows, _lengths,
-                     _self_entropy, _top_deviation, hard_centroids,
-                     posterior_and_centroids)
+from .errors import EmptySuperstate, InadmissiblePerturbation
+from .klgeom import (_DENSE_MAX, _EXACT_FIT, _TINY, SoftAssociation, _Gibbs,
+                     _kept, _kl_rows, _lengths, _self_entropy,
+                     _top_deviation, hard_centroids, posterior_and_centroids)
 
 # The annealing recipe, one for every run (Rose, Proc. IEEE 1998). anneal,
 # _converge and _critical_full read these (and klgeom's centroid floor
@@ -125,27 +124,6 @@ def _squarem(Z, Z1, Z2):
     return Z - 2.0 * a * r + a * a * v
 
 
-def fixed_point(pi, rho, Z0, T, tol=_FP_TOL, max_iter=_FP_MAX_ITER):
-    """Converge the Eq.-style alternating update at temperature T, until a
-    step moves less than tol in sup-norm. tol defaults to the annealer's
-    _FP_TOL, 1e-6; pass tol=1e-8 for a finer settle.
-
-    Raises NoConvergence (carrying the last iterate) if max_iter is hit;
-    the iterate is still usable.
-    """
-    rows = as_rows(pi)
-    rho = as_rho(rho, rows.shape[0])
-    Z0 = np.atleast_2d(np.asarray(Z0, dtype=float))
-    _check_bank(rows, Z0)
-    Z, assoc, ok = _fp_iterate(rows, _self_entropy(rows), rows > 0, rho, Z0,
-                               T, tol, max_iter)
-    if not ok:
-        raise NoConvergence(
-            f"fixed point at T={T:g} moved more than {tol:g} after "
-            f"{max_iter} iterations", last=(Z, assoc))
-    return Z, assoc
-
-
 def _posterior_from(rows, rho, assoc):
     if assoc.posterior is not None:
         return assoc.posterior
@@ -188,7 +166,8 @@ def _critical_full(rows, rho, Z, assoc):
     for js in batches.values():
         cols = keep[js[0]].nonzero()[0]
         sub = rows[:, cols]
-        # a lone centroid keeps the 1-D arithmetic; a batch, C-ordered items
+        # a lone centroid keeps the 1-D calls, cheaper than a batch of one
+        # with the same bits; a batch, C-ordered items
         js, i = (js[0],) * 2 if len(js) == 1 else (js, np.array(js)[:, None])
         z, s = Z[i, cols], np.sqrt(S2[i, cols])
         tcrs[js], x = _top_deviation(sub, z, Q[js], s, z / s, vectors=True)

@@ -40,17 +40,6 @@ class DimensionMismatch(ValidationError):
     pass
 
 
-class NoConvergence(McaggError):
-    """Iteration hit max_iter with residual above tol.
-
-    Carries the last iterate so callers may proceed with it.
-    """
-
-    def __init__(self, message, last=None):
-        self.last = last
-        super().__init__(message)
-
-
 # kl-geometry / annealing
 class NonPositiveTemperature(ValidationError):
     pass

@@ -96,18 +96,13 @@ def _top_eigenvalue(members, w, q, mode):
     return _top_deviation(sub, w, q, s, u)
 
 
-def heterogeneity_profile(pi, partition, rho=None, mode="plain"):
-    """Per-superstate largest deviation eigenvalues (length k)."""
-    rows = as_rows(pi)
-    return _profile(rows, partition, as_rho(rho, rows.shape[0]), mode, {})
-
-
 def _profile(rows, partition, rho, mode, memo):
-    """heterogeneity_profile on validated rows and rho. Each superstate's
-    centroid is q @ rows[idx], a function of its members and their weights
-    alone, so memo maps those (member indices and q bytes; the mode is
-    fixed by the caller) to the _top_eigenvalue result, and a superstate
-    that recurs across partitions is scored once."""
+    """Per-superstate largest deviation eigenvalues (length k) on validated
+    rows and rho. Each superstate's centroid is q @ rows[idx], a function of
+    its members and their weights alone, so memo maps those (member indices
+    and q bytes; the mode is fixed by the caller) to the _top_eigenvalue
+    result, and a superstate that recurs across partitions is scored
+    once."""
     Q = hard_membership(partition, rho)
     out = np.zeros(partition.k)
     for jj in range(partition.k):
@@ -124,7 +119,8 @@ def _profile(rows, partition, rho, mode, memo):
 def heterogeneity(pi, partition, rho=None, mode="plain"):
     """t_bar: the largest per-superstate deviation eigenvalue under the
     given partition."""
-    prof = heterogeneity_profile(pi, partition, rho, mode)
+    rows = as_rows(pi)
+    prof = _profile(rows, partition, as_rho(rho, rows.shape[0]), mode, {})
     return float(prof.max(initial=0.0))
 
 

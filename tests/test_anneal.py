@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mcagg.anneal import (AnnealConfig, anneal, critical_temperature,
-                          extract_hard_partition, fixed_point,
-                          hessian_quadratic_form)
-from mcagg.core import simplex_basis, stationary_distribution
+                          extract_hard_partition, hessian_quadratic_form)
+from mcagg.core import as_rho, simplex_basis, stationary_distribution
 from mcagg.errors import (DimensionMismatch, InadmissiblePerturbation,
-                          NoConvergence, NonPositiveTemperature)
+                          NonPositiveTemperature)
 from mcagg.generators import gen_ncd
 from mcagg.klgeom import (_FLOOR, _TINY, SoftAssociation, _Gibbs, _kl_rows,
                           _self_entropy, _softmin, distance_matrix,
@@ -358,10 +357,20 @@ def test_top_deviation_batch_matches_its_one_item_calls(m, d):
     assert t[2] == 0.0 and not x[2].any() and (t[[0, 1, 3]] > 0).all()
 
 
-# --- fixed_point ---
+# --- the fixed point (_fp_iterate) ---
+
+def _fixed_point(rows, rho, Z0, T, tol=anneal_module._FP_TOL,
+                 max_iter=anneal_module._FP_MAX_ITER):
+    """The annealer's fixed point at T, as _converge runs it, from a bank Z0
+    on rows under rho (None: uniform). Returns (Z, assoc, converged)."""
+    return anneal_module._fp_iterate(rows, _self_entropy(rows), rows > 0,
+                                     as_rho(rho, len(rows)), Z0, T, tol,
+                                     max_iter)
+
 
 def test_fixed_point_k1_is_weighted_mean():
-    Z, assoc = fixed_point(PI2, None, np.array([[0.6, 0.4]]), T=1.0)
+    Z, assoc, ok = _fixed_point(PI2, None, np.array([[0.6, 0.4]]), T=1.0)
+    assert ok
     assert np.allclose(Z[0], [0.5, 0.5], atol=1e-12)
     assert np.allclose(assoc.p, 1.0, atol=1e-15)
 
@@ -369,14 +378,16 @@ def test_fixed_point_k1_is_weighted_mean():
 def test_fixed_point_identical_rows():
     rows = np.tile([0.25, 0.75], (4, 1))
     Z0 = np.array([[0.5, 0.5], [0.9, 0.1]])
-    Z, _ = fixed_point(rows, None, Z0, T=0.2)
+    Z, _, ok = _fixed_point(rows, None, Z0, T=0.2)
+    assert ok
     assert np.allclose(Z, [0.25, 0.75], atol=1e-8)
 
 
 def test_fixed_point_splits_below_critical():
     # below T_cr = 0.64 the symmetric solution is unstable
     Z0 = np.array([[0.501, 0.499], [0.499, 0.501]])
-    Z, _ = fixed_point(PI2, None, Z0, T=0.05)
+    Z, _, ok = _fixed_point(PI2, None, Z0, T=0.05)
+    assert ok
     assert np.allclose(np.sort(Z[:, 0]), [0.1, 0.9], atol=1e-3)
 
 
@@ -386,7 +397,7 @@ def test_fixed_point_rejects_non_positive_temperature(T):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(NonPositiveTemperature):
-            fixed_point(PI2, None, Z0, T=T)
+            _fixed_point(PI2, None, Z0, T=T)
 
 
 def test_fixed_point_free_energy_monotone():
@@ -404,12 +415,17 @@ def test_fixed_point_free_energy_monotone():
 
 
 def test_fixed_point_no_convergence_carries_last():
+    # cut off at max_iter, the fixed point still returns the bank and
+    # weights of its last plain step, which _converge goes on with
     Z0 = np.array([[0.501, 0.499], [0.499, 0.501]])
-    with pytest.raises(NoConvergence) as exc:
-        fixed_point(PI2, None, Z0, T=0.05, tol=1e-15, max_iter=1)
-    Z, assoc = exc.value.last
-    assert Z.shape == (2, 2)
-    assert assoc.p.shape == (2, 2)
+    rho = as_rho(None, 2)
+    Z, assoc, ok = _fixed_point(PI2, None, Z0, T=0.05, tol=1e-15, max_iter=1)
+    assert ok is False
+    p, _ = _Gibbs(PI2, _self_entropy(PI2), PI2 > 0, rho, 0.05)(Z0)
+    posterior, Z1 = posterior_and_centroids(PI2, p, rho)
+    assert np.array_equal(Z, Z1) and not np.array_equal(Z, Z0)
+    assert np.array_equal(assoc.p, p)
+    assert np.array_equal(assoc.posterior, posterior)
 
 
 def _plain_fixed_point(rows, rho, Z, T, tol=1e-13, max_iter=200_000):
@@ -448,7 +464,8 @@ def test_fixed_point_accelerated_matches_plain(n, k, seed, ratio):
     t_cr = critical_temperature(rows, rho, (rho @ rows)[None, :], ones).t_cr
     T = ratio * t_cr
     tol = 1e-10
-    Z, _ = fixed_point(rows, rho, Z0, T, tol=tol, max_iter=20_000)
+    Z, _, ok = _fixed_point(rows, rho, Z0, T, tol=tol, max_iter=20_000)
+    assert ok
     assert _plain_residual(rows, rho, Z, T) < 2 * tol
     assert free_energy(rows, Z, rho, T) <= free_energy(rows, Z0, rho, T) + 1e-10
     if ratio > 1:
@@ -467,7 +484,9 @@ def test_fixed_point_sparse_rows_keep_exact_zeros():
     Z0 = np.vstack([rng.dirichlet(np.ones(4), size=2) @ rows[:4],
                     rows[4:].mean(axis=0)])
     T = 0.1     # soft enough within block A that extrapolation engages
-    Z, assoc = fixed_point(rows, rho, Z0, T, tol=1e-10, max_iter=20_000)
+    Z, assoc, ok = _fixed_point(rows, rho, Z0, T, tol=1e-10,
+                                max_iter=20_000)
+    assert ok
     ref = _plain_fixed_point(rows, rho, Z0, T)
     assert np.abs(Z - ref).max() < 1e-5
     assert np.array_equal(Z == 0, ref == 0)
@@ -678,9 +697,10 @@ def test_gibbs_fast_path_matches_general_path(monkeypatch, case):
                                   "zero weight, zero coordinates"])
 def test_fixed_point_fast_path_matches_general_path(monkeypatch, case):
     rows, rho, Z0, T, _ = _gibbs_cases()[case]
-    Z, assoc = fixed_point(rows, rho, Z0, T)
+    Z, assoc, ok = _fixed_point(rows, rho, Z0, T)
     monkeypatch.setattr(anneal_module, "_Gibbs", _GeneralPathGibbs)
-    Z_want, assoc_want = fixed_point(rows, rho, Z0, T)
+    Z_want, assoc_want, ok_want = _fixed_point(rows, rho, Z0, T)
+    assert ok and ok_want
     assert np.array_equal(Z, Z_want)
     assert np.array_equal(assoc.p, assoc_want.p)
     assert np.array_equal(assoc.posterior, assoc_want.posterior)
@@ -701,14 +721,17 @@ def test_fixed_point_max_iter_counts_map_evaluations(monkeypatch, max_iter):
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append(1)
-        return posterior_and_centroids(*args, **kwargs)
+        calls.append(posterior_and_centroids(*args, **kwargs))
+        return calls[-1]
 
     monkeypatch.setattr(anneal_module, "posterior_and_centroids", counting)
     Z0 = np.array([[0.501, 0.499], [0.499, 0.501]])
-    with pytest.raises(NoConvergence):
-        fixed_point(PI2, None, Z0, T=0.5, tol=1e-15, max_iter=max_iter)
+    Z, assoc, ok = _fixed_point(PI2, None, Z0, T=0.5, tol=1e-15,
+                                max_iter=max_iter)
+    assert ok is False
     assert len(calls) == max_iter
+    # the returned bank and posterior are the last plain step's
+    assert Z is calls[-1][1] and assoc.posterior is calls[-1][0]
 
 
 # --- hessian_quadratic_form ---

@@ -9,8 +9,7 @@ from mcagg.errors import DimensionMismatch, NonConsecutiveK
 from mcagg.generators import gen_ncd
 from mcagg.pipeline import run_pipeline
 from mcagg.selection import (covariance_matrix, hard_membership,
-                             heterogeneity, heterogeneity_profile,
-                             marginal_return, select_k)
+                             heterogeneity, marginal_return, select_k)
 
 from conftest import floored_chain
 
@@ -23,6 +22,12 @@ def _random_chain_and_partition(n, k, seed):
     assign = np.concatenate([np.arange(k), rng.integers(0, k, size=n - k)])
     rng.shuffle(assign)
     return rows, make_partition(assign, k=k)
+
+
+def _profile(rows, part, rho=None, mode="plain"):
+    """Each superstate's t under part, as select_k scores it."""
+    rep = select_k(rows, {part.k: part}, rho, mode)
+    return np.array(rep.per_superstate[part.k])
 
 
 # --- hard_membership ---
@@ -136,8 +141,7 @@ def test_covariance_ignores_zero_weight_member_on_floored_coordinate(mode):
     C = covariance_matrix(members, w, q, mode=mode)
     C2 = covariance_matrix(members[:2], w, q[:2], mode=mode)
     assert np.array_equal(C, C2)
-    t = heterogeneity_profile(members, make_partition([0, 0, 0]), q,
-                              mode=mode)[0]
+    t = _profile(members, make_partition([0, 0, 0]), q, mode=mode)[0]
     assert t == pytest.approx(np.linalg.eigvalsh(C).max(), rel=1e-12)
 
 
@@ -161,7 +165,7 @@ def test_heterogeneity_singletons_zero():
 
 def test_heterogeneity_profile_length():
     rows, part = _random_chain_and_partition(8, 3, seed=2)
-    prof = heterogeneity_profile(rows, part)
+    prof = _profile(rows, part)
     assert prof.shape == (3,)
     assert (prof >= 0).all()
 
@@ -281,8 +285,7 @@ def _memo_cases():
 def test_select_memo_bit_identical_to_profile_loop(mode):
     for rows, parts, rho in _memo_cases():
         rep = select_k(rows, parts, rho, mode)
-        profiles = {k: heterogeneity_profile(rows, p, rho, mode)
-                    for k, p in parts.items()}
+        profiles = {k: _profile(rows, p, rho, mode) for k, p in parts.items()}
         t_bars = {k: float(p.max(initial=0.0)) for k, p in profiles.items()}
         nus = marginal_return(t_bars)
         assert not rep.exact_fit
@@ -324,7 +327,7 @@ def test_select_scores_each_distinct_superstate_once(monkeypatch):
 def test_covariance_psd(n, k, seed):
     k = min(k, n)
     rows, part = _random_chain_and_partition(n, k, seed)
-    prof = heterogeneity_profile(rows, part)
+    prof = _profile(rows, part)
     Q = hard_membership(part)
     W = Q.T @ rows
     for j in range(k):
@@ -401,7 +404,7 @@ def test_profile_large_superstate_near_degenerate_top_pair(mode):
                                               mode=mode))
     assert len(ev) > 200
     assert (ev[-1] - ev[-2]) / ev[-1] < 1e-6
-    prof = heterogeneity_profile(rows, part, mode=mode)
+    prof = _profile(rows, part, mode=mode)
     assert prof[0] == pytest.approx(ev[-1], rel=1e-12)
 
 
@@ -433,7 +436,7 @@ def test_profile_matches_covariance_eigvalsh(n, k, seed, zero_frac,
     # the closed-form test below)
     for mode, tol in (("plain", 1e-12), ("whiten", 1e-6)):
         ref = _reference_profile(rows, part, rho, mode)
-        prof = heterogeneity_profile(rows, part, rho, mode)
+        prof = _profile(rows, part, rho, mode)
         scale = max(float(ref.max()), 1e-300)
         err = np.abs(prof - ref) / np.maximum(ref, 1e-12 * scale)
         assert err.max() <= tol, (mode, prof, ref)
@@ -482,7 +485,7 @@ def test_whiten_two_members_closed_form_ill_conditioned():
     part = make_partition([0, 0, 1])
     keep = (a + b) > 0
     exact = float(np.sum((a - b)[keep] ** 2 / (2 * (a + b)[keep])))
-    prof = heterogeneity_profile(rows, part, mode="whiten")
+    prof = _profile(rows, part, mode="whiten")
     assert prof[0] == pytest.approx(exact, rel=1e-12)
     assert prof[1] == 0.0
 
@@ -495,7 +498,7 @@ def test_heterogeneity_point_mass_singleton_is_zero():
     with pytest.raises(DimensionMismatch):
         covariance_matrix(rows[:1], rows[0], np.array([1.0]))
     for mode in ("plain", "whiten"):
-        prof = heterogeneity_profile(rows, part, mode=mode)
+        prof = _profile(rows, part, mode=mode)
         assert prof[0] == 0.0
         assert prof[1] > 0.0
 
@@ -695,7 +698,7 @@ def test_heterogeneity_lanczos_on_400_state_superstates(mode):
     parts = _planted_partitions([80] * 5, 8, seed=11)
     large = 0
     for k in (1, 2, 3):
-        prof = heterogeneity_profile(rows, parts[k], mode=mode)
+        prof = _profile(rows, parts[k], mode=mode)
         Q = hard_membership(parts[k])
         for j in range(k):
             idx = np.flatnonzero(parts[k].assign == j)

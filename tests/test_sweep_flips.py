@@ -103,11 +103,12 @@ def test_record_counts_map_evaluations_and_temperatures(monkeypatch):
     # the record's costs are the calls of mcagg.anneal.posterior_and_centroids
     # in the chain's pipeline run and the length of its trace
     pi, truth = sweep_flips.gen_ncd(blocks=[3, 3, 3], eps=0.05, seed=1)
-    monkeypatch.setattr(sweep_flips, "chains", lambda with_ncd9: iter(
+    monkeypatch.setattr(sweep_flips, "chains", lambda: iter(
         [("crit1-1", pi.rows, "uniform", 6, truth)]))
+    monkeypatch.setattr(sweep_flips, "degenerate_chains", lambda: iter([]))
     anneal_module = sweep_flips.anneal_module
     plain, calls = anneal_module.posterior_and_centroids, []
-    rec = sweep_flips.record(False, False, None)["crit1-1"]
+    rec = sweep_flips.record(None)["crit1-1"]
     assert anneal_module.posterior_and_centroids is plain
     monkeypatch.setattr(anneal_module, "posterior_and_centroids",
                         lambda *a: calls.append(1) or plain(*a))
