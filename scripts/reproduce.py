@@ -15,10 +15,10 @@ import numpy as np
 import sweep_flips
 from mcagg import ingest_bigrams, parse_matrix, parse_partitions, select_k
 from mcagg.pipeline import aggregate_per_k
+from mcagg.selection import MODES
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 OUT = ROOT / "REPRODUCE.json"
-MODES = ("plain", "whiten")
 # the eps rows beyond the acceptance chains, run only by this script
 EXTRA_EPS = (1e-3, 1e-4)
 # one BLAS thread against two moves no stored value at this precision

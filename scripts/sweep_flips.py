@@ -26,10 +26,10 @@ Every record holds the same 2505 runs:
 The benchmark chains are drawn with the same seeds as perfbench/workloads.py
 draws them. Then come 400 seeded random chains of 2-12 states with 30-80%
 zero entries, some with an absorbing state and some with duplicated rows,
-each run with k_max = n under both rho and both selection modes (1600 runs,
-the degenerate-* sets). They have no planted k, so their planted_k is null
-and they count toward neither the k_t hits nor the flips at k <= planted
-k_t.
+each run with k_max = n under both rho and every selection mode of
+mcagg.selection.MODES, plain and whiten (1600 runs, the degenerate-* sets).
+They have no planted k, so their planted_k is null and they count toward
+neither the k_t hits nor the flips at k <= planted k_t.
 
 ``--null t0|delta|swap`` records a null run of the same code, to size how
 many flips a change with no intended effect already causes: ``t0`` and
@@ -63,9 +63,8 @@ relative plus 1e-12 absolute of the minimum) and, per chain set, the count
 at the optimum, and record B's misses: their number, the largest gap
 (d - opt) / opt (absolute where opt = 0) with its (chain, k), and the summed
 gap. Per chain set it also prints the summed map evaluations and
-temperatures of both records, or n/a for a record written before they were
-recorded. It exits 1 when any chain's k_t changed, so it serves as the k_t
-gate alone.
+temperatures of both records. It exits 1 when any chain's k_t changed, so
+it serves as the k_t gate alone.
 """
 import argparse
 import contextlib
@@ -81,6 +80,7 @@ import numpy as np
 import mcagg
 from mcagg import gen_ncd, gen_replicated_rows, run_pipeline
 from mcagg.core import as_rho
+from mcagg.selection import MODES
 
 anneal_module = importlib.import_module("mcagg.anneal")
 
@@ -155,7 +155,7 @@ def rho_of(rows, rho_mode):
 
 def degenerate_chains():
     """(name, rows, rho mode, k_max, planted k, selection mode) for the 400
-    degenerate chains, each under both rho and both selection modes."""
+    degenerate chains, each under both rho and every selection mode."""
     rng = np.random.default_rng(20201)
     for i in range(400):
         n = int(rng.integers(2, 13))
@@ -169,7 +169,7 @@ def degenerate_chains():
         if rng.random() < 0.5:
             rows[rng.integers(0, n, n // 2 + 1)] = rows[rng.integers(n)]
         for rho_mode in ("uniform", "stationary"):
-            for mode in ("plain", "whiten"):
+            for mode in MODES:
                 yield (f"degenerate-{rho_mode}-{mode}-s{i}", rows, rho_mode,
                        n, None, mode)
 
@@ -306,13 +306,8 @@ def gap(chain, k):
     return (d - opt) / abs(opt) if opt else d - opt
 
 
-# per-chain sweep costs; a record written before they were kept lacks them,
-# and a total over such a chain is None
+# per-chain sweep costs, which every record carries
 COSTS = ("map_evals", "temperatures")
-
-
-def _add(total, value):
-    return None if total is None or value is None else total + value
 
 
 def compare(a, b):
@@ -372,8 +367,7 @@ def compare(a, b):
               f"({t['ties']} ties), {t['raised_low']} at k <= planted k_t "
               f"raise distortion beyond a tie; summed distortion change "
               f"over the flips {t['delta']:+.4g}")
-        costs = {c: " -> ".join("n/a" if s[c] is None else str(s[c])
-                                for s in (ta, tb)) for c in COSTS}
+        costs = {c: f"{ta[c]} -> {tb[c]}" for c in COSTS}
         print(f"{fam}: map evaluations {costs['map_evals']}, temperatures "
               f"{costs['temperatures']}")
         if tb["exact_pairs"]:
@@ -391,7 +385,7 @@ def summary(rec):
     chains, the k_t hits among the chains with a planted k, the (chain,
     k >= 2) pairs with an exact minimum and how many reach it, each miss
     with its gap (as gap() gives it), and the summed map evaluations and
-    temperatures (None where a chain lacks them)."""
+    temperatures."""
     out = {}
     for name in sorted(rec):
         c = rec[name]
@@ -403,7 +397,7 @@ def summary(rec):
             t["planted"] += c["planted_k"] is not None
             t["kt_hits"] += c["k_t"] == c["planted_k"]
             for cost in COSTS:
-                t[cost] = _add(t[cost], c.get(cost))
+                t[cost] += c[cost]
             for k in c.get("exact", ()):
                 if k == "1":
                     continue

@@ -21,22 +21,23 @@ from .klgeom import (_DENSE_MAX, _EXACT_FIT, _TINY, SoftAssociation, _Gibbs,
                      _kept, _kl_rows, _lengths, _self_entropy,
                      _top_deviation, hard_centroids, posterior_and_centroids)
 
-# The annealing recipe, one for every run (Rose, Proc. IEEE 1998). anneal,
-# _converge and _critical_full read these (and klgeom's centroid floor
-# _FLOOR and exact-fit threshold _EXACT_FIT) when called, not as default
-# arguments, so a script may patch them for a null run.
-_ALPHA = 0.9            # cooling factor: T <- at most _ALPHA * T
-_T0_FACTOR = 2.0        # T0 = _T0_FACTOR * t_cr of the starting centroid
-_T_MIN_FACTOR = 1e-8    # stop once T < _T_MIN_FACTOR * T0
-_MERGE_TOL = 1e-3       # inf-norm under which two centroids coincide
-_DELTA = 1e-4           # least shadow offset amplitude
-_FP_TOL = 1e-6          # sup-norm step that ends a fixed point
+# The annealing recipe, one for every run (Rose, Proc. IEEE 1998). The
+# function named in each comment reads the constant when called, not as a
+# default argument, so a script may patch it for a null run; anneal also
+# reads klgeom's _EXACT_FIT, and _critical_full klgeom's _FLOOR via _kept.
+_ALPHA = 0.9            # anneal: cooling factor, T <- at most _ALPHA * T
+_T0_FACTOR = 2.0        # anneal: T0 = _T0_FACTOR * the starting t_cr
+_T_MIN_FACTOR = 1e-8    # anneal: stop once T < _T_MIN_FACTOR * T0
+_MERGE_TOL = 1e-3       # anneal: inf-norm under which centroids coincide
+_DELTA = 1e-4           # _shadow_offsets: least shadow offset amplitude
+_FP_TOL = 1e-6          # _fp_iterate: sup-norm step that ends a fixed point
 # The merge test reads the settled bank at _MERGE_TOL only, so a fixed point
 # settles to _FP_TOL and no finer. _MERGE_TOL > 2 _DELTA puts a stable
 # centroid's two shadows inside the merge radius from the start, and the
 # factor 1000 between the two leaves every near-critical stable pair merged
 # (tests/test_anneal.py::test_near_critical_pairs_merge_below_t_cr_split_above)
-_FP_MAX_ITER = 500      # map evaluations per fixed point
+_FP_MAX_ITER = 500      # _fp_iterate: map evaluations per fixed point
+_LLOYD_MAX_ITER = 200   # _lloyd: reassignment rounds of refinement's polish
 
 
 @dataclass(frozen=True)
@@ -63,7 +64,7 @@ class AnnealResult:
     warnings: list = field(default_factory=list)
 
 
-def _fp_iterate(rows, self_ent, positive, rho, Z0, T, tol, max_iter):
+def _fp_iterate(rows, self_ent, positive, rho, Z0, T):
     """Settle the bank at temperature T by the Gibbs-weight / centroid map,
     accelerated by SQUAREM-S3 (Varadhan & Roland 2008). self_ent and
     positive are the rows' self-entropies and support mask (see
@@ -75,20 +76,20 @@ def _fp_iterate(rows, self_ent, positive, rho, Z0, T, tol, max_iter):
     a = min(-|r|/|v|, -1). The next cycle starts from Z2 instead when the
     extrapolated bank leaves the simplex (a negative entry, or a zero where
     Z2 is positive) or when its free energy exceeds that at the cycle start.
-    Convergence is a plain step moving less than tol in sup-norm, so the
-    returned (Z, assoc) always come from a plain step; max_iter counts map
-    evaluations. Returns (Z, assoc, converged). Dead bank rows raise
-    EmptySuperstate.
+    Convergence is a plain step moving less than _FP_TOL in sup-norm, so
+    the returned (Z, assoc) always come from a plain step; _FP_MAX_ITER
+    caps the map evaluations. Returns (Z, assoc, converged). Dead bank rows
+    raise EmptySuperstate.
     """
     weights = _Gibbs(rows, self_ent, positive, rho, T)
     Z = np.atleast_2d(np.asarray(Z0, dtype=float)).copy()
     p, f_start = weights(Z)
     base, mid = Z, None   # the cycle's start and its first plain step
     Znew, last = Z, None
-    for _ in range(max_iter):
+    for _ in range(_FP_MAX_ITER):
         posterior, Znew = posterior_and_centroids(rows, p, rho)
         last = (p, posterior)
-        if np.maximum.reduce(np.abs(Znew - Z), axis=None) < tol:
+        if np.maximum.reduce(np.abs(Znew - Z), axis=None) < _FP_TOL:
             return Znew, SoftAssociation(*last), True
         Z = Znew
         if mid is None:
@@ -138,13 +139,13 @@ def _critical_full(rows, rho, Z, assoc):
     Centroid j's critical temperature is the top eigenvalue of its
     posterior-weighted deviation covariance, whitened by the curvature
     diag((p_j @ rows) / z^2) on the simplex tangent space (Rose 1998). That
-    is klgeom._top_deviation with q = p_j, s = sqrt(p_j @ rows) and u along
-    z / s, on the coordinates where z clears _FLOOR and p_j puts mass; the
-    others are dropped, never raised over. Centroids that keep the same
-    coordinates are solved as one stacked _top_deviation batch; a lone one,
-    or one whose factor takes Lanczos (smaller side above _DENSE_MAX),
-    alone. Each keeps the bits of its own 1-D solve. The split direction is
-    x z / s for the top eigenvector x, unit-normalized. The spread is the
+    is klgeom._top_deviation with q = p_j and s = sqrt(p_j @ rows), on the
+    coordinates where z clears _FLOOR and p_j puts mass; the others are
+    dropped, never raised over. Centroids that keep the same coordinates
+    are solved as one stacked _top_deviation batch; a lone one, or one whose
+    factor takes Lanczos (smaller side above _DENSE_MAX), alone. Each keeps
+    the bits of its own 1-D solve. The split direction is x z / s for the
+    top eigenvector x, unit-normalized. The spread is the
     posterior-weighted RMS sqrt(sum_i q_i ((rows_i - z) . d)^2) of the
     members along that direction d; it scales the split's shadow offset
     (_shadow_offsets). A centroid with no mass, fewer than 2 kept
@@ -170,7 +171,7 @@ def _critical_full(rows, rho, Z, assoc):
         # with the same bits; a batch, C-ordered items
         js, i = (js[0],) * 2 if len(js) == 1 else (js, np.array(js)[:, None])
         z, s = Z[i, cols], np.sqrt(S2[i, cols])
-        tcrs[js], x = _top_deviation(sub, z, Q[js], s, z / s, vectors=True)
+        tcrs[js], x = _top_deviation(sub, z, Q[js], s, vectors=True)
         d = x * z / s
         nrm = _lengths(d)
         d /= nrm + (nrm == 0)   # nrm is 0 only where x, and so d, is
@@ -235,14 +236,13 @@ def hessian_quadratic_form(pi, rho, Z, assoc, T, perturbation):
 
 
 def extract_hard_partition(assoc, merge_map=None):
-    """Assign each state to its heaviest association weight after identifying
-    merged centroids. Ties break toward the lowest distinct index; distinct
-    indices are compacted into range(k)."""
+    """Assign each state to its heaviest association weight after grouping
+    bank column b into merge_map[b] (None: each column its own group). Ties
+    break toward the lowest group; groups are compacted into range(k)."""
     p = assoc.p
     n, kb = p.shape
-    cols = (np.arange(kb) if merge_map is None
-            else np.array([merge_map[b] for b in range(kb)]))
-    grouped = np.zeros((n, len(set(cols.tolist()))))
+    cols = np.arange(kb) if merge_map is None else np.asarray(merge_map)
+    grouped = np.zeros((n, cols.max() + 1))
     # adds the bank's columns into their groups in increasing column order
     np.add.at(grouped.T, cols, p.T)
     raw = np.argmax(grouped, axis=1)
@@ -253,8 +253,8 @@ def extract_hard_partition(assoc, merge_map=None):
 def _merge_bank(Z, tol):
     """Merge coincident rows: rows linked by a chain of inf-distances below
     tol form one group, indexed in order of its lowest row. Returns the
-    distinct bank (mean of each group) and the bank-row -> distinct-index
-    map."""
+    distinct bank (mean of each group) and the array of each bank row's
+    distinct index."""
     close = np.abs(Z[:, None] - Z[None]).max(axis=2) < tol
     root = np.argmax(_closure(close), axis=1)
     _, index = np.unique(root, return_inverse=True)
@@ -263,7 +263,7 @@ def _merge_bank(Z, tol):
     Zm = np.zeros((index.max() + 1, Z.shape[1]))
     np.add.at(Zm, index, Z)
     Zm /= np.bincount(index)[:, None]
-    return Zm, dict(enumerate(index.tolist()))
+    return Zm, index
 
 
 def _split_amplitude(beta):
@@ -305,8 +305,7 @@ def _converge(rows, self_ent, positive, rho, Z, T, warnings):
     """Fixed point with dead-centroid recovery; never raises."""
     while True:
         try:
-            Z2, assoc, ok = _fp_iterate(rows, self_ent, positive, rho, Z, T,
-                                        _FP_TOL, _FP_MAX_ITER)
+            Z2, assoc, ok = _fp_iterate(rows, self_ent, positive, rho, Z, T)
             if not ok:
                 warnings.append((T, "shadow", "max_iter"))
             return Z2, assoc
@@ -386,7 +385,7 @@ def anneal(pi, rho=None, cfg=AnnealConfig()):
                         trace=trace, warnings=warnings)
 
 
-def _lloyd(rows, rho, assign, self_ent, positive, max_iter=200):
+def _lloyd(rows, rho, assign, self_ent, positive):
     """Zero-temperature polish: reassign every state with rho > 0 to the
     nearest hard centroid until stable. A state with rho = 0 adds nothing
     to the distortion wherever it sits, so it keeps its group. Keeps the
@@ -396,7 +395,7 @@ def _lloyd(rows, rho, assign, self_ent, positive, max_iter=200):
     assign = np.asarray(assign, dtype=int).copy()
     k = int(assign.max()) + 1
     live = rho > 0
-    for _ in range(max_iter):
+    for _ in range(_LLOYD_MAX_ITER):
         W = hard_centroids(rows, assign, rho)
         D = _kl_rows(rows, self_ent, positive, W)
         new = np.where(live, np.argmin(D, axis=1), assign)

@@ -19,7 +19,7 @@ from .generators import default_counts, gen_ncd, gen_replicated_rows
 from .io import (file_sha256, ingest_bigrams, parse_matrix, parse_partitions,
                  report_csv_rows, write_matrix, write_partitions, write_report)
 from .pipeline import aggregate_per_k, run_pipeline
-from .selection import select_k
+from .selection import MODES, select_k
 
 
 def _print_config(cmd, args, extra=None):
@@ -47,7 +47,7 @@ def _add_kmax_flag(p):
 
 
 def _add_select_flags(p):
-    p.add_argument("--mode", choices=["plain", "whiten"], default="plain")
+    p.add_argument("--mode", choices=MODES, default="plain")
     p.add_argument("--rho", choices=["uniform", "stationary"],
                    default="uniform")
 

@@ -49,12 +49,10 @@ def as_rows(pi):
     return np.asarray(pi, dtype=float)
 
 
-def as_rho(rho, n=None):
+def as_rho(rho, n):
     """Accept state weights or None (uniform over n states); return the
     ndarray."""
     if rho is None:
-        if n is None:
-            raise DimensionMismatch("need n to build uniform weights")
         return np.full(n, 1.0 / n)
     return np.asarray(rho, dtype=float)
 

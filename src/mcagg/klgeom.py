@@ -251,12 +251,11 @@ def hard_centroids(pi, assign, rho=None):
     return (Q @ rows) / np.bincount(assign, w, k)[:, None]
 
 
-def build_model(pi, assign, rho=None, bank=None):
-    """AggregatedModel from a hard assignment; bank defaults to hard centroids."""
+def build_model(pi, assign, rho=None):
+    """AggregatedModel from a hard assignment, its bank the hard centroids."""
     rows = as_rows(pi)
     part = make_partition(assign)
-    if bank is None:
-        bank = hard_centroids(rows, part.assign, rho)
+    bank = hard_centroids(rows, part.assign, rho)
     psi = aggregate_transitions(bank, part)
     return AggregatedModel(partition=part, psi=psi, distributions=bank)
 
@@ -328,10 +327,10 @@ def _lengths(x):
     return np.sqrt(x[:, None, :] @ x[:, :, None])[:, 0]
 
 
-def _top_deviation(members, w, q, s, u, vectors=False):
+def _top_deviation(members, w, q, s, vectors=False):
     """Largest eigenvalue t of A^T A for the m x d deviation factor
-    A = sqrt(q) (U - (U u) u^T), with U = (members - w) / s and u scaled to
-    unit length.
+    A = sqrt(q) (U - (U u) u^T), with U = (members - w) / s whitened by the
+    curvature Lambda = diag(s^2 / w^2), and u = Lambda^-1/2 1 = w / s, unit.
 
     The eigensolve runs on the smaller Gram G, A A^T or A^T A, of size
     r = min(m, d). Up to r = _DENSE_MAX, t is the top eigenvalue from
@@ -347,12 +346,13 @@ def _top_deviation(members, w, q, s, u, vectors=False):
     eigenvalue x is the projection of A^T b (or b) onto that eigenspace,
     the same on every call.
 
-    w, q, s and u may carry a leading batch axis of superstates over the
+    w, q and s may carry a leading batch axis of superstates over the
     same members. t and x then come back stacked, each item with the bits of
     its 1-D call: stacked products, eigvalsh, solve and Lanczos run item-wise.
     """
     U = (members - w[..., None, :]) / s[..., None, :]
-    u = u / _lengths(u)
+    u = w / s
+    u /= _lengths(u)
     A = np.sqrt(q)[..., None] * (U - (U @ u[..., None]) * u[..., None, :])
     At = A.swapaxes(-1, -2)
     wide, r = A.shape[-2] <= A.shape[-1], min(A.shape[-2:])

@@ -20,7 +20,7 @@ from .core import as_rho, as_rows, make_partition, resolve_k_max
 from .errors import DimensionMismatch
 from .klgeom import (_TINY, _kl_rows, _self_entropy, build_model,
                      hard_centroids)
-from .selection import SelectionReport, select_k
+from .selection import SelectionReport, _check_mode, select_k
 
 __all__ = ["PipelineResult", "aggregate_fixed_k", "aggregate_per_k",
            "run_pipeline", "refine_per_k"]
@@ -57,9 +57,10 @@ def _group_terms(Sg, Mg, SEg):
 # rows per scan block of _move_descent: the rows of a block that a current
 # group column lacks are computed just before the scan reads the block
 _BLOCK = 32
+_MAX_PASSES = 50   # scan passes per _move_descent
 
 
-def _move_descent(rows, rho, assign, self_ent, memo=None, max_passes=50):
+def _move_descent(rows, rho, assign, self_ent, memo):
     """Single-state relocation descent with immediate centroid updates.
 
     Batch reassignment (Lloyd) stalls on stale centroids; moving one state
@@ -77,7 +78,7 @@ def _move_descent(rows, rho, assign, self_ent, memo=None, max_passes=50):
     self-entropy i) is fixed for given rows, rho and self_ent, so a memo
     may be shared by descents on the same chain and weights, and a hit
     holds the bytes a fresh computation would give. It must not be shared
-    across chains or weights. memo=None uses a fresh dict.
+    across chains or weights.
 
     S[g], M[g], SE[g], tab[:, g] and have[:, g] hold group g's memo entry
     while g keeps its members; the entry goes back to the memo when g
@@ -86,19 +87,17 @@ def _move_descent(rows, rho, assign, self_ent, memo=None, max_passes=50):
     the end of its block of _BLOCK rows and, just before, computes the
     rows of that block that a current column lacks.
 
-    States are visited in index order, one pass after another, and a state
-    moves to the first group whose gain beats the best so far by more than
-    1e-14. The scan goes straight to the first state in visit order that
-    has such a gain: every state in between stays put, because no group it
-    depends on has changed since it was last scored.
+    States are visited in index order, for at most _MAX_PASSES passes, and
+    a state moves to the first group whose gain beats the best so far by
+    more than 1e-14. The scan goes straight to the first state in visit
+    order that has such a gain: every state in between stays put, because
+    no group it depends on has changed since it was last scored.
     """
     assign = np.asarray(assign, dtype=int).copy()
     n = rows.shape[0]
     k = int(assign.max()) + 1
     if k == 1:
         return assign
-    if memo is None:
-        memo = {}
     se = self_ent * rho
     wrows = rho[:, None] * rows
     # additions in rows 0..n-1, removals (the negated inputs) in n..2n-1
@@ -136,7 +135,7 @@ def _move_descent(rows, rho, assign, self_ent, memo=None, max_passes=50):
         look_up(g)
     cur = _group_terms(S, M, SE)
     counts = np.bincount(assign, minlength=k)
-    for _ in range(max_passes):
+    for _ in range(_MAX_PASSES):
         improved = False
         i = 0
         while i < n:
@@ -272,7 +271,8 @@ def aggregate_fixed_k(pi, rho, k):
 def run_pipeline(pi, rho=None, k_max=None, mode="plain"):
     """Aggregate then select, scoring in the given selection mode. Returns
     PipelineResult with one partition and model per k in 1..k_max and the
-    selection report."""
+    selection report. A mode outside MODES raises BadParameter up front."""
+    _check_mode(mode)
     rows = as_rows(pi)
     rho = as_rho(rho, rows.shape[0])
     partitions, models, trace = aggregate_per_k(rows, rho, k_max)

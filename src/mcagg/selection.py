@@ -10,11 +10,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import as_rho, as_rows, simplex_basis
-from .errors import DimensionMismatch, NonConsecutiveK
+from .errors import BadParameter, DimensionMismatch, NonConsecutiveK
 from .klgeom import _EXACT_FIT, _kept, _member_weights, _top_deviation
 
-__all__ = ["SelectionReport", "hard_membership", "covariance_matrix",
+__all__ = ["MODES", "SelectionReport", "hard_membership", "covariance_matrix",
            "heterogeneity", "marginal_return", "select_k"]
+
+MODES = ("plain", "whiten")   # the selection modes, plain the default
+
+
+def _check_mode(mode):
+    if mode not in MODES:
+        raise BadParameter(f"mode {mode!r} is not one of {MODES}")
 
 
 @dataclass
@@ -22,7 +29,7 @@ class SelectionReport:
     k_t: int
     t_bars: dict
     nus: dict
-    mode: str = "plain"   # "plain" | "whiten"
+    mode: str = "plain"   # one of MODES
     exact_fit: bool = False
     per_superstate: dict = field(default_factory=dict)  # k -> [lambda_max]
 
@@ -56,8 +63,8 @@ def covariance_matrix(members, w, q, mode="plain"):
     so the output eigenvalues are comparable to annealing temperatures. That
     Cholesky is ill-conditioned when a kept coordinate of w sits just above
     _FLOOR (Lambda = diag(1/w)): with w near 1e-12, whiten mode is accurate
-    only to about 1e-5 relative.
-    """
+    only to about 1e-5 relative. A mode outside MODES raises BadParameter."""
+    _check_mode(mode)
     members = np.atleast_2d(np.asarray(members, dtype=float))
     w = np.asarray(w, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -68,8 +75,6 @@ def covariance_matrix(members, w, q, mode="plain"):
     if mode == "plain":
         C = B.T @ (q[:, None] * B)
         return 0.5 * (C + C.T)
-    if mode != "whiten":
-        raise ValueError(f"unknown covariance mode {mode!r}")
     qn = q / q.sum()
     lam = (qn @ sub) / w**2
     H0 = theta.T @ (lam[:, None] * theta)
@@ -81,19 +86,14 @@ def covariance_matrix(members, w, q, mode="plain"):
 
 def _top_eigenvalue(members, w, q, mode):
     """Largest eigenvalue of covariance_matrix(members, w, q, mode) (0 below
-    2 kept coordinates), by _top_deviation: s = w and u along 1 in plain
-    mode; q normalized, s = sqrt(q @ members) and u along w / s in whiten
-    mode, which is the annealer's t_cr at the posterior q."""
+    2 kept coordinates), by _top_deviation: s = w in plain mode; q
+    normalized and s = sqrt(q @ members) in whiten mode, which is the
+    annealer's t_cr at the posterior q."""
     sub, w = _kept_coordinates(members, w)
     if mode == "plain":
-        s, u = w, np.ones(len(w))
-    elif mode == "whiten":
-        q = q / q.sum()
-        s = np.sqrt(q @ sub)
-        u = w / s
-    else:
-        raise ValueError(f"unknown covariance mode {mode!r}")
-    return _top_deviation(sub, w, q, s, u)
+        return _top_deviation(sub, w, q, w)
+    q = q / q.sum()
+    return _top_deviation(sub, w, q, np.sqrt(q @ sub))
 
 
 def _profile(rows, partition, rho, mode, memo):
@@ -118,7 +118,8 @@ def _profile(rows, partition, rho, mode, memo):
 
 def heterogeneity(pi, partition, rho=None, mode="plain"):
     """t_bar: the largest per-superstate deviation eigenvalue under the
-    given partition."""
+    given partition, in one of MODES."""
+    _check_mode(mode)
     rows = as_rows(pi)
     prof = _profile(rows, partition, as_rho(rho, rows.shape[0]), mode, {})
     return float(prof.max(initial=0.0))
@@ -145,9 +146,10 @@ def marginal_return(t_bars):
 def select_k(pi, partitions, rho=None, mode="plain"):
     """Score a consecutive family of partitions and pick k_t = argmax nu
     (ties to the smallest k). Exact fits short-circuit: the smallest k with
-    t_bar = 0 wins. The family must be nonempty and every partition must
-    cover the matrix's n states. A superstate that recurs across k with the
-    same inputs is scored once."""
+    t_bar = 0 wins. The family must be nonempty, every partition must
+    cover the matrix's n states and the mode must be one of MODES. A
+    superstate that recurs across k with the same inputs is scored once."""
+    _check_mode(mode)
     rows = as_rows(pi)
     n = rows.shape[0]
     rho = as_rho(rho, n)

@@ -211,8 +211,9 @@ def test_critical_full_multiple_top_eigenvalue_deterministic():
 # --- the stacked critical-temperature solve against the per-centroid one ---
 
 def _reference_top_deviation(members, w, q, s, u):
-    """klgeom._top_deviation(members, w, q, s, u, vectors=True) for one
-    superstate as it was before batching, kept verbatim."""
+    """klgeom._top_deviation(members, w, q, s, vectors=True) for one
+    superstate as it was before batching, kept verbatim: it takes the
+    direction u, which the kernel now derives as w / s."""
     U = (members - w) / s
     u = u / np.linalg.norm(u)
     A = np.sqrt(q)[:, None] * (U - np.outer(U @ u, u))
@@ -338,19 +339,19 @@ def test_top_deviation_batch_matches_its_one_item_calls(m, d):
     # zeros
     rng = np.random.default_rng(m * d)
     members = rng.dirichlet(np.ones(d), size=m)
-    w = rng.dirichlet(np.ones(d), size=4)
     q = rng.dirichlet(np.ones(m), size=4)
     q[2] = 0.0
+    # s and the direction u = w / s each an arbitrary positive vector
     s = rng.uniform(0.1, 1.0, size=(4, d))
-    u = rng.uniform(0.1, 1.0, size=(4, d))
+    w = s * rng.uniform(0.1, 1.0, size=(4, d))
     top = klgeom_module._top_deviation
-    t, x = top(members, w, q, s, u, vectors=True)
-    _assert_same_bits(top(members, w, q, s, u), t)
+    t, x = top(members, w, q, s, vectors=True)
+    _assert_same_bits(top(members, w, q, s), t)
     assert t.shape == (4,) and x.shape == (4, d)
     for i in range(4):
-        t1, x1 = top(members, w[i], q[i], s[i], u[i], vectors=True)
+        t1, x1 = top(members, w[i], q[i], s[i], vectors=True)
         t_ref, x_ref = _reference_top_deviation(members, w[i], q[i], s[i],
-                                                u[i])
+                                                w[i] / s[i])
         assert t[i] == t1 == t_ref
         _assert_same_bits(x[i], x1)
         _assert_same_bits(x1, x_ref)
@@ -359,13 +360,20 @@ def test_top_deviation_batch_matches_its_one_item_calls(m, d):
 
 # --- the fixed point (_fp_iterate) ---
 
-def _fixed_point(rows, rho, Z0, T, tol=anneal_module._FP_TOL,
-                 max_iter=anneal_module._FP_MAX_ITER):
+def _fixed_point(rows, rho, Z0, T):
     """The annealer's fixed point at T, as _converge runs it, from a bank Z0
-    on rows under rho (None: uniform). Returns (Z, assoc, converged)."""
+    on rows under rho (None: uniform), at the _FP_TOL and _FP_MAX_ITER that
+    mcagg.anneal holds at the call (see _fp_limits). Returns (Z, assoc,
+    converged)."""
     return anneal_module._fp_iterate(rows, _self_entropy(rows), rows > 0,
-                                     as_rho(rho, len(rows)), Z0, T, tol,
-                                     max_iter)
+                                     as_rho(rho, len(rows)), Z0, T)
+
+
+def _fp_limits(mp, tol, max_iter):
+    """Set the fixed point's _FP_TOL and _FP_MAX_ITER with the MonkeyPatch
+    mp."""
+    mp.setattr(anneal_module, "_FP_TOL", tol)
+    mp.setattr(anneal_module, "_FP_MAX_ITER", max_iter)
 
 
 def test_fixed_point_k1_is_weighted_mean():
@@ -414,12 +422,13 @@ def test_fixed_point_free_energy_monotone():
         prev = cur
 
 
-def test_fixed_point_no_convergence_carries_last():
-    # cut off at max_iter, the fixed point still returns the bank and
+def test_fixed_point_no_convergence_carries_last(monkeypatch):
+    # cut off at _FP_MAX_ITER, the fixed point still returns the bank and
     # weights of its last plain step, which _converge goes on with
     Z0 = np.array([[0.501, 0.499], [0.499, 0.501]])
     rho = as_rho(None, 2)
-    Z, assoc, ok = _fixed_point(PI2, None, Z0, T=0.05, tol=1e-15, max_iter=1)
+    _fp_limits(monkeypatch, 1e-15, 1)
+    Z, assoc, ok = _fixed_point(PI2, None, Z0, T=0.05)
     assert ok is False
     p, _ = _Gibbs(PI2, _self_entropy(PI2), PI2 > 0, rho, 0.05)(Z0)
     posterior, Z1 = posterior_and_centroids(PI2, p, rho)
@@ -464,7 +473,9 @@ def test_fixed_point_accelerated_matches_plain(n, k, seed, ratio):
     t_cr = critical_temperature(rows, rho, (rho @ rows)[None, :], ones).t_cr
     T = ratio * t_cr
     tol = 1e-10
-    Z, _, ok = _fixed_point(rows, rho, Z0, T, tol=tol, max_iter=20_000)
+    with pytest.MonkeyPatch.context() as mp:
+        _fp_limits(mp, tol, 20_000)
+        Z, _, ok = _fixed_point(rows, rho, Z0, T)
     assert ok
     assert _plain_residual(rows, rho, Z, T) < 2 * tol
     assert free_energy(rows, Z, rho, T) <= free_energy(rows, Z0, rho, T) + 1e-10
@@ -473,7 +484,7 @@ def test_fixed_point_accelerated_matches_plain(n, k, seed, ratio):
         assert np.abs(Z - ref).max() < 1e-5
 
 
-def test_fixed_point_sparse_rows_keep_exact_zeros():
+def test_fixed_point_sparse_rows_keep_exact_zeros(monkeypatch):
     # two blocks with disjoint supports; two centroids share block A and one
     # sits on block B, so every step meets +inf cross-block distances
     rng = np.random.default_rng(4)
@@ -484,8 +495,8 @@ def test_fixed_point_sparse_rows_keep_exact_zeros():
     Z0 = np.vstack([rng.dirichlet(np.ones(4), size=2) @ rows[:4],
                     rows[4:].mean(axis=0)])
     T = 0.1     # soft enough within block A that extrapolation engages
-    Z, assoc, ok = _fixed_point(rows, rho, Z0, T, tol=1e-10,
-                                max_iter=20_000)
+    _fp_limits(monkeypatch, 1e-10, 20_000)
+    Z, assoc, ok = _fixed_point(rows, rho, Z0, T)
     assert ok
     ref = _plain_fixed_point(rows, rho, Z0, T)
     assert np.abs(Z - ref).max() < 1e-5
@@ -508,10 +519,9 @@ def test_anneal_fixed_points_never_raise_free_energy(monkeypatch):
 
     fp_iterate = anneal_module._fp_iterate
 
-    def checked(rows, self_ent, positive, rho, Z0, T, tol, max_iter):
+    def checked(rows, self_ent, positive, rho, Z0, T):
         outputs.clear()
-        result = fp_iterate(rows, self_ent, positive, rho, Z0, T, tol,
-                            max_iter)
+        result = fp_iterate(rows, self_ent, positive, rho, Z0, T)
         f0 = free_energy(rows, Z0, rho, T)
         rises.append(max(free_energy(rows, Z, rho, T) for Z in outputs) - f0)
         return result
@@ -583,11 +593,10 @@ def _jump_run(monkeypatch, rho, T, jump, banks=None):
     monkeypatch.setattr(anneal_module, "posterior_and_centroids",
                         lambda r, p, w: seen.append(p) or
                         posterior_and_centroids(r, p, w))
+    _fp_limits(monkeypatch, 1e-12, 10_000)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        _, _, ok = anneal_module._fp_iterate(
-            ZERO_WEIGHT_ROWS, _self_entropy(ZERO_WEIGHT_ROWS),
-            ZERO_WEIGHT_ROWS > 0, rho, ZERO_WEIGHT_Z0, T, 1e-12, 10_000)
+        _, _, ok = _fixed_point(ZERO_WEIGHT_ROWS, rho, ZERO_WEIGHT_Z0, T)
     monkeypatch.undo()
     assert ok and not jumps
     return seen
@@ -726,8 +735,8 @@ def test_fixed_point_max_iter_counts_map_evaluations(monkeypatch, max_iter):
 
     monkeypatch.setattr(anneal_module, "posterior_and_centroids", counting)
     Z0 = np.array([[0.501, 0.499], [0.499, 0.501]])
-    Z, assoc, ok = _fixed_point(PI2, None, Z0, T=0.5, tol=1e-15,
-                                max_iter=max_iter)
+    _fp_limits(monkeypatch, 1e-15, max_iter)
+    Z, assoc, ok = _fixed_point(PI2, None, Z0, T=0.5)
     assert ok is False
     assert len(calls) == max_iter
     # the returned bank and posterior are the last plain step's
@@ -806,7 +815,7 @@ def test_extract_matches_argmax_oracle():
 def test_extract_merge_map_groups_columns():
     p = np.array([[0.4, 0.4, 0.2], [0.1, 0.1, 0.8]])
     part = extract_hard_partition(SoftAssociation(p=p),
-                                  merge_map={0: 0, 1: 0, 2: 1})
+                                  merge_map=np.array([0, 0, 1]))
     # columns 0+1 merge to weight 0.8 > 0.2 for the first state
     assert np.array_equal(part.assign, [0, 1])
 
@@ -827,12 +836,13 @@ def test_extract_rho_scale_invariance():
 
 def _loop_extract_hard_partition(assoc, merge_map=None):
     """extract_hard_partition with the per-column Python loop it had before
-    np.add.at, kept verbatim as the reference."""
+    np.add.at, kept as the reference; merge_map is the array of each
+    column's group, as _merge_bank returns it."""
     p = assoc.p
     n, kb = p.shape
     if merge_map is None:
-        merge_map = {j: j for j in range(kb)}
-    n_distinct = len(set(merge_map.values()))
+        merge_map = np.arange(kb)
+    n_distinct = len(set(merge_map.tolist()))
     grouped = np.zeros((n, n_distinct))
     for b in range(kb):
         grouped[:, merge_map[b]] += p[:, b]
@@ -852,7 +862,7 @@ def test_extract_matches_column_loop(seed):
         p = np.round(p, 1)
     groups = rng.integers(0, kb, kb)
     _, index = np.unique(groups, return_inverse=True)
-    for merge_map in (None, dict(enumerate(index.tolist()))):
+    for merge_map in (None, index):
         part = extract_hard_partition(SoftAssociation(p=p), merge_map)
         assign, k = _loop_extract_hard_partition(SoftAssociation(p=p),
                                                  merge_map)
@@ -864,7 +874,8 @@ def test_extract_matches_column_loop(seed):
 
 def _loop_merge_bank(Z, tol):
     """_merge_bank with the pairwise O(k^2) Python loop it had before the
-    broadcast test, kept verbatim as the reference."""
+    broadcast test, kept as the reference; the map is the array of each
+    row's distinct index."""
     k = Z.shape[0]
     parent = list(range(k))
 
@@ -882,7 +893,7 @@ def _loop_merge_bank(Z, tol):
                     parent[max(ra, rb)] = min(ra, rb)
     roots = sorted({find(a) for a in range(k)})
     index = {r: i for i, r in enumerate(roots)}
-    merge_map = {a: index[find(a)] for a in range(k)}
+    merge_map = np.array([index[find(a)] for a in range(k)])
     Zm = np.stack([Z[[a for a in range(k) if find(a) == r]].mean(axis=0)
                    for r in roots])
     return Zm, merge_map
@@ -915,7 +926,7 @@ def test_merge_bank_matches_pairwise_loop(seed):
     Z = _bank_with_near_duplicates(rng, k, n, tol)
     Zm, merge_map = anneal_module._merge_bank(Z, tol)
     Zr, ref_map = _loop_merge_bank(Z, tol)
-    assert merge_map == ref_map
+    assert merge_map.tolist() == ref_map.tolist()
     assert Zm.tobytes() == Zr.tobytes()
 
 
@@ -923,8 +934,8 @@ def test_merge_bank_chain_joins_through_middle():
     Z = np.array([[0.5, 0.5], [0.5 + 6e-7, 0.5], [0.5 + 1.2e-6, 0.5],
                   [0.1, 0.9], [0.5 + 1.2e-6, 0.5]])
     Zm, merge_map = anneal_module._merge_bank(Z, 1e-6)
-    assert merge_map == {0: 0, 1: 0, 2: 0, 3: 1, 4: 0}
-    assert merge_map == _loop_merge_bank(Z, 1e-6)[1]
+    assert merge_map.tolist() == [0, 0, 0, 1, 0]
+    assert merge_map.tolist() == _loop_merge_bank(Z, 1e-6)[1].tolist()
     assert Zm.shape == (2, 2)
 
 
@@ -1230,9 +1241,7 @@ def test_near_critical_pairs_merge_below_t_cr_split_above(seed):
         T = ratio * tcrs[0]
         bank = anneal_module._shadow_bank(
             z0, dirs, anneal_module._shadow_offsets(tcrs, sigmas, T))
-        Z, _, ok = anneal_module._fp_iterate(
-            rows, _self_entropy(rows), rows > 0, rho, bank, T,
-            anneal_module._FP_TOL, anneal_module._FP_MAX_ITER)
+        Z, _, ok = _fixed_point(rows, rho, bank, T)
         merged, _ = anneal_module._merge_bank(Z, anneal_module._MERGE_TOL)
         sizes[ratio] = merged.shape[0]
     assert sizes == {0.9: 2, 0.95: 2, 1.005: 1, 1.01: 1, 1.02: 1, 1.05: 1,

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
@@ -81,7 +82,8 @@ def test_distance_matrix_honest_inf():
 # --- distortion ---
 
 def test_distortion_two_state():
-    model = build_model(PI2, [0, 0], bank=np.array([[0.5, 0.5]]))
+    # the hard centroid of PI2 under uniform weights is (0.5, 0.5)
+    model = build_model(PI2, [0, 0])
     # 0.5*KL((0.9,0.1)||(0.5,0.5)) + 0.5*KL((0.1,0.9)||(0.5,0.5))
     assert distortion(PI2, model) == pytest.approx(0.3680642071684971,
                                                    rel=1e-12)
@@ -286,7 +288,9 @@ def test_free_energy_k1_equals_distortion():
     rng = np.random.default_rng(4)
     rows = rng.dirichlet(np.ones(6), size=6)
     z = rng.dirichlet(np.ones(6))
-    model = build_model(rows, [0] * 6, bank=z[None, :])
+    # the one superstate's distribution replaced by z, off the centroid
+    model = dataclasses.replace(build_model(rows, [0] * 6),
+                                distributions=z[None, :])
     for T in (0.1, 1.0, 10.0):
         assert free_energy(rows, z[None, :], T=T) == pytest.approx(
             distortion(rows, model), abs=1e-12)

@@ -13,7 +13,7 @@ import mcagg.klgeom as klgeom
 import mcagg.pipeline as pipeline
 from mcagg.anneal import AnnealConfig, _lloyd, anneal
 from mcagg.core import stationary_distribution
-from mcagg.errors import DimensionMismatch
+from mcagg.errors import BadParameter, DimensionMismatch
 from mcagg.generators import gen_ncd
 from mcagg.io import parse_matrix
 from mcagg.klgeom import _kl_rows, _self_entropy, hard_centroids
@@ -153,15 +153,16 @@ def best_move_gain(rows, rho, assign):
 BLOCKS = [1, 3, 7, pipeline._BLOCK]
 
 
-def descend_each_block(rows, rho, assign, **kwargs):
-    """_move_descent's result at every block size in BLOCKS."""
+def descend_each_block(rows, rho, assign, memo=None):
+    """_move_descent's result at every block size in BLOCKS, each call with
+    a fresh memo unless memo is given."""
     saved = pipeline._BLOCK
     try:
         out = []
         for block in BLOCKS:
             pipeline._BLOCK = block
             out.append(_move_descent(rows, rho, assign, _self_entropy(rows),
-                                     **kwargs))
+                                     {} if memo is None else memo))
         return out
     finally:
         pipeline._BLOCK = saved
@@ -187,11 +188,14 @@ def test_move_descent_matches_scalar_reference(n, k, seed, zero_frac,
 def test_move_descent_ends_with_no_improving_move(n, k, seed, zero_frac,
                                                   zero_rho):
     rows, rho, assign = _problem(n, k, seed, zero_frac, zero_rho)
-    for got in descend_each_block(rows, rho, assign, max_passes=10_000):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "_MAX_PASSES", 10_000)
+        got_each = descend_each_block(rows, rho, assign)
+    for got in got_each:
         assert best_move_gain(rows, rho, got) <= 1e-14
 
 
-def test_move_descent_one_group_and_max_passes():
+def test_move_descent_one_group_and_max_passes(monkeypatch):
     rng = np.random.default_rng(3)
     rows = _sparse_chain(rng, 12, 0.5)
     rho = np.full(12, 1 / 12)
@@ -200,7 +204,8 @@ def test_move_descent_one_group_and_max_passes():
     start = np.arange(12) % 4
     for passes in (1, 2):
         want = reference_move_descent(rows, rho, start, max_passes=passes)
-        for got in descend_each_block(rows, rho, start, max_passes=passes):
+        monkeypatch.setattr(pipeline, "_MAX_PASSES", passes)
+        for got in descend_each_block(rows, rho, start):
             np.testing.assert_array_equal(got, want)
 
 
@@ -316,8 +321,8 @@ def _memo_free(monkeypatch):
     """Make every descent in refine_per_k start from an empty memo."""
     descend = pipeline._move_descent
 
-    def fresh(rows, rho, assign, self_ent, memo=None):
-        return descend(rows, rho, assign, self_ent)
+    def fresh(rows, rho, assign, self_ent, memo):
+        return descend(rows, rho, assign, self_ent, {})
     monkeypatch.setattr(pipeline, "_move_descent", fresh)
 
 
@@ -659,3 +664,18 @@ def test_pipeline_scores_chains_with_entries_at_the_floor(n, seed, zero_frac,
             t_bars = np.array(list(report.t_bars.values()))
             assert len(t_bars) == min(n, 8)
             assert np.isfinite(t_bars).all() and (t_bars >= 0).all()
+
+
+@pytest.mark.parametrize("mode", ["odds", "Plain", None])
+def test_run_pipeline_rejects_an_unknown_mode_before_annealing(monkeypatch,
+                                                               mode):
+    # the mode is checked up front: no annealing or refinement runs, and
+    # the error is typed (BadParameter is a ValueError too)
+    rows = gen_ncd([40] * 5, 0.02, seed=1)[0].rows
+
+    def fail(*args, **kwargs):
+        raise AssertionError("annealed before checking the mode")
+
+    monkeypatch.setattr(pipeline, "anneal", fail)
+    with pytest.raises(BadParameter, match="is not one of"):
+        run_pipeline(rows, k_max=8, mode=mode)

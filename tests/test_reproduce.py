@@ -18,9 +18,13 @@ reproduce = load_script("reproduce")
 def test_floors_and_committed_record(acceptance_runs):
     t0 = time.time()
     runs, _ = acceptance_runs
-    rec = {name: sweep_flips.chain_record(r.rows, r.rho, r.partitions,
-                                          r.models, r.reports["plain"].k_t,
-                                          r.planted)
+    # the acceptance runs do not count the sweep's costs, which summary
+    # sums over every chain; no floor reads them
+    rec = {name: dict(sweep_flips.chain_record(r.rows, r.rho, r.partitions,
+                                               r.models,
+                                               r.reports["plain"].k_t,
+                                               r.planted),
+                      map_evals=0, temperatures=0)
            for name, r in runs.items()}
     got = sweep_flips.summary(rec)["acceptance"]
     floor = json.loads((ROOT / "SWEEP.json").read_text())["acceptance"]

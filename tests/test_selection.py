@@ -5,7 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 from mcagg import klgeom, selection
 from mcagg.anneal import _critical_full
 from mcagg.core import as_rho, make_partition
-from mcagg.errors import DimensionMismatch, NonConsecutiveK
+from mcagg.errors import BadParameter, DimensionMismatch, NonConsecutiveK
 from mcagg.generators import gen_ncd
 from mcagg.pipeline import run_pipeline
 from mcagg.selection import (covariance_matrix, hard_membership,
@@ -28,6 +28,21 @@ def _profile(rows, part, rho=None, mode="plain"):
     """Each superstate's t under part, as select_k scores it."""
     rep = select_k(rows, {part.k: part}, rho, mode)
     return np.array(rep.per_superstate[part.k])
+
+
+def test_selection_rejects_an_unknown_mode_before_scoring(monkeypatch):
+    # select_k, heterogeneity and covariance_matrix check the mode against
+    # MODES before any superstate is scored
+    rows, part = _random_chain_and_partition(6, 2, 0)
+    monkeypatch.setattr(selection, "_profile", None)
+    monkeypatch.setattr(selection, "simplex_basis", None)
+    for call in (lambda: select_k(rows, {2: part}, mode="odds"),
+                 lambda: heterogeneity(rows, part, mode="odds"),
+                 lambda: covariance_matrix(rows, rows[0], np.ones(6) / 6,
+                                           mode="odds")):
+        with pytest.raises(BadParameter, match="'odds' is not one of"):
+            call()
+    assert selection.MODES == ("plain", "whiten")
 
 
 # --- hard_membership ---
@@ -524,20 +539,22 @@ def test_membership_zero_weight_group_uniform():
 # factors whose smaller side is above the cutoff take the Lanczos path
 _BIG = klgeom._DENSE_MAX + 12
 
-def _factor(members, w, q, s, u):
-    """The deviation factor A of _top_deviation, built directly."""
+def _factor(members, w, q, s):
+    """The deviation factor A of _top_deviation, built directly, and its
+    unit direction u along w / s."""
     U = (members - w) / s
+    u = w / s
     u = u / np.linalg.norm(u)
     return np.sqrt(q)[:, None] * (U - np.outer(U @ u, u)), u
 
 
-def _check_direction(members, w, q, s, u):
+def _check_direction(members, w, q, s):
     """(t, x) of the vector path: t equal to the temperature-only path, x
     unit, orthogonal to u and with Rayleigh quotient t within 1e-12."""
     with np.errstate(all="raise"):
-        t, x = klgeom._top_deviation(members, w, q, s, u, vectors=True)
-        t_only = klgeom._top_deviation(members, w, q, s, u)
-    A, un = _factor(members, w, q, s, u)
+        t, x = klgeom._top_deviation(members, w, q, s, vectors=True)
+        t_only = klgeom._top_deviation(members, w, q, s)
+    A, un = _factor(members, w, q, s)
     assert t == t_only
     assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
     assert abs(x @ un) < 1e-12
@@ -553,11 +570,11 @@ def test_top_deviation_direction_matches_eigh(d, extra, tall, seed):
     m = d + 1 + extra if tall else max(1, d - extra)
     rng = np.random.default_rng(seed)
     members = rng.dirichlet(np.ones(d), size=m)
-    w = rng.dirichlet(np.ones(d))
     q = rng.dirichlet(np.ones(m))
+    # s and the direction u = w / s each an arbitrary positive vector
     s = rng.uniform(0.1, 1.0, size=d)
-    u = rng.uniform(0.1, 1.0, size=d)
-    t, x, A = _check_direction(members, w, q, s, u)
+    w = s * rng.uniform(0.1, 1.0, size=d)
+    t, x, A = _check_direction(members, w, q, s)
     vals, vecs = np.linalg.eigh(A.T @ A)
     assert t == pytest.approx(max(vals[-1], 0.0), rel=1e-10, abs=1e-15)
     if vals[-1] - vals[-2] > 1e-6 * vals[-1]:
@@ -569,8 +586,8 @@ def test_top_deviation_single_member():
     # projected deviation
     members = np.array([[0.5, 0.2, 0.3]])
     w = np.array([0.2, 0.3, 0.5])
-    q, s, u = np.ones(1), np.sqrt(w), np.sqrt(w)
-    t, x, A = _check_direction(members, w, q, s, u)
+    q, s = np.ones(1), np.sqrt(w)
+    t, x, A = _check_direction(members, w, q, s)
     assert t == pytest.approx(float(A[0] @ A[0]), rel=1e-14)
     assert abs(x @ A[0]) / np.linalg.norm(A[0]) == pytest.approx(1.0,
                                                                  abs=1e-15)
@@ -588,9 +605,8 @@ def test_top_deviation_rank_one(m, d):
     members = w + c[:, None] * v
     q = rng.dirichlet(np.ones(m))
     s = np.sqrt(w)
-    u = w / s
-    t, x, _ = _check_direction(members, w, q, s, u)
-    un = u / np.linalg.norm(u)
+    t, x, _ = _check_direction(members, w, q, s)
+    un = w / s / np.linalg.norm(w / s)
     e = v / s - (v / s @ un) * un
     assert t == pytest.approx(float(q @ c**2) * float(e @ e), rel=1e-12)
     assert abs(x @ e) / np.linalg.norm(e) == pytest.approx(1.0, abs=1e-14)
@@ -602,16 +618,17 @@ def test_top_deviation_tiny_deviations(m, d):
     # deviations near 1e-150 give a Gram near 1e-300: the scaled solve (or
     # the Lanczos run on A over its largest entry) neither overflows nor
     # underflows, and the direction is that of the same deviations at unit
-    # scale
+    # scale. s = 1, so u is along w at both scales; w's entries stay above
+    # 0.1, so that u = 1e-150 w / s squares to normal numbers
     rng = np.random.default_rng(5)
-    w = rng.dirichlet(np.ones(d))
+    w = rng.uniform(0.1, 1.0, size=d)
     dev = rng.uniform(0.5, 1.5, size=(m, d)) * rng.choice([-1.0, 1.0],
                                                           size=(m, d))
     q = rng.dirichlet(np.ones(m))
-    s = u = np.ones(d)
-    t, x, _ = _check_direction(1e-150 * (w + dev), 1e-150 * w, q, s, u)
+    s = np.ones(d)
+    t, x, _ = _check_direction(1e-150 * (w + dev), 1e-150 * w, q, s)
     with np.errstate(all="raise"):
-        t1, x1 = klgeom._top_deviation(w + dev, w, q, s, u, vectors=True)
+        t1, x1 = klgeom._top_deviation(w + dev, w, q, s, vectors=True)
     assert 0.0 < t < 1e-290
     assert t == pytest.approx(1e-300 * t1, rel=1e-12)
     assert abs(x @ x1) == pytest.approx(1.0, abs=1e-12)
@@ -623,7 +640,7 @@ def test_top_deviation_identical_rows_zero_vector(m):
     members = np.tile(w, (m, 1))
     with np.errstate(all="raise"):
         t, x = klgeom._top_deviation(members, w, np.full(m, 1.0 / m),
-                                        np.sqrt(w), np.sqrt(w), vectors=True)
+                                     np.sqrt(w), vectors=True)
     assert t == 0.0 and x.shape == (4,) and not x.any()
 
 
@@ -644,18 +661,19 @@ def test_top_deviation_lanczos_matches_eigvalsh(extra, tall, seed):
     members = rng.dirichlet(np.ones(d), size=m)
     w = rng.dirichlet(np.ones(d))
     q = rng.dirichlet(np.ones(m))
+    # s and the direction u = w / s each an arbitrary positive vector
     s = rng.uniform(0.1, 1.0, size=d)
-    u = rng.uniform(0.1, 1.0, size=d)
-    t, x, A = _check_direction(members, w, q, s, u)
+    w = s * rng.uniform(0.1, 1.0, size=d)
+    t, x, A = _check_direction(members, w, q, s)
     assert t == pytest.approx(_top_gram_eigenvalue(A), rel=1e-12)
 
 
 @pytest.mark.parametrize("m, d", [(_BIG, _BIG + 7), (_BIG + 7, _BIG)])
 def test_top_deviation_lanczos_double_top_eigenvalue(m, d):
-    # members = sqrt(m) L diag(sv) R^T with R orthogonal to u, w = 0, s = 1
-    # and uniform q, so A has singular values sv: the top eigenvalue 4 is
-    # exactly double, and the direction is a vector of its 2-dimensional
-    # eigenspace, the same on every call
+    # members = sqrt(m) L diag(sv) R^T with R orthogonal to u, w = u, s = 1
+    # and uniform q, so A = sqrt(q) members has singular values sv: the top
+    # eigenvalue 4 is exactly double, and the direction is a vector of its
+    # 2-dimensional eigenspace, the same on every call
     rng = np.random.default_rng(8)
     u = rng.standard_normal(d)
     u /= np.linalg.norm(u)
@@ -666,9 +684,9 @@ def test_top_deviation_lanczos_double_top_eigenvalue(m, d):
     sv = np.concatenate([[2.0, 2.0], np.linspace(1.5, 0.1, r - 2)])
     members = np.sqrt(m) * (L * sv) @ R.T
     q = np.full(m, 1.0 / m)
-    w, s = np.zeros(d), np.ones(d)
-    t, x, _ = _check_direction(members, w, q, s, u)
-    t2, x2 = klgeom._top_deviation(members, w, q, s, u, vectors=True)
+    w, s = u, np.ones(d)
+    t, x, _ = _check_direction(members, w, q, s)
+    t2, x2 = klgeom._top_deviation(members, w, q, s, vectors=True)
     assert t == t2 and np.array_equal(x, x2)
     assert t == pytest.approx(4.0, rel=1e-12)
     assert np.linalg.norm(R[:, :2].T @ x) == pytest.approx(1.0, abs=1e-12)
@@ -681,9 +699,8 @@ def test_top_deviation_lanczos_identical_rows_zero_vector(m, d):
     q = np.full(m, 1.0 / m)
     with np.errstate(all="raise"):
         t, x = klgeom._top_deviation(members, w, q, np.sqrt(w),
-                                        np.sqrt(w), vectors=True)
-        t_only = klgeom._top_deviation(members, w, q, np.sqrt(w),
-                                          np.sqrt(w))
+                                     vectors=True)
+        t_only = klgeom._top_deviation(members, w, q, np.sqrt(w))
     assert t == 0.0 and t_only == 0.0
     assert x.shape == (d,) and not x.any()
 
@@ -704,12 +721,8 @@ def test_heterogeneity_lanczos_on_400_state_superstates(mode):
             idx = np.flatnonzero(parts[k].assign == j)
             members, q = rows[idx], Q[idx, j]
             w = q @ members
-            if mode == "plain":
-                s, u = w, np.ones(len(w))
-            else:
-                s = np.sqrt(q @ members)
-                u = w / s
-            A, _ = _factor(members, w, q, s, u)
+            s = w if mode == "plain" else np.sqrt(q @ members)
+            A, _ = _factor(members, w, q, s)
             assert prof[j] == pytest.approx(_top_gram_eigenvalue(A),
                                             rel=1e-12)
             large += len(idx) > klgeom._DENSE_MAX

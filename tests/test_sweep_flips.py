@@ -52,11 +52,13 @@ def test_exact_minima_match_brute_force(seed, rho_mode):
 
 def _chain_record(distortion, exact):
     """A hand-built sweep record of one chain with k_t 2, its partitions at
-    k = 1..3 and the given distortions and exact minima per k."""
+    k = 1..3, the given distortions and exact minima per k, and zero
+    costs."""
     return {"k_t": 2, "planted_k": 2,
             "partitions": {"1": [0, 0, 0], "2": [0, 0, 1], "3": [0, 1, 2]},
             "distortion": {str(k): d for k, d in enumerate(distortion, 1)},
-            "exact": {str(k): e for k, e in enumerate(exact, 1)}}
+            "exact": {str(k): e for k, e in enumerate(exact, 1)},
+            "map_evals": 0, "temperatures": 0}
 
 
 def test_compare_prints_gaps_of_b_misses(capsys):
@@ -117,29 +119,23 @@ def test_record_counts_map_evaluations_and_temperatures(monkeypatch):
     assert rec["temperatures"] == len(res.trace) > 0
 
 
-def test_compare_totals_costs_and_reads_records_without_them(capsys):
+def test_compare_totals_costs(capsys):
     old = _chain_record([2.0, 1.0, 0.2], [2.0, 1.0, 0.2])
     a = {"crit1-s0": dict(old, map_evals=900, temperatures=40),
-         "crit1-s1": dict(old, map_evals=100, temperatures=10),
-         "large-ncd-s1-0": dict(old, map_evals=50, temperatures=5)}
+         "crit1-s1": dict(old, map_evals=100, temperatures=10)}
     b = {"crit1-s0": dict(old, map_evals=700, temperatures=41),
-         "crit1-s1": dict(old, map_evals=80, temperatures=10),
-         "large-ncd-s1-0": old}
+         "crit1-s1": dict(old, map_evals=80, temperatures=10)}
     totals = sweep_flips.compare(a, b)
     out = capsys.readouterr().out
     assert ("acceptance: map evaluations 1000 -> 780, temperatures 50 -> 51"
             in out)
-    assert "large-ncd: map evaluations 50 -> n/a, temperatures 5 -> n/a" in out
-    assert "all: map evaluations 1050 -> n/a, temperatures 55 -> n/a" in out
-    assert totals["map_evals_a"] == 1050 and totals["map_evals_b"] is None
-    sweep_flips.compare({"crit1-s0": old}, {"crit1-s0": old})
-    assert ("acceptance: map evaluations n/a -> n/a, temperatures n/a -> n/a"
-            in capsys.readouterr().out)
+    assert totals["map_evals_a"] == 1000 and totals["map_evals_b"] == 780
 
 
 def test_summary_counts_hits_optima_misses_and_costs(tmp_path, monkeypatch):
-    big = _chain_record([2.0, 1.0, 0.2], [])   # no exact minima, no costs
-    del big["exact"]
+    big = dict(_chain_record([2.0, 1.0, 0.2], []), map_evals=50,
+               temperatures=5)
+    del big["exact"]   # no exact minima
     rec = {"crit1-s0": dict(_chain_record([2.0, 1.5, 0.25], [2.0, 1.0, 0.2]),
                             map_evals=700, temperatures=41),
            "crit1-s1": dict(_chain_record([2.0, 0.5, 0.0], [2.0, 0.5, 0.0]),
@@ -151,12 +147,12 @@ def test_summary_counts_hits_optima_misses_and_costs(tmp_path, monkeypatch):
         "at_optimum": 2, "map_evals": 780, "temperatures": 51,
         "misses": [{"chain": "crit1-s0", "k": 2, "gap": 0.5},
                    {"chain": "crit1-s0", "k": 3, "gap": pytest.approx(0.25)}]}
-    # a chain without exact minima or costs adds to neither count
+    # a chain without exact minima adds to neither optimum count
     assert got["large-ncd"]["exact_pairs"] == 0
-    assert got["large-ncd"]["map_evals"] is None
+    assert got["large-ncd"]["map_evals"] == 50
     assert got["all"] == {"chains": 3, "planted": 2, "kt_hits": 1,
                           "exact_pairs": 4, "at_optimum": 2,
-                          "map_evals": None, "temperatures": None}
+                          "map_evals": 830, "temperatures": 56}
     # --summary writes the same summary for record B of --compare
     a, b, out = (tmp_path / n for n in ("a.json", "b.json", "s.json"))
     for path in (a, b):
